@@ -256,20 +256,21 @@ def effective_parents(g: Admg) -> tuple[tuple[int, ...], ...]:
     order = topological_order(g)
     pos = {v: i for i, v in enumerate(order)}
     adj = _bidirected_adjacency(g)
-    parents = [g.parents(v) for v in range(g.node_count)]
+    parents: list[list[int]] = [[] for _ in range(g.node_count)]
+    for u, w in g.directed_edges:
+        parents[w].append(u)
     k = c_components(g).max_size
     d = g.max_in_degree
     bound = k * d + k - 1
     result: list[tuple[int, ...]] = [()] * g.node_count
     for i, v in enumerate(order):
-        prefix = {u for u in order[: i + 1]}
-        # Confounded component of v within the prefix-induced graph.
+        # Confounded component of v within the graph induced on order[: i + 1].
         comp = {v}
         stack = [v]
         while stack:
             u = stack.pop()
             for w in adj[u]:
-                if w in prefix and w not in comp:
+                if pos[w] <= i and w not in comp:
                     comp.add(w)
                     stack.append(w)
         closure = set(comp)
@@ -558,6 +559,10 @@ def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
         line = _line_of(text, rf'"{re.escape(key)}"\s*:', occurrence)
         raise FormatError(f"{source}:{line}: {msg}")
 
+    def fail_edge(key, idx, msg):
+        # The line is looked up only on failure, as each lookup rescans the text.
+        raise FormatError(f"{source}:{_edge_line(text, key, idx)}: {msg}")
+
     for key in ("n", "alphabet", "directed", "bidirected"):
         if key not in raw:
             raise FormatError(f"{source}:1: missing required field {key!r}")
@@ -577,21 +582,18 @@ def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
             fail(key, f"{key} must be a list of [i, j] pairs")
         seen = set()
         for idx, pair in enumerate(edges):
-            line = _edge_line(text, key, idx)
             if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, int) for v in pair)):
-                raise FormatError(f"{source}:{line}: {key}[{idx}] must be a pair of integers")
+                fail_edge(key, idx, f"{key}[{idx}] must be a pair of integers")
             i, j = pair
             if i == j:
-                raise FormatError(f"{source}:{line}: {key}[{idx}] is a self-loop on node {i}")
+                fail_edge(key, idx, f"{key}[{idx}] is a self-loop on node {i}")
             if not (0 <= i < n and 0 <= j < n):
-                raise FormatError(f"{source}:{line}: {key}[{idx}] endpoint out of range [0, {n})")
+                fail_edge(key, idx, f"{key}[{idx}] endpoint out of range [0, {n})")
             if key == "bidirected":
                 if i >= j:
-                    raise FormatError(
-                        f"{source}:{line}: bidirected[{idx}] must be stored as [lo, hi] with lo < hi"
-                    )
+                    fail_edge(key, idx, f"bidirected[{idx}] must be stored as [lo, hi] with lo < hi")
                 if (i, j) in seen:
-                    raise FormatError(f"{source}:{line}: duplicate bidirected edge [{i}, {j}]")
+                    fail_edge(key, idx, f"duplicate bidirected edge [{i}, {j}]")
                 seen.add((i, j))
     try:
         return Admg(

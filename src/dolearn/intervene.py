@@ -30,7 +30,7 @@ from .learn import (
     learn_ccomponent_intervention,
     learn_do,
 )
-from .model import DenseDistribution, SampleBatch, STATE_SPACE_LIMIT, empirical_marginal
+from .model import DenseDistribution, SampleBatch, STATE_SPACE_LIMIT, draw_from_cdf, empirical_marginal
 
 ENUMERATION_LIMIT = 2**16
 
@@ -67,18 +67,16 @@ def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch
     model = im.dx
     rng = np.random.default_rng(seed)
     width = max(model.order) + 1
-    values = np.zeros((count, width), dtype=np.int64)
+    values = np.zeros((width, count), dtype=np.int64)
     for node in model.order:
         z = model.conditioning_sets[node]
         idx = np.zeros(count, dtype=np.int64)
         for u in z:
-            idx = idx * model.alphabet_size + values[:, u]
-        tbl = model.table(node)
-        cdf = np.cumsum(tbl[idx], axis=1)
-        vals = (rng.random(count)[:, None] > cdf).sum(axis=1)
-        values[:, node] = np.minimum(vals, model.alphabet_size - 1)
+            idx = idx * model.alphabet_size + values[u]
+        cdf = np.cumsum(model.table(node), axis=1)
+        values[node] = draw_from_cdf(cdf, idx, rng.random(count))
     keep = [v for v in model.order if v != im.x_node]
-    return SampleBatch(tuple(keep), values[:, keep])
+    return SampleBatch(tuple(keep), values[keep].T)
 
 
 def model_to_dense(model: BayesNetModel, keep: Iterable[int]) -> DenseDistribution:

@@ -115,7 +115,10 @@ class BayesNetModel:
         for (node, assignment), row in self.cpts.items():
             if len(assignment) != len(self.conditioning_sets[node]):
                 raise ValueError(f"assignment arity mismatch for node {node}")
-            if row.shape != (self.alphabet_size,) or abs(row.sum() - 1.0) > 1e-12 or row.min() < 0:
+            if not all(isinstance(a, int) and 0 <= a < self.alphabet_size for a in assignment):
+                raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+            # Written as what must hold, so that NaN and inf entries fail it.
+            if not (row.shape == (self.alphabet_size,) and abs(row.sum() - 1.0) <= 1e-12 and row.min() >= 0):
                 raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
 
     def row(self, node: int, assignment: tuple[int, ...]) -> np.ndarray:
@@ -128,10 +131,8 @@ class BayesNetModel:
     def table(self, node: int) -> np.ndarray:
         """Dense (rows, alphabet) conditional table with uniform defaults."""
         z = self.conditioning_sets[node]
-        rows = self.alphabet_size ** len(z)
-        if rows > TABLE_ROW_LIMIT:
-            raise StateSpaceError(f"node {node} would need {rows} rows")
-        out = np.full((rows, self.alphabet_size), 1.0 / self.alphabet_size)
+        require_table_rows({node: z}, self.alphabet_size)
+        out = np.full((self.alphabet_size ** len(z), self.alphabet_size), 1.0 / self.alphabet_size)
         for (n_id, assignment), row in self.cpts.items():
             if n_id != node:
                 continue
@@ -163,6 +164,15 @@ class BayesNetModel:
         return out
 
 
+def require_table_rows(conditioning: dict[int, tuple[int, ...]], alphabet: int) -> None:
+    """Refuse conditioning sets whose assignments would not fit a dense table
+    of TABLE_ROW_LIMIT rows; the same bound keeps every encoded key within int64."""
+    for node, z in conditioning.items():
+        rows = alphabet ** len(z)
+        if rows > TABLE_ROW_LIMIT:
+            raise StateSpaceError(f"node {node} would need {rows} rows")
+
+
 def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
     key = np.zeros(values_by_node.shape[0], dtype=np.int64)
     for c in cols:
@@ -179,12 +189,14 @@ def _decode(key: int, width: int, alphabet: int) -> tuple[int, ...]:
 
 
 def _grouped_counts(values_by_node: np.ndarray, cols: Sequence[int], child: int, alphabet: int):
-    """Unique conditioning keys with per-symbol child counts."""
+    """Observed conditioning keys (ascending) with per-symbol child counts,
+    counted over the dense key space; callers bound it with require_table_rows."""
     keys = _encode(values_by_node, cols, alphabet)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    joint = np.bincount(inv * alphabet + values_by_node[:, child], minlength=uniq.size * alphabet)
-    joint = joint.reshape(uniq.size, alphabet)
-    return uniq, joint, joint.sum(axis=1)
+    joint = np.bincount(keys * alphabet + values_by_node[:, child], minlength=alphabet ** (len(cols) + 1))
+    joint = joint.reshape(-1, alphabet)
+    totals = joint.sum(axis=1)
+    uniq = np.flatnonzero(totals)
+    return uniq, joint[uniq], totals[uniq]
 
 
 def resolve_threshold(g: Admg, cfg: Optional[LearnConfig]) -> int:
@@ -200,9 +212,10 @@ def learn_observational(samples: SampleBatch, g: Admg, t: int = 1) -> BayesNetMo
     Conditioning assignments seen at least t times get add-1 rows; the rest
     stay at the uniform default.
     """
-    vals = samples.by_node()
     zs = effective_parents(g)
     order = tuple(topological_order(g))
+    require_table_rows({v: zs[v] for v in order}, g.alphabet_size)
+    vals = samples.by_node()
     cpts: dict = {}
     fitted = 0
     skipped = 0
@@ -242,38 +255,37 @@ def learn_do(samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Option
     if not 0 <= x_val < g.alphabet_size:
         raise ValueError(f"x_val {x_val} outside alphabet")
     t = resolve_threshold(g, cfg)
-    vals = samples.by_node()
     zs = effective_parents(g)
     order = tuple(topological_order(g))
     s1 = set(c_components(g).component_containing(x_node))
-    x_rows = vals[vals[:, x_node] == x_val]
-
-    cpts: dict = {}
     conditioning: dict[int, tuple[int, ...]] = {}
     substituted = set()
+    for node in order:
+        z = zs[node]
+        if node not in s1 and x_node in z:
+            z = tuple(u for u in z if u != x_node)
+            substituted.add(node)
+        conditioning[node] = z
+    require_table_rows(conditioning, g.alphabet_size)
+
+    vals = samples.by_node()
+    x_rows = vals[vals[:, x_node] == x_val]
+    cpts: dict = {}
     fitted = 0
     skipped = 0
     for node in order:
-        z = zs[node]
+        z = conditioning[node]
         if node in s1:
-            conditioning[node] = z
             uniq, joint, totals = _grouped_counts(vals, z, node, g.alphabet_size)
             for key, row_counts in zip(uniq, joint):
                 cpts[(node, _decode(int(key), len(z), g.alphabet_size))] = add_one_estimator(row_counts)
                 fitted += 1
             continue
-        if x_node in z:
-            z2 = tuple(u for u in z if u != x_node)
-            conditioning[node] = z2
-            substituted.add(node)
-            uniq, joint, totals = _grouped_counts(x_rows, z2, node, g.alphabet_size)
-        else:
-            z2 = z
-            conditioning[node] = z2
-            uniq, joint, totals = _grouped_counts(vals, z2, node, g.alphabet_size)
+        rows = x_rows if node in substituted else vals
+        uniq, joint, totals = _grouped_counts(rows, z, node, g.alphabet_size)
         for key, row_counts, total in zip(uniq, joint, totals):
             if total >= t:
-                cpts[(node, _decode(int(key), len(z2), g.alphabet_size))] = add_one_estimator(row_counts)
+                cpts[(node, _decode(int(key), len(z), g.alphabet_size))] = add_one_estimator(row_counts)
                 fitted += 1
             else:
                 skipped += 1
@@ -324,19 +336,18 @@ def learn_ccomponent_intervention(
         if not 0 <= val < g.alphabet_size:
             raise ValueError(f"assignment {val} to {v} outside alphabet")
     t = resolve_threshold(g, cfg)
-    vals = samples.by_node()
     zs = effective_parents(g)
     order = tuple(v for v in topological_order(g) if v in y_set)
+    conditioning = {v: tuple(u for u in zs[v] if u in y_set) for v in order}
+    require_table_rows(conditioning, g.alphabet_size)
 
+    vals = samples.by_node()
     cpts: dict = {}
-    conditioning: dict[int, tuple[int, ...]] = {}
     fitted = 0
     skipped = 0
     for node in order:
-        z = zs[node]
-        z_in = tuple(u for u in z if u in y_set)
-        z_out = tuple(u for u in z if u not in y_set)
-        conditioning[node] = z_in
+        z_in = conditioning[node]
+        z_out = tuple(u for u in zs[node] if u not in y_set)
         mask = np.ones(vals.shape[0], dtype=bool)
         for u in z_out:
             mask &= vals[:, u] == given[u]

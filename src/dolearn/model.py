@@ -206,11 +206,14 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
     return GroundTruthCbn(g, hidden_domain, priors, tuple(cpts))
 
 
-def _sample_rows(tables: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row: tables (m, D), u (m,) uniforms."""
-    cdf = np.cumsum(tables, axis=1)
-    vals = (u[:, None] > cdf).sum(axis=1)
-    return np.minimum(vals, tables.shape[1] - 1)
+def draw_from_cdf(cdf: np.ndarray, idx, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per uniform: draw i reads row idx[i] (or row idx, when
+    idx is one index for all draws) of the cumulative table cdf (rows, D) and
+    counts the entries below u[i]."""
+    vals = np.zeros(u.size, dtype=np.int64)
+    for column in cdf.T:
+        vals += u > column[idx]
+    return np.minimum(vals, cdf.shape[1] - 1)
 
 
 def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBatch:
@@ -221,19 +224,19 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
     rng = np.random.default_rng(seed)
     hidden_vals = []
     for prior in cbn.hidden_priors:
-        hidden_vals.append(_sample_rows(np.broadcast_to(prior, (m, prior.size)), rng.random(m)))
+        hidden_vals.append(draw_from_cdf(np.cumsum(prior)[None, :], 0, rng.random(m)))
     order = topological_order(g)
-    values = np.zeros((m, g.node_count), dtype=np.int64)
+    values = np.zeros((g.node_count, m), dtype=np.int64)
     for node in order:
         cpt = cbn.cpts[node]
-        flat = cpt.table.reshape(-1, g.alphabet_size)
         idx = np.zeros(m, dtype=np.int64)
         for p in cpt.obs_parents:
-            idx = idx * g.alphabet_size + values[:, p]
+            idx = idx * g.alphabet_size + values[p]
         for h in cpt.hidden_parents:
             idx = idx * cbn.hidden_domain + hidden_vals[h]
-        values[:, node] = _sample_rows(flat[idx], rng.random(m))
-    return SampleBatch(tuple(order), values[:, order])
+        cdf = np.cumsum(cpt.table.reshape(-1, g.alphabet_size), axis=1)
+        values[node] = draw_from_cdf(cdf, idx, rng.random(m))
+    return SampleBatch(tuple(order), values[order].T)
 
 
 def _broadcast_factor(table: np.ndarray, axes: Sequence[int], rank: int, sizes: Sequence[int]) -> np.ndarray:
@@ -360,25 +363,72 @@ def save_model(cbn: GroundTruthCbn, path: str) -> None:
         fh.write(model_to_json(cbn))
 
 
+# Sample CSV bodies whose symbols are single digits are read and written as
+# one uint8 grid of m lines of 2 * columns bytes: digit, separator, digit, ...,
+# with "," between cells and "\n" closing the line.
+_ZERO = ord("0")
+
+
 def samples_to_csv(batch: SampleBatch, names: Sequence[str]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([names[c] for c in batch.columns])
-    for row in batch.data:
-        writer.writerow([int(v) for v in row])
-    return out.getvalue()
+    data = batch.data
+    if data.size == 0 or data.min() < 0 or data.max() > 9:
+        writer.writerows(data.tolist())
+        return out.getvalue()
+    grid = np.empty((data.shape[0], 2 * data.shape[1]), dtype=np.uint8)
+    np.add(data, _ZERO, out=grid[:, 0::2], casting="unsafe")
+    grid[:, 1::2] = ord(",")
+    grid[:, -1] = ord("\n")
+    return out.getvalue() + grid.tobytes().decode("ascii")
+
+
+def _digit_grid(body: str, width: int, alphabet_size: int) -> Optional[np.ndarray]:
+    """Symbols of a body in the exact single-digit grid form, or None when
+    the body has any other shape."""
+    if alphabet_size > 10 or not body or len(body) % (2 * width) or not body.isascii():
+        return None
+    grid = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, 2 * width)
+    separators = np.full(width, ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    if not (grid[:, 1::2] == separators).all():
+        return None
+    digits = grid[:, 0::2] - np.uint8(_ZERO)
+    if digits.max() >= alphabet_size:
+        return None
+    return digits
 
 
 def parse_samples_csv(text: str, names: Sequence[str], alphabet_size: int, source: str = "<samples>") -> SampleBatch:
+    """Parse a sample CSV. The common single-digit form is decoded as one
+    array; any other text (blank lines, CRLF, quoting, spaces, signs, ragged
+    rows, bad symbols) goes through the row reader, which accepts every valid
+    variant and anchors each error at its line."""
+    header_line, newline, body = text.partition("\n")
+    if newline and header_line and not any(c in header_line for c in '"\r'):
+        header = header_line.split(",")
+        if sorted(header) == sorted(names):
+            data = _digit_grid(body, len(header), alphabet_size)
+            if data is not None:
+                return SampleBatch(_header_columns(header, names), data)
+    return _parse_samples_rows(text, names, alphabet_size, source)
+
+
+def _header_columns(header: Sequence[str], names: Sequence[str]) -> tuple[int, ...]:
+    name_to_id = {name: i for i, name in enumerate(names)}
+    return tuple(name_to_id[h] for h in header)
+
+
+def _parse_samples_rows(text: str, names: Sequence[str], alphabet_size: int, source: str) -> SampleBatch:
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise FormatError(f"{source}:1: empty sample file") from None
-    name_to_id = {name: i for i, name in enumerate(names)}
     if sorted(header) != sorted(names):
         raise FormatError(f"{source}:1: header does not match the graph's variable names")
-    columns = tuple(name_to_id[h] for h in header)
+    columns = _header_columns(header, names)
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
@@ -411,8 +461,11 @@ def save_samples(batch: SampleBatch, names: Sequence[str], path: str) -> None:
 def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int) -> DenseDistribution:
     """Empirical distribution of the kept columns."""
     keep = tuple(sorted(int(v) for v in keep))
+    total = domain_size ** len(keep)
+    if total > STATE_SPACE_LIMIT:
+        raise StateSpaceError(f"product space of {total} states exceeds the {STATE_SPACE_LIMIT} guard")
     key = np.zeros(batch.size, dtype=np.int64)
     for v in keep:
         key = key * domain_size + batch.column(v)
-    counts = np.bincount(key, minlength=domain_size ** len(keep)).astype(float)
+    counts = np.bincount(key, minlength=total).astype(float)
     return DenseDistribution(keep, (domain_size,) * len(keep), counts / batch.size)

@@ -206,6 +206,51 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--learned", str(learned), "--assignment", "v1=9")
         assert code == 2
 
+    def test_oversized_conditioning_space_is_contract_error(self, tmp_path, capsys):
+        # |Σ| = 10 on a 21-node bidirected chain: the last node conditions on
+        # 20 others, so its keys would overflow int64 if it were counted.
+        n = 21
+        graph = tmp_path / "chain.json"
+        graph.write_text(json.dumps({
+            "n": n, "names": [f"v{i}" for i in range(n)], "alphabet": 10,
+            "directed": [], "bidirected": [[i, i + 1] for i in range(n - 1)],
+        }))
+        samples = tmp_path / "s.csv"
+        samples.write_text(",".join(f"v{i}" for i in range(n)) + "\n"
+                           + "".join(",".join(str((r * 7 + c) % 10) for c in range(n)) + "\n" for r in range(5)))
+        learned = tmp_path / "l.json"
+        code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                           "--x-var", "v0", "--x-val", "1", "--m", "5", "--t", "1", "--out", str(learned))
+        assert code == 4
+        assert "would need" in err
+        assert not learned.exists()
+        # With --epsilon the alpha estimate counts over the same 21 variables first.
+        code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                           "--x-var", "v0", "--x-val", "1", "--epsilon", "0.2", "--out", str(learned))
+        assert code == 4
+        assert "exceeds" in err
+        assert not learned.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("row", [float("nan"), float("nan")]),
+        ("row", [float("inf"), 0.0]),
+        ("assignment", [2]),
+        ("assignment", [-1]),
+    ])
+    def test_bad_learned_row_is_input_error(self, pipeline, tmp_path, capsys, field, value):
+        graph, model, samples = pipeline
+        learned = tmp_path / "learned.json"
+        run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+            "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
+        raw = json.loads(learned.read_text())
+        entry = next(e for e in raw["cpts"] if len(e["assignment"]) == 1)
+        entry[field] = value
+        learned.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "eval", "--learned", str(learned),
+                             "--assignment", "v1=0,v2=1,v3=0,v4=1")
+        assert code == 3
+        assert "input error" in err and out == ""
+
 
 class TestExperimentCommand:
     def test_convergence_spec(self, pipeline, tmp_path, capsys):

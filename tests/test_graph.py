@@ -290,6 +290,16 @@ class TestGraphFile:
         with pytest.raises(FormatError, match=r"<graph>:5"):
             parse_graph_json(text)
 
+    @pytest.mark.parametrize("directed, bidirected, line, message", [
+        ("[0, 1],\n  [1, 2],\n  [2, 2]", "", 6, r"directed\[2\] is a self-loop"),
+        ("[0, 1],\n  [1, 2]", "[0, 1],\n  [0, 1]", 7, r"duplicate bidirected edge \[0, 1\]"),
+        ("[0, 1],\n  [0, 9]", "", 5, r"directed\[1\] endpoint out of range"),
+    ])
+    def test_bad_edge_after_the_first_anchored_at_its_line(self, directed, bidirected, line, message):
+        text = f'{{\n"n": 3,\n"alphabet": 2,\n"directed": [{directed}],\n"bidirected": [{bidirected}]\n}}'
+        with pytest.raises(FormatError, match=rf"^<graph>:{line}: {message}"):
+            parse_graph_json(text)
+
     def test_non_canonical_bidirected_rejected(self):
         text = '{"n": 3, "alphabet": 2, "directed": [], "bidirected": [[2, 1]]}'
         with pytest.raises(FormatError, match="lo < hi"):

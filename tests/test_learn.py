@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dolearn.errors import StateSpaceError
 from dolearn.graph import Admg, c_components, parent_sets, random_admg
 from dolearn.identify import conditional_table, exact_dx
 from dolearn.intervene import model_to_dense
@@ -358,6 +359,22 @@ class TestEstimateAlpha:
 
         truth = strong_positivity_margin(p, pa_plus)
         assert a == pytest.approx(truth, abs=0.05)
+
+
+class TestTableRowLimit:
+    def test_overflowing_conditioning_space_refused(self):
+        # |Σ| = 10 on a 21-node bidirected chain: the last node's 20
+        # conditioning variables give 10^20 keys, past int64.
+        n = 21
+        g = Admg(n, alphabet_size=10, bidirected_edges=[(i, i + 1) for i in range(n - 1)])
+        rng = np.random.default_rng(0)
+        batch = SampleBatch(tuple(range(n)), rng.integers(0, 10, size=(5, n)))
+        with pytest.raises(StateSpaceError, match="would need"):
+            learn_do(batch, g, 0, 1, LearnConfig(t=1))
+        with pytest.raises(StateSpaceError, match="would need"):
+            learn_observational(batch, g)
+        with pytest.raises(StateSpaceError, match="would need"):
+            learn_ccomponent_intervention(batch, g, range(n), {}, LearnConfig(t=1))
 
 
 class TestLearnedModelFile:

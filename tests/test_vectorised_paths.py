@@ -1,0 +1,340 @@
+"""Whole-array paths against the row loops they replaced.
+
+Each reference below is the per-row implementation the package used before
+its row-bound paths became whole-array numpy; the properties require equal
+output (bytes, arrays, draws, error messages) on random and mutated inputs.
+"""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dolearn.errors import FormatError
+from dolearn.graph import c_components, effective_parents, random_admg, topological_order
+from dolearn.intervene import InterventionalModel, sample_do
+from dolearn.learn import LearnConfig, _encode, _grouped_counts, learn_do
+from dolearn.model import SampleBatch, parse_samples_csv, random_cbn, sample_observational, samples_to_csv
+
+PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# Reference row loops.
+
+
+def reference_samples_to_csv(batch, names):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([names[c] for c in batch.columns])
+    for row in batch.data:
+        writer.writerow([int(v) for v in row])
+    return out.getvalue()
+
+
+def reference_parse_samples_csv(text, names, alphabet_size, source="<samples>"):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{source}:1: empty sample file") from None
+    name_to_id = {name: i for i, name in enumerate(names)}
+    if sorted(header) != sorted(names):
+        raise FormatError(f"{source}:1: header does not match the graph's variable names")
+    columns = tuple(name_to_id[h] for h in header)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise FormatError(f"{source}:{lineno}: expected {len(columns)} cells, found {len(row)}")
+        try:
+            vals = [int(v) for v in row]
+        except ValueError:
+            raise FormatError(f"{source}:{lineno}: non-integer cell") from None
+        for v in vals:
+            if not 0 <= v < alphabet_size:
+                raise FormatError(f"{source}:{lineno}: symbol {v} outside alphabet [0, {alphabet_size})")
+        rows.append(vals)
+    if not rows:
+        raise FormatError(f"{source}:1: sample file has no rows")
+    return SampleBatch(columns, np.asarray(rows, dtype=np.int64))
+
+
+def reference_sample_rows(tables, u):
+    cdf = np.cumsum(tables, axis=1)
+    vals = (u[:, None] > cdf).sum(axis=1)
+    return np.minimum(vals, tables.shape[1] - 1)
+
+
+def reference_sample_observational(cbn, m, seed):
+    g = cbn.graph
+    rng = np.random.default_rng(seed)
+    hidden_vals = []
+    for prior in cbn.hidden_priors:
+        hidden_vals.append(reference_sample_rows(np.broadcast_to(prior, (m, prior.size)), rng.random(m)))
+    order = topological_order(g)
+    values = np.zeros((m, g.node_count), dtype=np.int64)
+    for node in order:
+        cpt = cbn.cpts[node]
+        flat = cpt.table.reshape(-1, g.alphabet_size)
+        idx = np.zeros(m, dtype=np.int64)
+        for p in cpt.obs_parents:
+            idx = idx * g.alphabet_size + values[:, p]
+        for h in cpt.hidden_parents:
+            idx = idx * cbn.hidden_domain + hidden_vals[h]
+        values[:, node] = reference_sample_rows(flat[idx], rng.random(m))
+    return SampleBatch(tuple(order), values[:, order])
+
+
+def reference_sample_do(im, count, seed):
+    model = im.dx
+    rng = np.random.default_rng(seed)
+    values = np.zeros((count, max(model.order) + 1), dtype=np.int64)
+    for node in model.order:
+        idx = np.zeros(count, dtype=np.int64)
+        for u in model.conditioning_sets[node]:
+            idx = idx * model.alphabet_size + values[:, u]
+        cdf = np.cumsum(model.table(node)[idx], axis=1)
+        vals = (rng.random(count)[:, None] > cdf).sum(axis=1)
+        values[:, node] = np.minimum(vals, model.alphabet_size - 1)
+    keep = [v for v in model.order if v != im.x_node]
+    return SampleBatch(tuple(keep), values[:, keep])
+
+
+def reference_grouped_counts(values_by_node, cols, child, alphabet):
+    keys = _encode(values_by_node, cols, alphabet)
+    uniq, inv = np.unique(keys, return_inverse=True)
+    joint = np.bincount(inv * alphabet + values_by_node[:, child], minlength=uniq.size * alphabet)
+    joint = joint.reshape(uniq.size, alphabet)
+    return uniq, joint, joint.sum(axis=1)
+
+
+def reference_effective_parents(g):
+    order = topological_order(g)
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [[] for _ in range(g.node_count)]
+    for i, j in g.bidirected_edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    parents = [g.parents(v) for v in range(g.node_count)]
+    result = [()] * g.node_count
+    for i, v in enumerate(order):
+        prefix = set(order[: i + 1])
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in prefix and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        closure = set(comp)
+        for u in comp:
+            closure.update(parents[u])
+        result[v] = tuple(sorted(u for u in closure if pos[u] < i))
+    return tuple(result)
+
+
+# ---------------------------------------------------------------------------
+# Strategies.
+
+
+@st.composite
+def batches(draw, alphabets=(2, 3, 10, 11, 300), min_rows=0):
+    alphabet = draw(st.sampled_from(alphabets))
+    ncol = draw(st.integers(1, 5))
+    m = draw(st.integers(min_rows, 8))
+    columns = tuple(draw(st.permutations(range(ncol))))
+    cells = draw(st.lists(st.integers(0, alphabet - 1), min_size=m * ncol, max_size=m * ncol))
+    data = np.asarray(cells, dtype=np.int64).reshape(m, ncol)
+    return alphabet, SampleBatch(columns, data)
+
+
+def _names(ncol, odd):
+    # Odd names need quoting or carry characters the grid path must leave alone.
+    base = ["v", 'q"t', "a,b", " s", "é"] if odd else ["v"]
+    return tuple(f"{base[i % len(base)]}{i}" for i in range(ncol))
+
+
+CELL_MUTATIONS = (
+    "quote", "space", "plus", "extra", "missing", "nondigit", "outside", "delimiter", "shifted_separator",
+)
+TEXT_MUTATIONS = ("blank", "crlf", "crlf_one", "no_final_newline", "trailing_blank")
+
+
+@st.composite
+def csv_texts(draw, mutations):
+    """A valid sample CSV with rows, then the drawn mutations applied."""
+    alphabet, batch = draw(batches(alphabets=(2, 3, 10, 11), min_rows=1))
+    odd = draw(st.booleans())
+    names = _names(len(batch.columns), odd)
+    lines = [[names[c] for c in batch.columns]] + [[str(int(v)) for v in row] for row in batch.data]
+    chosen = draw(mutations)
+    for mutation in (m for m in chosen if m in CELL_MUTATIONS):
+        li = draw(st.integers(0, len(lines) - 1))
+        ci = draw(st.integers(0, len(lines[li]) - 1))
+        cell = lines[li][ci]
+        if mutation == "quote":
+            lines[li][ci] = f'"{cell}"'
+        elif mutation == "space":
+            lines[li][ci] = draw(st.sampled_from([f" {cell}", f"{cell} "]))
+        elif mutation == "plus":
+            lines[li][ci] = f"+{cell}"
+        elif mutation == "extra":
+            lines[li].append("0")
+        elif mutation == "missing" and len(lines[li]) > 1:
+            del lines[li][ci]
+        elif mutation == "nondigit":
+            lines[li][ci] = draw(st.sampled_from(["x", "-", "1.0", "", "٣"]))
+        elif mutation == "outside":
+            lines[li][ci] = str(alphabet + draw(st.integers(0, 3)))
+        elif mutation == "delimiter":
+            lines[li] = [draw(st.sampled_from([";", " ", "\t", "0"])).join(lines[li])]
+        elif mutation == "shifted_separator" and len(lines[li]) > 1:
+            lines[li][:2] = [lines[li][0] + lines[li][1], ""]
+    header = io.StringIO()
+    csv.writer(header, lineterminator="").writerow(lines[0])
+    rows = [header.getvalue()] + [",".join(cells) for cells in lines[1:]]
+    terminators = ["\n"] * len(rows)
+    for mutation in (m for m in chosen if m in TEXT_MUTATIONS):
+        if mutation == "blank":
+            at = draw(st.integers(0, len(rows)))
+            rows.insert(at, "")
+            terminators.insert(at, "\n")
+        elif mutation == "crlf":
+            terminators = ["\r\n"] * len(rows)
+        elif mutation == "crlf_one":
+            terminators[draw(st.integers(0, len(rows) - 1))] = "\r\n"
+        elif mutation == "no_final_newline":
+            terminators[-1] = ""
+        elif mutation == "trailing_blank":
+            rows.append("")
+            terminators.append("\n")
+    text = "".join(r + t for r, t in zip(rows, terminators))
+    return text, names, alphabet
+
+
+def _outcome(parse, text, names, alphabet):
+    try:
+        batch = parse(text, names, alphabet)
+    except (FormatError, csv.Error) as e:
+        return ("error", type(e).__name__, str(e))
+    return ("ok", batch.columns, batch.data.shape, batch.data.tolist())
+
+
+# ---------------------------------------------------------------------------
+# Properties.
+
+
+class TestSampleCsv:
+    @PROPERTY
+    @given(batches(), st.booleans())
+    def test_writer_bytes_equal_row_writer(self, case, odd):
+        _, batch = case
+        names = _names(len(batch.columns), odd)
+        assert samples_to_csv(batch, names) == reference_samples_to_csv(batch, names)
+
+    @pytest.mark.parametrize("mutation", CELL_MUTATIONS + TEXT_MUTATIONS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parser_matches_row_reader_on_each_mutation(self, mutation, data):
+        text, names, alphabet = data.draw(csv_texts(st.just([mutation])))
+        assert _outcome(parse_samples_csv, text, names, alphabet) == _outcome(
+            reference_parse_samples_csv, text, names, alphabet
+        )
+
+    @PROPERTY
+    @given(csv_texts(st.lists(st.sampled_from(CELL_MUTATIONS + TEXT_MUTATIONS), max_size=3)))
+    def test_parser_matches_row_reader(self, case):
+        text, names, alphabet = case
+        assert _outcome(parse_samples_csv, text, names, alphabet) == _outcome(
+            reference_parse_samples_csv, text, names, alphabet
+        )
+
+    @PROPERTY
+    @given(batches(alphabets=(2, 3, 10, 11)), st.booleans())
+    def test_written_text_parses_back(self, case, odd):
+        alphabet, batch = case
+        names = _names(len(batch.columns), odd)
+        text = samples_to_csv(batch, names)
+        assert _outcome(parse_samples_csv, text, names, alphabet) == _outcome(
+            reference_parse_samples_csv, text, names, alphabet
+        )
+        if batch.size:
+            back = parse_samples_csv(text, names, alphabet)
+            assert back.columns == batch.columns
+            assert np.array_equal(back.data, batch.data)
+
+    @pytest.mark.parametrize("names, text", [
+        (("v0", "v1"), "v0,v1\n0,1\n0,7\n"),
+        (("v0", "v1"), "v0,v1\n0,1\n0\n"),
+        (("v0", "v1"), "v0,v1\n0,1\n0,x\n"),
+        (("v0", "v1"), "v0,v1\n0,1\n0;1\n"),
+        (("v0", "v1"), "v0,v1\n"),
+        (("v0", "v1"), ""),
+        (("v0", "v1"), "v1,v2\n0,0\n"),
+        (("v0", "v1"), "v0,v1\r\n0,1\r\n1,2\r\n"),
+        # Headers whose comma split names the variables but whose CSV reading does not.
+        (('"a', 'b"'), '"a,b"\n0,1\n'),
+        (("a\r", "b"), "a\r,b\n0,1\n"),
+        (("",), "\n0\n"),
+    ])
+    def test_error_messages_unchanged(self, names, text):
+        got = _outcome(parse_samples_csv, text, names, 2)
+        assert got[0] == "error"
+        assert got == _outcome(reference_parse_samples_csv, text, names, 2)
+
+
+class TestGroupedCounts:
+    @PROPERTY
+    @given(
+        st.sampled_from([2, 3, 5]),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+    )
+    def test_equals_sorted_unique_counts(self, alphabet, m, seed, width):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, alphabet, size=(m, 5))
+        cols = tuple(int(c) for c in rng.permutation(4)[:width])
+        got = _grouped_counts(values, cols, 4, alphabet)
+        want = reference_grouped_counts(values, cols, 4, alphabet)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+class TestAncestralSampling:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 10]), st.integers(0, 10_000), st.integers(1, 300))
+    def test_observational_draws_equal_row_sampler(self, alphabet, seed, m):
+        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed)
+        cbn = random_cbn(g, hidden_domain=2 + seed % 3, smoothing=0.1, seed=seed + 1)
+        got = sample_observational(cbn, m, seed=seed + 2)
+        want = reference_sample_observational(cbn, m, seed + 2)
+        assert got.columns == want.columns
+        assert np.array_equal(got.data, want.data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 10_000), st.integers(1, 300))
+    def test_interventional_draws_equal_row_sampler(self, alphabet, seed, count):
+        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed, identifiable_for=0)
+        cbn = random_cbn(g, smoothing=0.25, seed=seed + 1)
+        model = learn_do(sample_observational(cbn, 400, seed=seed + 2), g, 0, 1, LearnConfig(t=5))
+        im = InterventionalModel(model, 0, 1)
+        got = sample_do(im, count, seed=seed + 3)
+        want = reference_sample_do(im, count, seed + 3)
+        assert got.columns == want.columns
+        assert np.array_equal(got.data, want.data)
+
+
+class TestEffectiveParents:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(0, 3), st.integers(1, 4), st.integers(0, 10_000))
+    def test_equals_prefix_set_version(self, n, d, k, seed):
+        g = random_admg(n, d, k, seed=seed)
+        assert c_components(g).max_size <= k
+        assert effective_parents(g) == reference_effective_parents(g)
