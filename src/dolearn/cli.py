@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from decimal import Decimal
@@ -80,6 +79,17 @@ class _Parser(argparse.ArgumentParser):
 def format_significant(x: float, digits: int = 12) -> str:
     """Fixed-point decimal with the given number of significant digits."""
     return format(Decimal(f"{x:.{digits - 1}e}"), "f")
+
+
+def _count(text: str) -> int:
+    """A sample count or threshold: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_assignment(text: str, names: Sequence[str], alphabet_size: int) -> list[int]:
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw observational samples")
     p.add_argument("--model", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
@@ -378,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-val", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--m", type=_count, default=None)
+    p.add_argument("--t", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth-model", default=None, help="optional oracle for the report's exact TV")
     p.add_argument("--out", required=True)
@@ -392,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-do", help="draw from the learned interventional model")
     p.add_argument("--learned", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample_do)
@@ -405,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="comma-separated variable names")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--m", type=_count, default=None)
+    p.add_argument("--t", type=_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--via-generator", action="store_true")
     p.add_argument("--out", required=True)
@@ -425,10 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    # The thread-count variable is accepted for interface stability; every
-    # code path is deterministic and single-threaded, so it cannot change
-    # any output.
-    os.environ.setdefault("DOLEARN_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))

@@ -73,7 +73,7 @@ def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch
         idx = np.zeros(count, dtype=np.int64)
         for u in z:
             idx = idx * model.alphabet_size + values[u]
-        cdf = np.cumsum(model.table(node), axis=1)
+        cdf = np.cumsum(model.tables[node], axis=1)
         values[node] = draw_from_cdf(cdf, idx, rng.random(count))
     keep = [v for v in model.order if v != im.x_node]
     return SampleBatch(tuple(keep), values[keep].T)

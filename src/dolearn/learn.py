@@ -1,23 +1,26 @@
 """Finite-sample learners for observational and interventional Bayes nets.
 
 The learned object is always a BayesNetModel: conditional rows over effective
-parents, stored sparsely with uniform as the implicit default row. Rows are
-add-1 (Laplace) estimates; conditioning assignments seen fewer than t times
-fall back to uniform, which keeps every learner total and failure-free.
+parents, held as one dense table per node with a mask of the fitted rows;
+every other row is uniform. Rows are add-1 (Laplace) estimates; conditioning
+assignments seen fewer than t times fall back to uniform, which keeps every
+learner total and failure-free.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import FormatError, IdentifiabilityError, StateSpaceError
 from .graph import Admg, c_components, check_identifiability, effective_parents, parent_sets, topological_order
-from .identify import conditional_table
+from .identify import _decode, conditional_table
 from .model import DenseDistribution, SampleBatch, empirical_marginal, strong_positivity_margin
 
 TABLE_ROW_LIMIT = 2**20
@@ -81,19 +84,54 @@ def practical_threshold(n: int, alphabet_size: int, k: int, d: int) -> int:
     return max(10, math.ceil(10.0 * math.log(n * alphabet_size ** (k * d + k))))
 
 
+class _FittedRows(Mapping):
+    """Read-only (node, assignment) -> row view of a model's fitted rows, in
+    the model's node order and then by assignment."""
+
+    def __init__(self, model: "BayesNetModel"):
+        self._model = model
+
+    def __getitem__(self, key):
+        node, assignment = key
+        model = self._model
+        try:
+            idx = model._row_index(node, assignment)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if not model._masks[node][idx]:
+            raise KeyError(key)
+        return model.tables[node][idx]
+
+    def __iter__(self):
+        model = self._model
+        for node in model.order:
+            sizes = (model.alphabet_size,) * len(model.conditioning_sets[node])
+            for idx in model.fitted_rows(node)[0].tolist():
+                yield node, _decode(idx, sizes)
+
+    def __len__(self):
+        return self._model._fitted_count
+
+
 @dataclass(eq=False)
 class BayesNetModel:
     """Learned conditional-probability-table model over a DAG factorization.
 
-    cpts maps (node, conditioning assignment) to a distribution over the
-    alphabet; missing rows read as uniform. When x_substitution is set, the
+    The store is dense. values stacks one (|alphabet|^|z|, |alphabet|) table
+    per node, in order, where z is the node's conditioning set and row i of a
+    table is the distribution given the assignment to z whose big-endian
+    digits are i. fitted marks the rows that were fitted; every other row is
+    uniform. Both arrays, and the per-node views tables[node] and
+    table(node), are read-only. cpts is the sparse view of the fitted rows;
+    from_rows builds a model from such rows. When x_substitution is set, the
     substituted nodes condition on the constant instead of the variable.
     """
 
     order: tuple[int, ...]
     conditioning_sets: dict[int, tuple[int, ...]]
     alphabet_size: int
-    cpts: dict[tuple[int, tuple[int, ...]], np.ndarray]
+    values: np.ndarray
+    fitted: np.ndarray
     x_substitution: Optional[tuple[int, int]] = None
     substituted_nodes: frozenset[int] = frozenset()
     names: Optional[tuple[str, ...]] = None
@@ -101,6 +139,8 @@ class BayesNetModel:
 
     def __post_init__(self):
         pos = {v: i for i, v in enumerate(self.order)}
+        if len(pos) != len(self.order):
+            raise ValueError("order lists a node twice")
         for node, z in self.conditioning_sets.items():
             if node not in pos:
                 raise ValueError(f"conditioning set given for unknown node {node}")
@@ -112,56 +152,152 @@ class BayesNetModel:
             for node in self.substituted_nodes:
                 if x_node in self.conditioning_sets[node]:
                     raise ValueError(f"substituted node {node} still conditions on {x_node}")
-        for (node, assignment), row in self.cpts.items():
-            if len(assignment) != len(self.conditioning_sets[node]):
-                raise ValueError(f"assignment arity mismatch for node {node}")
-            if not all(isinstance(a, int) and 0 <= a < self.alphabet_size for a in assignment):
-                raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
-            # Written as what must hold, so that NaN and inf entries fail it.
-            if not (row.shape == (self.alphabet_size,) and abs(row.sum() - 1.0) <= 1e-12 and row.min() >= 0):
-                raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
+        a = self.alphabet_size
+        blocks, total = _table_blocks(self.order, self.conditioning_sets, a)
+        self.values = np.asarray(self.values, dtype=float)
+        self.fitted = np.asarray(self.fitted, dtype=bool)
+        if self.values.shape != (total, a) or self.fitted.shape != (total,):
+            raise ValueError(f"store has shapes {self.values.shape} and {self.fitted.shape}, expected {(total, a)}")
+        rows = self.values[self.fitted]
+        # Written as what must hold, so that NaN and inf entries fail it.
+        good = (np.abs(rows.sum(axis=1) - 1.0) <= 1e-12) & (rows.min(axis=1) >= 0)
+        if not good.all():
+            idx = int(np.flatnonzero(self.fitted)[np.argmin(good)])
+            node = next(v for v in self.order if blocks[v].start <= idx < blocks[v].stop)
+            assignment = _decode(idx - blocks[node].start, (a,) * len(self.conditioning_sets[node]))
+            raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
+        if not (self.values[~self.fitted] == 1.0 / a).all():
+            raise ValueError("rows that were not fitted must be uniform")
+        self.values.flags.writeable = False
+        self.fitted.flags.writeable = False
+        self.tables = MappingProxyType({v: self.values[blocks[v]] for v in self.order})
+        self._masks = {v: self.fitted[blocks[v]] for v in self.order}
+        self._fitted_count = int(self.fitted.sum())
+        self._steps = tuple((v, self.conditioning_sets[v], self.tables[v]) for v in self.order)
 
-    def row(self, node: int, assignment: tuple[int, ...]) -> np.ndarray:
-        """Stored row, or uniform when the assignment was never fitted."""
-        got = self.cpts.get((node, tuple(assignment)))
-        if got is None:
-            return np.full(self.alphabet_size, 1.0 / self.alphabet_size)
-        return got
+    @classmethod
+    def from_rows(cls, order, conditioning_sets, alphabet_size, cpts, **kwargs) -> "BayesNetModel":
+        """Model whose fitted rows are given sparsely: cpts maps (node,
+        assignment) to a distribution over the alphabet, and every other row
+        is uniform. Assignments must match the node's conditioning set in
+        length and hold integer symbols of the alphabet."""
+        a = alphabet_size
+        blocks, total = _table_blocks(order, conditioning_sets, a)
+        values = np.full((total, a), 1.0 / a)
+        fitted = np.zeros(total, dtype=bool)
+        # Rows are grouped by assignment width, so each group's symbols are
+        # checked and encoded as one array.
+        groups: dict[int, tuple[list, list, list]] = {}
+        for (node, assignment), row in cpts.items():
+            width = len(conditioning_sets[node])
+            if len(assignment) != width:
+                raise ValueError(f"assignment arity mismatch for node {node}")
+            starts, keys, rows = groups.setdefault(width, ([], [], []))
+            starts.append(blocks[node].start)
+            keys.append((node, assignment))
+            rows.append(row)
+        for width, (starts, keys, rows) in groups.items():
+            symbols = np.array([assignment for _, assignment in keys])
+            if width and not (
+                symbols.shape == (len(keys), width)
+                and symbols.dtype.kind in "biu"
+                and symbols.min() >= 0
+                and symbols.max() < a
+            ):
+                node, assignment = next(
+                    (k for k in keys if not all(_is_symbol(s, a) for s in k[1])), keys[0]
+                )
+                raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+            idx = np.asarray(starts, dtype=np.int64)
+            if width:
+                idx += _encode(symbols.astype(np.int64), range(width), a)
+            values[idx] = _stack_rows(rows, keys, a)
+            fitted[idx] = True
+        return cls(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
+
+    @property
+    def cpts(self) -> Mapping:
+        """Read-only (node, assignment) -> row mapping of the fitted rows."""
+        return _FittedRows(self)
+
+    def fitted_rows(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending indices of node's fitted rows, and those rows."""
+        mask = self._masks[node]
+        return np.flatnonzero(mask), self.tables[node][mask]
+
+    def _row_index(self, node: int, assignment: Sequence[int]) -> int:
+        """Row of node's table that holds the given conditioning assignment."""
+        a = self.alphabet_size
+        if len(assignment) != len(self.conditioning_sets[node]) or not all(_is_symbol(s, a) for s in assignment):
+            raise ValueError(f"assignment {tuple(assignment)} does not fit the conditioning set of {node}")
+        idx = 0
+        for s in assignment:
+            idx = idx * a + s
+        return idx
+
+    def row(self, node: int, assignment: Sequence[int]) -> np.ndarray:
+        """Stored row, uniform when the assignment was never fitted."""
+        return self.tables[node][self._row_index(node, assignment)]
 
     def table(self, node: int) -> np.ndarray:
-        """Dense (rows, alphabet) conditional table with uniform defaults."""
-        z = self.conditioning_sets[node]
-        require_table_rows({node: z}, self.alphabet_size)
-        out = np.full((self.alphabet_size ** len(z), self.alphabet_size), 1.0 / self.alphabet_size)
-        for (n_id, assignment), row in self.cpts.items():
-            if n_id != node:
-                continue
-            idx = 0
-            for v in assignment:
-                idx = idx * self.alphabet_size + v
-            out[idx] = row
-        return out
+        """Read-only dense (rows, alphabet) conditional table of node."""
+        return self.tables[node]
 
     def joint_probability(self, assignment: dict) -> float:
         """Probability of a full assignment over this model's variables."""
+        a = self.alphabet_size
         p = 1.0
-        for node in self.order:
-            key = tuple(assignment[u] for u in self.conditioning_sets[node])
-            p *= float(self.row(node, key)[assignment[node]])
+        # Factors multiply in node order, one at a time, so the result does
+        # not depend on how the store is laid out.
+        for node, z, tbl in self._steps:
+            idx = 0
+            for u in z:
+                idx = idx * a + assignment[u]
+            p *= tbl.item(idx, assignment[node])
         return p
 
     def log_likelihood_rows(self, values_by_node: np.ndarray) -> np.ndarray:
         """Per-row log probability for a matrix indexed by node id."""
         m = values_by_node.shape[0]
         out = np.zeros(m)
-        for node in self.order:
-            z = self.conditioning_sets[node]
-            idx = np.zeros(m, dtype=np.int64)
-            for u in z:
-                idx = idx * self.alphabet_size + values_by_node[:, u]
-            tbl = self.table(node)
+        for node, z, tbl in self._steps:
+            idx = _encode(values_by_node, z, self.alphabet_size)
             out += np.log(tbl[idx, values_by_node[:, node]])
         return out
+
+
+def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:
+    """Rows as one (len(rows), alphabet) float array; the error names the
+    first row that is not a vector of alphabet entries."""
+    try:
+        out = np.array(rows, dtype=float)
+    except ValueError:
+        out = None
+    if out is None or out.shape != (len(rows), alphabet):
+        for (node, assignment), row in zip(keys, rows):
+            if np.asarray(row, dtype=float).shape != (alphabet,):
+                raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
+        raise ValueError("stored rows do not stack into one table")
+    return out
+
+
+def _is_symbol(s, alphabet: int) -> bool:
+    return isinstance(s, (int, np.integer)) and 0 <= s < alphabet
+
+
+def _table_blocks(order, conditioning: dict, alphabet: int) -> tuple[dict[int, slice], int]:
+    """Rows of each node's table in the stacked store, and the store's row
+    count; refuses tables above TABLE_ROW_LIMIT rows."""
+    if alphabet < 1:
+        raise ValueError("alphabet must hold at least one symbol")
+    require_table_rows({v: conditioning[v] for v in order}, alphabet)
+    blocks = {}
+    start = 0
+    for v in order:
+        stop = start + alphabet ** len(conditioning[v])
+        blocks[v] = slice(start, stop)
+        start = stop
+    return blocks, start
 
 
 def require_table_rows(conditioning: dict[int, tuple[int, ...]], alphabet: int) -> None:
@@ -180,23 +316,38 @@ def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> n
     return key
 
 
-def _decode(key: int, width: int, alphabet: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        out.append(key % alphabet)
-        key //= alphabet
-    return tuple(reversed(out))
-
-
 def _grouped_counts(values_by_node: np.ndarray, cols: Sequence[int], child: int, alphabet: int):
-    """Observed conditioning keys (ascending) with per-symbol child counts,
-    counted over the dense key space; callers bound it with require_table_rows."""
+    """Dense (|alphabet|^|cols|, |alphabet|) child counts per conditioning
+    key, with their row totals; callers bound the key space with
+    require_table_rows."""
     keys = _encode(values_by_node, cols, alphabet)
     joint = np.bincount(keys * alphabet + values_by_node[:, child], minlength=alphabet ** (len(cols) + 1))
     joint = joint.reshape(-1, alphabet)
-    totals = joint.sum(axis=1)
-    uniq = np.flatnonzero(totals)
-    return uniq, joint[uniq], totals[uniq]
+    return joint, joint.sum(axis=1)
+
+
+def _counted_model(order, conditioning, alphabet, counts: dict, thresholds: dict, diagnostics: dict, **kwargs):
+    """Model with add-1 rows wherever a conditioning assignment was seen at
+    least its node's threshold times, and uniform rows elsewhere; counts maps
+    each node to the (joint, totals) of _grouped_counts."""
+    joint = _stack([counts[v][0] for v in order], (alphabet,))
+    totals = _stack([counts[v][1] for v in order], ())
+    threshold = np.repeat([thresholds[v] for v in order], [counts[v][1].size for v in order])
+    seen = totals > 0
+    fitted = seen & (totals >= threshold)
+    values = np.where(fitted[:, None], (joint + 1.0) / (totals[:, None] + alphabet), 1.0 / alphabet)
+    diagnostics = dict(diagnostics, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum()))
+    return BayesNetModel(order, conditioning, alphabet, values, fitted, diagnostics=diagnostics, **kwargs)
+
+
+def _exact_model(order, conditioning, alphabet, tables: dict, **kwargs):
+    """Model whose every row is the given exact conditional table."""
+    values = _stack([tables[v].reshape(-1, alphabet) for v in order], (alphabet,))
+    return BayesNetModel(order, conditioning, alphabet, values, np.ones(values.shape[0], dtype=bool), **kwargs)
+
+
+def _stack(blocks: list, row_shape: tuple) -> np.ndarray:
+    return np.concatenate(blocks) if blocks else np.zeros((0, *row_shape))
 
 
 def resolve_threshold(g: Admg, cfg: Optional[LearnConfig]) -> int:
@@ -214,27 +365,12 @@ def learn_observational(samples: SampleBatch, g: Admg, t: int = 1) -> BayesNetMo
     """
     zs = effective_parents(g)
     order = tuple(topological_order(g))
-    require_table_rows({v: zs[v] for v in order}, g.alphabet_size)
+    conditioning = {v: zs[v] for v in order}
+    require_table_rows(conditioning, g.alphabet_size)
     vals = samples.by_node()
-    cpts: dict = {}
-    fitted = 0
-    skipped = 0
-    for node in order:
-        z = zs[node]
-        uniq, joint, totals = _grouped_counts(vals, z, node, g.alphabet_size)
-        for key, row_counts, total in zip(uniq, joint, totals):
-            if total >= t:
-                cpts[(node, _decode(int(key), len(z), g.alphabet_size))] = add_one_estimator(row_counts)
-                fitted += 1
-            else:
-                skipped += 1
-    return BayesNetModel(
-        order=order,
-        conditioning_sets={v: zs[v] for v in order},
-        alphabet_size=g.alphabet_size,
-        cpts=cpts,
-        names=g.names,
-        diagnostics={"fitted_rows": fitted, "below_threshold_rows": skipped},
+    counts = {v: _grouped_counts(vals, conditioning[v], v, g.alphabet_size) for v in order}
+    return _counted_model(
+        order, conditioning, g.alphabet_size, counts, dict.fromkeys(order, t), {}, names=g.names
     )
 
 
@@ -270,34 +406,21 @@ def learn_do(samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Option
 
     vals = samples.by_node()
     x_rows = vals[vals[:, x_node] == x_val]
-    cpts: dict = {}
-    fitted = 0
-    skipped = 0
-    for node in order:
-        z = conditioning[node]
-        if node in s1:
-            uniq, joint, totals = _grouped_counts(vals, z, node, g.alphabet_size)
-            for key, row_counts in zip(uniq, joint):
-                cpts[(node, _decode(int(key), len(z), g.alphabet_size))] = add_one_estimator(row_counts)
-                fitted += 1
-            continue
-        rows = x_rows if node in substituted else vals
-        uniq, joint, totals = _grouped_counts(rows, z, node, g.alphabet_size)
-        for key, row_counts, total in zip(uniq, joint, totals):
-            if total >= t:
-                cpts[(node, _decode(int(key), len(z), g.alphabet_size))] = add_one_estimator(row_counts)
-                fitted += 1
-            else:
-                skipped += 1
-    return BayesNetModel(
-        order=order,
-        conditioning_sets=conditioning,
-        alphabet_size=g.alphabet_size,
-        cpts=cpts,
+    counts = {
+        v: _grouped_counts(x_rows if v in substituted else vals, conditioning[v], v, g.alphabet_size)
+        for v in order
+    }
+    thresholds = {v: 1 if v in s1 else t for v in order}
+    return _counted_model(
+        order,
+        conditioning,
+        g.alphabet_size,
+        counts,
+        thresholds,
+        {"threshold": t},
         x_substitution=(x_node, x_val),
         substituted_nodes=frozenset(substituted),
         names=g.names,
-        diagnostics={"threshold": t, "fitted_rows": fitted, "below_threshold_rows": skipped},
     )
 
 
@@ -342,31 +465,15 @@ def learn_ccomponent_intervention(
     require_table_rows(conditioning, g.alphabet_size)
 
     vals = samples.by_node()
-    cpts: dict = {}
-    fitted = 0
-    skipped = 0
+    counts = {}
     for node in order:
-        z_in = conditioning[node]
-        z_out = tuple(u for u in zs[node] if u not in y_set)
         mask = np.ones(vals.shape[0], dtype=bool)
-        for u in z_out:
-            mask &= vals[:, u] == given[u]
-        sub = vals[mask]
-        if sub.shape[0]:
-            uniq, joint, totals = _grouped_counts(sub, z_in, node, g.alphabet_size)
-            for key, row_counts, total in zip(uniq, joint, totals):
-                if total >= t:
-                    cpts[(node, _decode(int(key), len(z_in), g.alphabet_size))] = add_one_estimator(row_counts)
-                    fitted += 1
-                else:
-                    skipped += 1
-    return BayesNetModel(
-        order=order,
-        conditioning_sets=conditioning,
-        alphabet_size=g.alphabet_size,
-        cpts=cpts,
-        names=g.names,
-        diagnostics={"threshold": t, "fitted_rows": fitted, "below_threshold_rows": skipped},
+        for u in zs[node]:
+            if u not in y_set:
+                mask &= vals[:, u] == given[u]
+        counts[node] = _grouped_counts(vals[mask], conditioning[node], node, g.alphabet_size)
+    return _counted_model(
+        order, conditioning, g.alphabet_size, counts, dict.fromkeys(order, t), {"threshold": t}, names=g.names
     )
 
 
@@ -390,7 +497,7 @@ def exact_do_model(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> Ba
     zs = effective_parents(g)
     order = tuple(topological_order(g))
     s1 = set(c_components(g).component_containing(x_node))
-    cpts: dict = {}
+    tables = {}
     conditioning: dict[int, tuple[int, ...]] = {}
     substituted = set()
     for node in order:
@@ -402,14 +509,12 @@ def exact_do_model(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> Ba
             z = tuple(u for u in z if u != x_node)
             substituted.add(node)
         conditioning[node] = z
-        flat = tbl.reshape(-1, g.alphabet_size)
-        for idx in range(flat.shape[0]):
-            cpts[(node, _decode(idx, len(z), g.alphabet_size))] = flat[idx]
-    return BayesNetModel(
-        order=order,
-        conditioning_sets=conditioning,
-        alphabet_size=g.alphabet_size,
-        cpts=cpts,
+        tables[node] = tbl
+    return _exact_model(
+        order,
+        conditioning,
+        g.alphabet_size,
+        tables,
         x_substitution=(x_node, x_val),
         substituted_nodes=frozenset(substituted),
         names=g.names,
@@ -426,7 +531,7 @@ def exact_ccomponent_model(p: DenseDistribution, g: Admg, y_set: Iterable[int], 
         raise ValueError(f"y_bar_1 must assign exactly the outside parents {sorted(pa_minus)}")
     zs = effective_parents(g)
     order = tuple(v for v in topological_order(g) if v in y_set)
-    cpts: dict = {}
+    tables = {}
     conditioning: dict[int, tuple[int, ...]] = {}
     for node in order:
         z = zs[node]
@@ -436,18 +541,9 @@ def exact_ccomponent_model(p: DenseDistribution, g: Admg, y_set: Iterable[int], 
         for pos in reversed(range(len(z))):
             if z[pos] not in y_set:
                 tbl = np.take(tbl, given[z[pos]], axis=pos)
-        z_in = tuple(u for u in z if u in y_set)
-        conditioning[node] = z_in
-        flat = tbl.reshape(-1, g.alphabet_size)
-        for idx in range(flat.shape[0]):
-            cpts[(node, _decode(idx, len(z_in), g.alphabet_size))] = flat[idx]
-    return BayesNetModel(
-        order=order,
-        conditioning_sets=conditioning,
-        alphabet_size=g.alphabet_size,
-        cpts=cpts,
-        names=g.names,
-    )
+        conditioning[node] = tuple(u for u in z if u in y_set)
+        tables[node] = tbl
+    return _exact_model(order, conditioning, g.alphabet_size, tables, names=g.names)
 
 
 def amplify(
@@ -494,10 +590,14 @@ def amplify(
 
 
 def learned_model_to_json(model: BayesNetModel) -> str:
+    """Sparse JSON of a model: its fitted rows only, sorted by node and then
+    by assignment; every row not listed reads as uniform."""
     entries = []
-    for (node, assignment), row in model.cpts.items():
-        entries.append({"node": node, "assignment": list(assignment), "row": row.tolist()})
-    entries.sort(key=lambda e: (e["node"], e["assignment"]))
+    for node in sorted(model.order):
+        sizes = (model.alphabet_size,) * len(model.conditioning_sets[node])
+        idxs, rows = model.fitted_rows(node)
+        for idx, row in zip(idxs.tolist(), rows.tolist()):
+            entries.append({"node": node, "assignment": list(_decode(idx, sizes)), "row": row})
     payload = {
         "alphabet": model.alphabet_size,
         "names": list(model.names) if model.names is not None else None,
@@ -516,11 +616,9 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
     except json.JSONDecodeError as e:
         raise FormatError(f"{source}:{e.lineno}: invalid JSON: {e.msg}") from None
     try:
-        cpts = {
-            (entry["node"], tuple(entry["assignment"])): np.asarray(entry["row"], dtype=float)
-            for entry in raw["cpts"]
-        }
-        return BayesNetModel(
+        # Later entries for the same row replace earlier ones.
+        cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
+        return BayesNetModel.from_rows(
             order=tuple(raw["order"]),
             conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
             alphabet_size=int(raw["alphabet"]),

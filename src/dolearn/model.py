@@ -423,6 +423,15 @@ def _header_columns(header: Sequence[str], names: Sequence[str]) -> tuple[int, .
 def _parse_samples_rows(text: str, names: Sequence[str], alphabet_size: int, source: str) -> SampleBatch:
     reader = csv.reader(io.StringIO(text))
     try:
+        return _read_rows(reader, names, alphabet_size, source)
+    except csv.Error as e:
+        # The csv module refuses some text outright, such as a CR in an
+        # unquoted field or a cell above its field size limit.
+        raise FormatError(f"{source}:{reader.line_num}: unreadable CSV: {e}") from None
+
+
+def _read_rows(reader, names: Sequence[str], alphabet_size: int, source: str) -> SampleBatch:
+    try:
         header = next(reader)
     except StopIteration:
         raise FormatError(f"{source}:1: empty sample file") from None

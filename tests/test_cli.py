@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dolearn.cli import UsageError, dispatch, format_significant, parse_assignment
+from dolearn.errors import FormatError
+from dolearn.model import parse_samples_csv
 
 
 def run(capsys, *argv):
@@ -250,6 +252,53 @@ class TestExitCodes:
                              "--assignment", "v1=0,v2=1,v3=0,v4=1")
         assert code == 3
         assert "input error" in err and out == ""
+
+
+    def _two_node_graph(self, tmp_path):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({
+            "n": 2, "names": ["v0", "v1"], "alphabet": 2, "directed": [[0, 1]], "bidirected": [],
+        }))
+        return graph
+
+    def _learn(self, capsys, graph, samples, out):
+        return run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                   "--x-var", "v0", "--x-val", "1", "--m", "1", "--out", str(out))
+
+    def test_cell_above_csv_field_limit_is_input_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.csv"
+        samples.write_text("v0,v1\n" + "1" * 200_000 + ",0\n")
+        code, _, err = self._learn(capsys, self._two_node_graph(tmp_path), samples, tmp_path / "l.json")
+        assert code == 3
+        assert f"input error: {samples}:2: unreadable CSV: field larger than field limit" in err
+
+    def test_cr_inside_header_is_input_error(self, tmp_path, capsys):
+        text = "v0\r,v1\n0,1\n"
+        with pytest.raises(FormatError, match=r"^s\.csv:1: unreadable CSV: new-line character"):
+            parse_samples_csv(text, ("v0", "v1"), 2, source="s.csv")
+        # A file read in text mode turns the CR into a line break, so the CLI
+        # sees a header that names one variable.
+        samples = tmp_path / "s.csv"
+        samples.write_text(text, newline="")
+        code, _, err = self._learn(capsys, self._two_node_graph(tmp_path), samples, tmp_path / "l.json")
+        assert code == 3
+        assert f"input error: {samples}:1: header does not match" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["learn-do", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1", "--t", "0"],
+        ["learn-do", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1", "--m", "0"],
+        ["sample", "--model", "m.json", "--m", "0"],
+        ["sample-do", "--learned", "l.json", "--m", "-3"],
+        ["marginal", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1",
+         "--targets", "v1", "--t", "0"],
+        ["marginal", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1",
+         "--targets", "v1", "--m", "0"],
+    ])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, argv):
+        # The files do not exist: the count is refused before any is opened.
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert "must be at least 1" in err
 
 
 class TestExperimentCommand:

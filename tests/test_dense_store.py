@@ -1,0 +1,360 @@
+"""The dense CPT store against the sparse-dict model it replaced.
+
+ReferenceModel below is the per-row implementation the package used while a
+learned model was a dict of (node, assignment) -> row with uniform as the
+implicit default. The properties require the dense store to give equal
+results (bits, draws, bytes, accepted and refused files) on random models.
+"""
+
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dolearn.cli import dispatch
+from dolearn.errors import FormatError, StateSpaceError
+from dolearn.identify import _spread
+from dolearn.intervene import InterventionalModel, evaluate_do, model_to_dense, sample_do
+from dolearn.learn import BayesNetModel, learned_model_to_json, parse_learned_model_json
+from dolearn.model import DenseDistribution, SampleBatch, draw_from_cdf
+
+PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the sparse-dict model.
+
+
+class ReferenceModel:
+    def __init__(self, order, conditioning_sets, alphabet_size, cpts, x_substitution=None,
+                 substituted_nodes=frozenset(), names=None):
+        self.order = order
+        self.conditioning_sets = conditioning_sets
+        self.alphabet_size = alphabet_size
+        self.cpts = cpts
+        self.x_substitution = x_substitution
+        self.substituted_nodes = substituted_nodes
+        self.names = names
+        pos = {v: i for i, v in enumerate(order)}
+        for node, z in conditioning_sets.items():
+            if node not in pos:
+                raise ValueError(f"conditioning set given for unknown node {node}")
+            for u in z:
+                if u not in pos or pos[u] >= pos[node]:
+                    raise ValueError(f"conditioning set of {node} is not a set of predecessors")
+        if x_substitution is not None:
+            for node in substituted_nodes:
+                if x_substitution[0] in conditioning_sets[node]:
+                    raise ValueError(f"substituted node {node} still conditions on {x_substitution[0]}")
+        for (node, assignment), row in cpts.items():
+            if len(assignment) != len(conditioning_sets[node]):
+                raise ValueError(f"assignment arity mismatch for node {node}")
+            if not all(isinstance(a, int) and 0 <= a < alphabet_size for a in assignment):
+                raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+            if not (row.shape == (alphabet_size,) and abs(row.sum() - 1.0) <= 1e-12 and row.min() >= 0):
+                raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
+
+    def row(self, node, assignment):
+        got = self.cpts.get((node, tuple(assignment)))
+        if got is None:
+            return np.full(self.alphabet_size, 1.0 / self.alphabet_size)
+        return got
+
+    def table(self, node):
+        z = self.conditioning_sets[node]
+        out = np.full((self.alphabet_size ** len(z), self.alphabet_size), 1.0 / self.alphabet_size)
+        for (n_id, assignment), row in self.cpts.items():
+            if n_id != node:
+                continue
+            idx = 0
+            for v in assignment:
+                idx = idx * self.alphabet_size + v
+            out[idx] = row
+        return out
+
+    def joint_probability(self, assignment):
+        p = 1.0
+        for node in self.order:
+            key = tuple(assignment[u] for u in self.conditioning_sets[node])
+            p *= float(self.row(node, key)[assignment[node]])
+        return p
+
+    def log_likelihood_rows(self, values_by_node):
+        m = values_by_node.shape[0]
+        out = np.zeros(m)
+        for node in self.order:
+            idx = np.zeros(m, dtype=np.int64)
+            for u in self.conditioning_sets[node]:
+                idx = idx * self.alphabet_size + values_by_node[:, u]
+            out += np.log(self.table(node)[idx, values_by_node[:, node]])
+        return out
+
+
+def reference_evaluate_do(model, x_node, w):
+    total = 0.0
+    assignment = dict(w)
+    for x_prime in range(model.alphabet_size):
+        assignment[x_node] = x_prime
+        total += model.joint_probability(assignment)
+    return total
+
+
+def reference_sample_do(model, x_node, count, seed):
+    rng = np.random.default_rng(seed)
+    values = np.zeros((max(model.order) + 1, count), dtype=np.int64)
+    for node in model.order:
+        idx = np.zeros(count, dtype=np.int64)
+        for u in model.conditioning_sets[node]:
+            idx = idx * model.alphabet_size + values[u]
+        values[node] = draw_from_cdf(np.cumsum(model.table(node), axis=1), idx, rng.random(count))
+    keep = [v for v in model.order if v != x_node]
+    return SampleBatch(tuple(keep), values[keep].T)
+
+
+def reference_model_to_dense(model, keep):
+    ids = tuple(sorted(model.order))
+    sizes = tuple(model.alphabet_size for _ in ids)
+    joint = np.ones(sizes)
+    for node in model.order:
+        z = model.conditioning_sets[node]
+        tbl = model.table(node).reshape(tuple(model.alphabet_size for _ in z) + (model.alphabet_size,))
+        joint = joint * _spread(tbl, z + (node,), ids, sizes)
+    return DenseDistribution(ids, sizes, joint.reshape(-1)).marginal(set(keep))
+
+
+def reference_to_json(model):
+    entries = [
+        {"node": node, "assignment": list(assignment), "row": row.tolist()}
+        for (node, assignment), row in model.cpts.items()
+    ]
+    entries.sort(key=lambda e: (e["node"], e["assignment"]))
+    payload = {
+        "alphabet": model.alphabet_size,
+        "names": list(model.names) if model.names is not None else None,
+        "order": list(model.order),
+        "conditioning_sets": {str(v): list(z) for v, z in model.conditioning_sets.items()},
+        "x_substitution": list(model.x_substitution) if model.x_substitution else None,
+        "substituted_nodes": sorted(model.substituted_nodes),
+        "cpts": entries,
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_parse(text, source="<learned>"):
+    raw = json.loads(text)
+    try:
+        cpts = {
+            (entry["node"], tuple(entry["assignment"])): np.asarray(entry["row"], dtype=float)
+            for entry in raw["cpts"]
+        }
+        return ReferenceModel(
+            order=tuple(raw["order"]),
+            conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
+            alphabet_size=int(raw["alphabet"]),
+            cpts=cpts,
+            x_substitution=tuple(raw["x_substitution"]) if raw.get("x_substitution") else None,
+            substituted_nodes=frozenset(raw.get("substituted_nodes", [])),
+            names=tuple(raw["names"]) if raw.get("names") else None,
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{source}:1: invalid learned model: {e}") from None
+
+
+# ---------------------------------------------------------------------------
+# Strategies.
+
+
+@st.composite
+def sparse_models(draw):
+    """(kwargs, cpts) of a random model: |Σ| in {2, 3}, up to five nodes,
+    rows fitted with a drawn probability (none at all included), and an
+    optional substitution with substituted nodes."""
+    a = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5))
+    order = tuple(draw(st.permutations(range(n))))
+    conditioning = {}
+    for i, v in enumerate(order):
+        preds = order[:i]
+        z = draw(st.lists(st.sampled_from(preds), unique=True, max_size=2)) if preds else []
+        conditioning[v] = tuple(z)
+    kwargs = {"order": order, "conditioning_sets": conditioning, "alphabet_size": a}
+    x = draw(st.none() | st.sampled_from(order))
+    if x is not None:
+        kwargs["x_substitution"] = (x, draw(st.integers(0, a - 1)))
+        candidates = [v for v in order if v != x and x not in conditioning[v]]
+        if candidates:
+            kwargs["substituted_nodes"] = frozenset(draw(st.lists(st.sampled_from(candidates), unique=True)))
+    fill = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cpts = {}
+    for v in order:
+        for assignment in itertools.product(range(a), repeat=len(conditioning[v])):
+            if rng.random() < fill:
+                w = rng.random(a) * (rng.random(a) < 0.8)
+                if w.sum() == 0:
+                    w[rng.integers(a)] = 1.0
+                cpts[(v, assignment)] = w / w.sum()
+    return kwargs, cpts
+
+
+def both(case):
+    kwargs, cpts = case
+    return BayesNetModel.from_rows(cpts=cpts, **kwargs), ReferenceModel(cpts=cpts, **kwargs)
+
+
+def full_assignments(model, rng, count):
+    width = max(model.order) + 1
+    return rng.integers(0, model.alphabet_size, size=(count, width))
+
+
+# ---------------------------------------------------------------------------
+# Properties.
+
+
+class TestDenseStore:
+    @PROPERTY
+    @given(sparse_models(), st.integers(0, 2**32 - 1))
+    def test_joint_probability_and_evaluate_do_bit_equal(self, case, seed):
+        new, ref = both(case)
+        rows = full_assignments(new, np.random.default_rng(seed), 20)
+        for row in rows:
+            w = {v: int(row[v]) for v in new.order}
+            assert new.joint_probability(w) == ref.joint_probability(w)
+        if new.x_substitution is not None:
+            x_node, x_val = new.x_substitution
+            im = InterventionalModel(new, x_node, x_val)
+            for row in rows:
+                w = {v: int(row[v]) for v in new.order if v != x_node}
+                assert evaluate_do(im, w) == reference_evaluate_do(ref, x_node, w)
+
+    @PROPERTY
+    @given(sparse_models(), st.integers(0, 2**32 - 1))
+    def test_log_likelihood_rows_bit_equal(self, case, seed):
+        new, ref = both(case)
+        values = full_assignments(new, np.random.default_rng(seed), 30)
+        with np.errstate(divide="ignore"):  # zero entries give -inf on both sides
+            assert np.array_equal(new.log_likelihood_rows(values), ref.log_likelihood_rows(values))
+
+    @PROPERTY
+    @given(sparse_models(), st.integers(0, 2**32 - 1), st.integers(1, 200))
+    def test_sample_do_draws_identical(self, case, seed, count):
+        new, ref = both(case)
+        if new.x_substitution is None:
+            return
+        x_node, x_val = new.x_substitution
+        got = sample_do(InterventionalModel(new, x_node, x_val), count, seed=seed)
+        want = reference_sample_do(ref, x_node, count, seed)
+        assert got.columns == want.columns
+        assert np.array_equal(got.data, want.data)
+
+    @PROPERTY
+    @given(sparse_models(), st.data())
+    def test_model_to_dense_matches(self, case, data):
+        new, ref = both(case)
+        keep = data.draw(st.lists(st.sampled_from(new.order), unique=True))
+        got = model_to_dense(new, keep)
+        want = reference_model_to_dense(ref, keep)
+        assert got.variable_ids == want.variable_ids
+        assert np.abs(got.mass - want.mass).max() <= 1e-15
+
+    @PROPERTY
+    @given(sparse_models())
+    def test_json_bytes_and_round_trip(self, case):
+        new, ref = both(case)
+        text = learned_model_to_json(new)
+        assert text == reference_to_json(ref)
+        back = parse_learned_model_json(text)
+        assert learned_model_to_json(back) == text
+        assert dict(back.cpts.items()).keys() == ref.cpts.keys()
+        for key, row in ref.cpts.items():
+            assert np.array_equal(back.cpts[key], row)
+            assert np.array_equal(back.row(*key), row)
+
+    @PROPERTY
+    @given(sparse_models())
+    def test_store_is_read_only(self, case):
+        new, _ = both(case)
+        assert not new.values.flags.writeable and not new.fitted.flags.writeable
+        for node in new.order:
+            assert not new.table(node).flags.writeable
+            with pytest.raises(ValueError):
+                new.table(node)[0, 0] = 0.5
+        with pytest.raises(TypeError):
+            new.cpts[next(iter(new.cpts), (0, ()))] = np.zeros(new.alphabet_size)
+
+
+CORRUPTIONS = (
+    "nan", "inf", "minus_inf", "negative", "sum_off_2e-12", "sum_off_5e-13", "outside_alphabet",
+    "negative_symbol", "float_symbol", "arity", "bad_row_then_good_duplicate", "short_row",
+)
+
+
+def corrupt(raw, entry, how):
+    row = entry["row"]
+    if how == "nan":
+        row[0] = float("nan")
+    elif how == "inf":
+        row[0] = float("inf")
+    elif how == "minus_inf":
+        row[0] = float("-inf")
+    elif how == "negative":
+        row[0], row[-1] = -0.25, row[-1] + row[0] + 0.25
+    elif how == "sum_off_2e-12":
+        row[0] += 2e-12
+    elif how == "sum_off_5e-13":
+        row[0] += 5e-13
+    elif how == "outside_alphabet" and entry["assignment"]:
+        entry["assignment"][0] = raw["alphabet"]
+    elif how == "negative_symbol" and entry["assignment"]:
+        entry["assignment"][0] = -1
+    elif how == "float_symbol" and entry["assignment"]:
+        entry["assignment"][0] = 1.0
+    elif how == "arity":
+        entry["assignment"].append(0)
+    elif how == "bad_row_then_good_duplicate":
+        # An earlier entry for the same row is replaced, so its bad row is never checked.
+        at = raw["cpts"].index(entry)
+        raw["cpts"].insert(at, dict(entry, row=[float("nan")] * len(row)))
+    elif how == "short_row":
+        del row[-1]
+
+
+def _outcome(parse, text):
+    try:
+        model = parse(text)
+    except FormatError as e:
+        return ("error", str(e))
+    return ("ok", reference_to_json(model) if isinstance(model, ReferenceModel) else learned_model_to_json(model))
+
+
+class TestLoaderChecks:
+    @pytest.mark.parametrize("how", CORRUPTIONS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=sparse_models(), data=st.data())
+    def test_accepts_and_refuses_like_the_row_checks(self, case, data, how):
+        kwargs, cpts = case
+        if not cpts:
+            return
+        raw = json.loads(learned_model_to_json(BayesNetModel.from_rows(cpts=cpts, **kwargs)))
+        corrupt(raw, data.draw(st.sampled_from(raw["cpts"])), how)
+        text = json.dumps(raw)
+        assert _outcome(parse_learned_model_json, text) == _outcome(reference_parse, text)
+
+    def test_oversized_table_refused_at_load(self, tmp_path, capsys):
+        # Node 21 conditions on 21 binary nodes: 2^21 rows, above TABLE_ROW_LIMIT.
+        n = 22
+        raw = {
+            "alphabet": 2, "names": [f"v{i}" for i in range(n)], "order": list(range(n)),
+            "conditioning_sets": {str(v): list(range(v)) if v == n - 1 else [] for v in range(n)},
+            "x_substitution": [0, 1], "substituted_nodes": [], "cpts": [],
+        }
+        text = json.dumps(raw)
+        with pytest.raises(StateSpaceError, match="would need 2097152 rows"):
+            parse_learned_model_json(text)
+        path = tmp_path / "l.json"
+        path.write_text(text)
+        assert dispatch(["sample-do", "--learned", str(path), "--m", "1", "--out", str(tmp_path / "d.csv")]) == 4
+        assert "would need" in capsys.readouterr().err

@@ -102,7 +102,7 @@ class TestSampleDo:
             (1, (0,)): np.array([1.0, 0.0]),
             (1, (1,)): np.array([0.0, 1.0]),
         }
-        model = BayesNetModel(
+        model = BayesNetModel.from_rows(
             order=(0, 1),
             conditioning_sets={0: (), 1: (0,)},
             alphabet_size=2,
@@ -125,7 +125,7 @@ class TestModelToDense:
     def test_independent_nodes_marginal_is_row(self):
         from dolearn.learn import BayesNetModel
 
-        model = BayesNetModel(
+        model = BayesNetModel.from_rows(
             order=(0, 1),
             conditioning_sets={0: (), 1: ()},
             alphabet_size=2,
@@ -138,7 +138,7 @@ class TestModelToDense:
         from dolearn.learn import BayesNetModel
 
         order = tuple(range(30))
-        model = BayesNetModel(
+        model = BayesNetModel.from_rows(
             order=order,
             conditioning_sets={v: () for v in order},
             alphabet_size=2,

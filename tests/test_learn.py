@@ -292,7 +292,15 @@ class TestAmplify:
                     keys = list(model.cpts)
                     rows = [model.cpts[k] for k in keys]
                     perm = rng.permutation(len(rows))
-                    model.cpts.update({k: rows[p] for k, p in zip(keys, perm)})
+                    model = BayesNetModel.from_rows(
+                        model.order,
+                        model.conditioning_sets,
+                        model.alphabet_size,
+                        {k: rows[p] for k, p in zip(keys, perm)},
+                        x_substitution=model.x_substitution,
+                        substituted_nodes=model.substituted_nodes,
+                        names=model.names,
+                    )
                 produced.append(model)
                 return model
 
@@ -395,7 +403,7 @@ class TestLearnedModelFile:
 
     def test_invariant_rejection(self):
         with pytest.raises(ValueError, match="predecessors"):
-            BayesNetModel(
+            BayesNetModel.from_rows(
                 order=(0, 1),
                 conditioning_sets={0: (1,), 1: ()},
                 alphabet_size=2,
@@ -404,7 +412,7 @@ class TestLearnedModelFile:
 
     def test_substituted_node_cannot_condition_on_x(self):
         with pytest.raises(ValueError, match="still conditions"):
-            BayesNetModel(
+            BayesNetModel.from_rows(
                 order=(0, 1),
                 conditioning_sets={0: (), 1: (0,)},
                 alphabet_size=2,

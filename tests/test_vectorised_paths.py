@@ -38,6 +38,13 @@ def reference_samples_to_csv(batch, names):
 def reference_parse_samples_csv(text, names, alphabet_size, source="<samples>"):
     reader = csv.reader(io.StringIO(text))
     try:
+        return reference_read_rows(reader, names, alphabet_size, source)
+    except csv.Error as e:
+        raise FormatError(f"{source}:{reader.line_num}: unreadable CSV: {e}") from None
+
+
+def reference_read_rows(reader, names, alphabet_size, source):
+    try:
         header = next(reader)
     except StopIteration:
         raise FormatError(f"{source}:1: empty sample file") from None
@@ -301,10 +308,15 @@ class TestGroupedCounts:
         rng = np.random.default_rng(seed)
         values = rng.integers(0, alphabet, size=(m, 5))
         cols = tuple(int(c) for c in rng.permutation(4)[:width])
-        got = _grouped_counts(values, cols, 4, alphabet)
-        want = reference_grouped_counts(values, cols, 4, alphabet)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        joint, totals = _grouped_counts(values, cols, 4, alphabet)
+        uniq, want_joint, want_totals = reference_grouped_counts(values, cols, 4, alphabet)
+        # The dense counts hold the observed keys' counts at those keys and
+        # zeros everywhere else.
+        assert joint.shape == (alphabet**width, alphabet)
+        assert np.array_equal(np.flatnonzero(totals), uniq)
+        assert np.array_equal(joint[uniq], want_joint)
+        assert np.array_equal(totals[uniq], want_totals)
+        assert np.array_equal(totals, joint.sum(axis=1))
 
 
 class TestAncestralSampling:
