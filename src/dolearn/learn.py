@@ -27,11 +27,12 @@ TABLE_ROW_LIMIT = 2**20
 
 
 def add_one_estimator(counts: Sequence[int]) -> np.ndarray:
-    """Laplace-corrected empirical distribution (count+1)/(total+size)."""
+    """Laplace-corrected empirical distribution (count+1)/(total+size) of
+    each row of counts (the last axis)."""
     counts = np.asarray(counts, dtype=float)
     if counts.min(initial=0) < 0:
         raise ValueError("counts must be nonnegative")
-    return (counts + 1.0) / (counts.sum() + counts.size)
+    return (counts + 1.0) / (counts.sum(axis=-1, keepdims=True) + counts.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -247,8 +248,8 @@ class BayesNetModel:
         """Probability of a full assignment over this model's variables."""
         a = self.alphabet_size
         p = 1.0
-        # Factors multiply in node order, one at a time, so the result does
-        # not depend on how the store is laid out.
+        # One factor at a time in node order: a log-space sum or np.prod can
+        # change the last bits, and eval prints 12 significant digits.
         for node, z, tbl in self._steps:
             idx = 0
             for u in z:
@@ -335,7 +336,7 @@ def _counted_model(order, conditioning, alphabet, counts: dict, thresholds: dict
     threshold = np.repeat([thresholds[v] for v in order], [counts[v][1].size for v in order])
     seen = totals > 0
     fitted = seen & (totals >= threshold)
-    values = np.where(fitted[:, None], (joint + 1.0) / (totals[:, None] + alphabet), 1.0 / alphabet)
+    values = np.where(fitted[:, None], add_one_estimator(joint), 1.0 / alphabet)
     diagnostics = dict(diagnostics, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum()))
     return BayesNetModel(order, conditioning, alphabet, values, fitted, diagnostics=diagnostics, **kwargs)
 
