@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from decimal import Decimal
@@ -223,7 +224,7 @@ def _cmd_learn_do(args) -> int:
     x_node = _node(g, args.x_var)
     x_val = _check_symbol(g, args.x_val)
     m_requested, m_used, t, alpha_est, floored = _resolve_budget(args, g, samples, x_node)
-    cfg = LearnConfig(m=m_used, t=t, epsilon=args.epsilon, seed=args.seed)
+    cfg = LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed)
     model = learn_do(samples.head(m_used), g, x_node, x_val, cfg)
     save_learned_model(model, args.out)
 
@@ -294,7 +295,7 @@ def _cmd_marginal(args) -> int:
     if not targets:
         raise UsageError("no target variables given")
     m_requested, m_used, t, _, _ = _resolve_budget(args, g, samples, x_node)
-    cfg = LearnConfig(m=m_used, t=t, epsilon=args.epsilon, seed=args.seed)
+    cfg = LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed)
     dense = learn_marginal_do(
         samples.head(m_used), g, x_node, x_val, targets, cfg, via_generator=args.via_generator
     )
@@ -311,41 +312,56 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # Every field the spec uses is decoded and range-checked before any work
+    # starts; a bad one is a FormatError anchored at the spec's first line.
     with open(args.spec, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as e:
             raise FormatError(f"{args.spec}:{e.lineno}: invalid JSON: {e.msg}") from None
-    kind = spec.get("kind")
-    if kind == "convergence":
-        cbn = load_model(spec["model"])
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in ("convergence", "alpha-sweep"):
+        raise FormatError(f"{args.spec}:1: unknown experiment kind {kind!r}")
+
+    def field(key, need="an integer of at least 1", cast=int, ok=lambda v: v >= 1, required=True):
+        # A list is cast item by item; ok decides whether a list is wanted.
+        raw = spec.get(key)
+        if raw is None and not required:
+            return None
         try:
-            x_node = cbn.graph.node_index(spec["x_var"])
+            value = [cast(v) for v in raw] if isinstance(raw, list) else cast(raw)
+            if ok(value):
+                return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise FormatError(f"{args.spec}:1: {key} must be {need}, got {raw!r}")
+
+    trials = field("trials")
+    seed = field("seed", "a nonnegative integer", ok=lambda v: v >= 0, required=False) or 0
+    t = field("t", required=False)
+    if kind == "convergence":
+        cbn = load_model(field("model", "a file name", cast=lambda v: v, ok=lambda v: isinstance(v, str)))
+        try:
+            x_node = cbn.graph.node_index(spec.get("x_var"))
         except ValueError as e:
             raise FormatError(f"{args.spec}:1: {e}") from None
-        cfg = LearnConfig(t=spec["t"]) if "t" in spec else None
-        result = exp.convergence_experiment(
-            cbn,
-            x_node,
-            int(spec["x_val"]),
-            [int(m) for m in spec["m_grid"]],
-            int(spec["trials"]),
-            cfg,
-            seed=int(spec.get("seed", 0)),
-        )
-    elif kind == "alpha-sweep":
-        result = exp.alpha_sweep_experiment(
-            [float(a) for a in spec["alphas"]],
-            int(spec["n_effect"]),
-            float(spec["epsilon"]),
-            int(spec["m"]),
-            int(spec["trials"]),
-            seed=int(spec.get("seed", 0)),
-            t=spec.get("t"),
-            confounded=bool(spec.get("confounded", False)),
-        )
+        a = cbn.graph.alphabet_size
+        x_val = field("x_val", f"a symbol in [0, {a})", ok=lambda v: 0 <= v < a)
+        m_grid = field("m_grid", "a nonempty list of counts", ok=lambda v: isinstance(v, list) and v and min(v) >= 1)
+        cfg = LearnConfig(t=t) if t is not None else None
+        result = exp.convergence_experiment(cbn, x_node, x_val, m_grid, trials, cfg, seed=seed)
     else:
-        raise FormatError(f"{args.spec}:1: unknown experiment kind {kind!r}")
+        alphas = field("alphas", "a nonempty list of numbers", cast=float, ok=lambda v: isinstance(v, list) and v)
+        n_effect = field("n_effect")
+        epsilon = field("epsilon", "a finite number", cast=float, ok=math.isfinite)
+        m = field("m")
+        confounded = bool(spec.get("confounded", False))
+        try:  # the hard family's own range checks, on every instance the sweep builds
+            for alpha in alphas:
+                exp.HardInstanceSpec(n_effect, alpha, epsilon, ((1,) * n_effect,), confounded=confounded)
+        except ValueError as e:
+            raise FormatError(f"{args.spec}:1: {e}") from None
+        result = exp.alpha_sweep_experiment(alphas, n_effect, epsilon, m, trials, seed, t, confounded)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(result.to_csv())
     write_report(args.out + ".summary.json", result.summary())

@@ -246,6 +246,16 @@ class ExperimentResult:
         return payload
 
 
+def _tv_spread(rows: list, keys: list) -> tuple[dict, dict]:
+    """Median and quartiles of the TVs of each key's rows."""
+    medians, quartiles = {}, {}
+    for key in keys:
+        tvs = [tv for k, _, tv, _ in rows if k == key]
+        medians[key] = float(np.median(tvs))
+        quartiles[key] = (float(np.percentile(tvs, 25)), float(np.percentile(tvs, 75)))
+    return medians, quartiles
+
+
 def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
@@ -272,12 +282,7 @@ def convergence_experiment(
             model = learn_do(batch, g, x_node, x_val, cfg)
             tv = tv_distance(oracle, model_to_dense(model, keep))
             rows.append((int(m), trial, tv, time.perf_counter() - start))
-    medians = {}
-    quartiles = {}
-    for m in m_grid:
-        tvs = [tv for key, _, tv, _ in rows if key == int(m)]
-        medians[int(m)] = float(np.median(tvs))
-        quartiles[int(m)] = (float(np.percentile(tvs, 25)), float(np.percentile(tvs, 75)))
+    medians, quartiles = _tv_spread(rows, [int(m) for m in m_grid])
     xs = np.log(np.array(sorted(medians), dtype=float))
     ys = np.log(np.array([medians[m] for m in sorted(medians)]))
     slope = float(np.polyfit(xs, ys, 1)[0]) if len(xs) > 1 else None
@@ -310,10 +315,5 @@ def alpha_sweep_experiment(
             model = learn_do(batch, cbn.graph, x_node, 1, cfg)
             tv = tv_distance(oracle, model_to_dense(model, keep))
             rows.append((float(alpha), trial, tv, time.perf_counter() - start))
-    medians = {}
-    quartiles = {}
-    for alpha in alphas:
-        tvs = [tv for key, _, tv, _ in rows if key == float(alpha)]
-        medians[float(alpha)] = float(np.median(tvs))
-        quartiles[float(alpha)] = (float(np.percentile(tvs, 25)), float(np.percentile(tvs, 75)))
+    medians, quartiles = _tv_spread(rows, [float(alpha) for alpha in alphas])
     return ExperimentResult("alpha", rows, medians, quartiles)

@@ -294,6 +294,13 @@ def check_identifiability(g: Admg, x: int) -> IdentifiabilityResult:
     return IdentifiabilityResult(True)
 
 
+def require_identifiable(g: Admg, x: int) -> None:
+    """Raise IdentifiabilityError unless check_identifiability(g, x) holds."""
+    ident = check_identifiability(g, x)
+    if not ident:
+        raise IdentifiabilityError(f"child {ident.witness} of {x} shares a confounded component with it")
+
+
 def latent_project(g: LatentGraph) -> Admg:
     """Project a DAG with hidden nodes onto its observables.
 
@@ -416,11 +423,7 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
     for v in f:
         if not 0 <= v < g.node_count:
             raise ValueError(f"node index {v} out of range")
-    ident = check_identifiability(g, x)
-    if not ident:
-        raise IdentifiabilityError(
-            f"child {ident.witness} of {x} shares a confounded component with it"
-        )
+    require_identifiable(g, x)
     part = c_components(g)
     s1 = part.component_containing(x)
     _, pa_plus, _ = parent_sets(g, s1)

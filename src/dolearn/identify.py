@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, NormalizationError, PositivityError
-from .graph import Admg, c_components, check_identifiability, effective_parents, parent_sets
-from .model import DenseDistribution
+from .errors import NormalizationError, PositivityError
+from .graph import Admg, c_components, effective_parents, parent_sets, require_identifiable
+from .model import DenseDistribution, _spread
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,22 +66,6 @@ def conditional_table(p: DenseDistribution, child: int, cond: tuple[int, ...]) -
     return marg / den[..., None]
 
 
-def _axis_map(ids: tuple[int, ...]) -> dict[int, int]:
-    return {v: i for i, v in enumerate(ids)}
-
-
-def _spread(table: np.ndarray, table_ids, target_ids, target_sizes) -> np.ndarray:
-    """Broadcast a factor over table_ids against the target product space."""
-    amap = _axis_map(target_ids)
-    axes = [amap[v] for v in table_ids]
-    perm = np.argsort(axes, kind="stable")
-    t = np.transpose(table, perm)
-    shape = [1] * len(target_ids)
-    for ax in sorted(axes):
-        shape[ax] = target_sizes[ax]
-    return t.reshape(shape)
-
-
 def compute_q_factor(p: DenseDistribution, g: Admg, component_index: int) -> QFactor:
     """Q-factor of one confounded component from the observational table.
 
@@ -109,11 +93,7 @@ def tian_pearl_do(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> Den
     every other factor is evaluated at it. The output must already normalize;
     a miss beyond 1e-9 raises instead of silently rescaling.
     """
-    ident = check_identifiability(g, x_node)
-    if not ident:
-        raise IdentifiabilityError(
-            f"child {ident.witness} of {x_node} shares a confounded component with it"
-        )
+    require_identifiable(g, x_node)
     if not 0 <= x_val < g.alphabet_size:
         raise ValueError(f"x_val {x_val} outside alphabet")
     part = c_components(g)
@@ -147,11 +127,9 @@ def exact_dx(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> DenseDis
     replaced by the constant x_val; all other factors, including x's own, are
     untouched. The marginal over the other variables equals tian_pearl_do.
     """
-    ident = check_identifiability(g, x_node)
-    if not ident:
-        raise IdentifiabilityError(
-            f"child {ident.witness} of {x_node} shares a confounded component with it"
-        )
+    require_identifiable(g, x_node)
+    if not 0 <= x_val < g.alphabet_size:
+        raise ValueError(f"x_val {x_val} outside alphabet")
     part = c_components(g)
     s1 = set(part.component_containing(x_node))
     zs = effective_parents(g)

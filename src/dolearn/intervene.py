@@ -12,17 +12,16 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import IdentifiabilityError, StateSpaceError
+from .errors import StateSpaceError
 from .graph import (
     Admg,
     c_components,
-    check_identifiability,
     parent_sets,
     prune_to_ancestors,
     reduce_for_marginal,
+    require_identifiable,
     topological_order,
 )
-from .identify import _spread
 from .learn import (
     BayesNetModel,
     LearnConfig,
@@ -30,7 +29,7 @@ from .learn import (
     learn_ccomponent_intervention,
     learn_do,
 )
-from .model import DenseDistribution, SampleBatch, STATE_SPACE_LIMIT, draw_from_cdf, empirical_marginal
+from .model import DenseDistribution, SampleBatch, _spread, draw_from_cdf, empirical_marginal, require_state_space
 
 ENUMERATION_LIMIT = 2**16
 
@@ -86,11 +85,7 @@ def model_to_dense(model: BayesNetModel, keep: Iterable[int]) -> DenseDistributi
         raise ValueError(f"unknown variables {sorted(keep - set(model.order))}")
     ids = tuple(sorted(model.order))
     sizes = tuple(model.alphabet_size for _ in ids)
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > STATE_SPACE_LIMIT:
-        raise StateSpaceError(f"product space of {total} states exceeds the {STATE_SPACE_LIMIT} guard")
+    require_state_space(sizes)
     joint = np.ones(sizes if sizes else (1,))
     for node in model.order:
         z = model.conditioning_sets[node]
@@ -124,23 +119,13 @@ class SplitDoEvaluator:
             raise ValueError("one tail table per head assignment required")
 
 
-def _split_vars(g: Admg, x_node: int):
-    part = c_components(g)
-    s1 = tuple(part.component_containing(x_node))
+def _build_split(g: Admg, x_node: int, x_val: int, component_model) -> SplitDoEvaluator:
+    require_identifiable(g, x_node)
+    s1 = tuple(c_components(g).component_containing(x_node))
     _, _, pa_minus = parent_sets(g, s1)
     head = tuple(v for v in s1 if v != x_node)
     border = tuple(sorted(pa_minus))
     tail = tuple(v for v in range(g.node_count) if v not in set(s1) and v not in pa_minus)
-    return s1, head, border, tail
-
-
-def _build_split(g: Admg, x_node: int, x_val: int, component_model) -> SplitDoEvaluator:
-    ident = check_identifiability(g, x_node)
-    if not ident:
-        raise IdentifiabilityError(
-            f"child {ident.witness} of {x_node} shares a confounded component with it"
-        )
-    s1, head, border, tail = _split_vars(g, x_node)
     if g.alphabet_size ** len(head) > ENUMERATION_LIMIT or g.alphabet_size ** len(border) > ENUMERATION_LIMIT:
         raise StateSpaceError("component or border assignment space exceeds the enumeration guard")
     rest = tuple(sorted(set(range(g.node_count)) - set(s1)))

@@ -18,8 +18,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, IdentifiabilityError, StateSpaceError
-from .graph import Admg, c_components, check_identifiability, effective_parents, parent_sets, topological_order
+from .errors import FormatError, StateSpaceError
+from .graph import (
+    Admg, CComponentPartition, c_components, effective_parents, parent_sets, require_identifiable, topological_order
+)
 from .identify import _decode, conditional_table
 from .model import DenseDistribution, SampleBatch, empirical_marginal, strong_positivity_margin
 
@@ -37,26 +39,17 @@ def add_one_estimator(counts: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Knobs for the learners; unset fields fall back to derived defaults."""
+    """Knobs for the learners: threshold t (derived from the graph when unset), epsilon and seed."""
 
-    m: Optional[int] = None
     t: Optional[int] = None
     epsilon: float = 0.1
-    delta: float = 0.1
-    alpha: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self):
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be at least 1")
         if self.t is not None and self.t < 1:
             raise ValueError("t must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -327,52 +320,140 @@ def _grouped_counts(values_by_node: np.ndarray, cols: Sequence[int], child: int,
     return joint, joint.sum(axis=1)
 
 
-def _counted_model(order, conditioning, alphabet, counts: dict, thresholds: dict, diagnostics: dict, **kwargs):
-    """Model with add-1 rows wherever a conditioning assignment was seen at
-    least its node's threshold times, and uniform rows elsewhere; counts maps
-    each node to the (joint, totals) of _grouped_counts."""
-    joint = _stack([counts[v][0] for v in order], (alphabet,))
-    totals = _stack([counts[v][1] for v in order], ())
-    threshold = np.repeat([thresholds[v] for v in order], [counts[v][1].size for v in order])
-    seen = totals > 0
-    fitted = seen & (totals >= threshold)
-    values = np.where(fitted[:, None], add_one_estimator(joint), 1.0 / alphabet)
-    diagnostics = dict(diagnostics, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum()))
-    return BayesNetModel(order, conditioning, alphabet, values, fitted, diagnostics=diagnostics, **kwargs)
+@dataclass(eq=False)
+class _Plan:
+    """A substituted factorization whose rows are still to be filled in: the
+    node order, each node's effective parents, and its pins, the parent
+    coordinates fixed to a constant. A node conditions on its effective
+    parents that are not pinned; the nodes in exempt are fit at threshold 1."""
+
+    graph: Admg
+    partition: CComponentPartition
+    order: tuple[int, ...]
+    parents: tuple[tuple[int, ...], ...]
+    pins: dict[int, tuple[tuple[int, int], ...]]
+    exempt: frozenset[int] = frozenset()
+    x_substitution: Optional[tuple[int, int]] = None
+
+    def __post_init__(self):
+        self.conditioning = {}
+        for v in self.order:
+            pinned = {u for u, _ in self.pins[v]}
+            self.conditioning[v] = tuple(u for u in self.parents[v] if u not in pinned) if pinned else self.parents[v]
+        require_table_rows(self.conditioning, self.graph.alphabet_size)
+
+    def model(self, values: np.ndarray, fitted: np.ndarray, **diagnostics) -> BayesNetModel:
+        # Under an intervention the pinned nodes are exactly the substituted ones.
+        substituted = frozenset(v for v in self.order if self.pins[v]) if self.x_substitution else frozenset()
+        return BayesNetModel(
+            self.order, self.conditioning, self.graph.alphabet_size, values, fitted, x_substitution=self.x_substitution,
+            substituted_nodes=substituted, names=self.graph.names, diagnostics=diagnostics,
+        )
 
 
-def _exact_model(order, conditioning, alphabet, tables: dict, **kwargs):
-    """Model whose every row is the given exact conditional table."""
-    values = _stack([tables[v].reshape(-1, alphabet) for v in order], (alphabet,))
-    return BayesNetModel(order, conditioning, alphabet, values, np.ones(values.shape[0], dtype=bool), **kwargs)
+def _observational_plan(g: Admg) -> _Plan:
+    order = tuple(topological_order(g))
+    return _Plan(g, c_components(g), order, effective_parents(g), dict.fromkeys(order, ()))
+
+
+def _do_plan(g: Admg, x_node: int, x_val: int) -> _Plan:
+    """Pin x to x_val on the nodes outside x's confounded component S1 that
+    condition on x; the nodes of S1 keep x and are fit at threshold 1."""
+    require_identifiable(g, x_node)
+    if not 0 <= x_val < g.alphabet_size:
+        raise ValueError(f"x_val {x_val} outside alphabet")
+    part = c_components(g)
+    zs = effective_parents(g)
+    s1 = frozenset(part.component_containing(x_node))
+    order = tuple(topological_order(g))
+    pins = {v: ((x_node, x_val),) if v not in s1 and x_node in zs[v] else () for v in order}
+    return _Plan(g, part, order, zs, pins, s1, (x_node, x_val))
+
+
+def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
+    """Keep the union y_set of confounded components and pin each member's
+    effective parents outside it to y_bar_1, which must assign exactly the
+    directed parents of y_set outside y_set."""
+    y_set = frozenset(int(v) for v in y_set)
+    part = c_components(g)
+    for comp in part.components:
+        hit = y_set.intersection(comp)
+        if hit and hit != set(comp):
+            raise ValueError(f"y_set splits the confounded component {comp}")
+    _, _, pa_minus = parent_sets(g, y_set)
+    given = {int(k): int(v) for k, v in y_bar_1.items()}
+    if set(given) != set(pa_minus):
+        raise ValueError(f"y_bar_1 must assign exactly the outside parents {sorted(pa_minus)}, got {sorted(given)}")
+    for v, val in given.items():
+        if not 0 <= val < g.alphabet_size:
+            raise ValueError(f"assignment {val} to {v} outside alphabet")
+    zs = effective_parents(g)
+    order = tuple(v for v in topological_order(g) if v in y_set)
+    pins = {v: tuple((u, given[u]) for u in zs[v] if u not in y_set) for v in order}
+    return _Plan(g, part, order, zs, pins)
+
+
+def _threshold(plan: _Plan, cfg: Optional[LearnConfig]) -> int:
+    if cfg is not None and cfg.t is not None:
+        return cfg.t
+    g = plan.graph
+    return practical_threshold(g.node_count, g.alphabet_size, plan.partition.max_size, g.max_in_degree)
+
+
+def _counted_model(plan: _Plan, samples: SampleBatch, t: int, **diagnostics) -> BayesNetModel:
+    """The plan with add-1 rows wherever a conditioning assignment was seen at
+    least t times (once for exempt nodes) among the sample rows that match
+    the node's pins, and uniform rows elsewhere."""
+    a = plan.graph.alphabet_size
+    vals = samples.by_node()
+    matching = {(): vals}  # pins -> the sample rows that match them
+    joints, totals, thresholds = [], [], []
+    for v in plan.order:
+        pins = plan.pins[v]
+        if pins not in matching:
+            mask = np.ones(vals.shape[0], dtype=bool)
+            for u, val in pins:
+                mask &= vals[:, u] == val
+            matching[pins] = vals[mask]
+        joint, total = _grouped_counts(matching[pins], plan.conditioning[v], v, a)
+        joints.append(joint)
+        totals.append(total)
+        thresholds.append(1 if v in plan.exempt else t)
+    counts = _stack(totals, ())
+    seen = counts > 0
+    fitted = seen & (counts >= np.repeat(thresholds, [block.size for block in totals]))
+    values = np.where(fitted[:, None], add_one_estimator(_stack(joints, (a,))), 1.0 / a)
+    return plan.model(
+        values, fitted, **diagnostics, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum())
+    )
+
+
+def _exact_model(plan: _Plan, p: DenseDistribution) -> BayesNetModel:
+    """The plan with every row the exact conditional given the node's
+    effective parents, read at its pins."""
+    a = plan.graph.alphabet_size
+    blocks = []
+    for v in plan.order:
+        z = plan.parents[v]
+        tbl = conditional_table(p, v, z)
+        pinned = dict(plan.pins[v])
+        # Back to front, so the axis indices of the coordinates left stay valid.
+        for pos in reversed(range(len(z))):
+            if z[pos] in pinned:
+                tbl = np.take(tbl, pinned[z[pos]], axis=pos)
+        blocks.append(tbl.reshape(-1, a))
+    values = _stack(blocks, (a,))
+    return plan.model(values, np.ones(values.shape[0], dtype=bool))
 
 
 def _stack(blocks: list, row_shape: tuple) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros((0, *row_shape))
 
 
-def resolve_threshold(g: Admg, cfg: Optional[LearnConfig]) -> int:
-    if cfg is not None and cfg.t is not None:
-        return cfg.t
-    k = c_components(g).max_size
-    return practical_threshold(g.node_count, g.alphabet_size, k, g.max_in_degree)
-
-
 def learn_observational(samples: SampleBatch, g: Admg, t: int = 1) -> BayesNetModel:
-    """Fit the observational factorization over effective parents.
-
-    Conditioning assignments seen at least t times get add-1 rows; the rest
-    stay at the uniform default.
-    """
-    zs = effective_parents(g)
-    order = tuple(topological_order(g))
-    conditioning = {v: zs[v] for v in order}
-    require_table_rows(conditioning, g.alphabet_size)
-    vals = samples.by_node()
-    counts = {v: _grouped_counts(vals, conditioning[v], v, g.alphabet_size) for v in order}
-    return _counted_model(
-        order, conditioning, g.alphabet_size, counts, dict.fromkeys(order, t), {}, names=g.names
-    )
+    """Fit the observational factorization over effective parents: add-1 rows
+    for conditioning assignments seen at least t times, uniform elsewhere."""
+    return _counted_model(_observational_plan(g), samples, t)
 
 
 def learn_do(samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Optional[LearnConfig] = None) -> BayesNetModel:
@@ -384,53 +465,9 @@ def learn_do(samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Option
     matched by fewer than t rows fall back to uniform and are tallied in the
     diagnostics.
     """
-    ident = check_identifiability(g, x_node)
-    if not ident:
-        raise IdentifiabilityError(
-            f"child {ident.witness} of {x_node} shares a confounded component with it"
-        )
-    if not 0 <= x_val < g.alphabet_size:
-        raise ValueError(f"x_val {x_val} outside alphabet")
-    t = resolve_threshold(g, cfg)
-    zs = effective_parents(g)
-    order = tuple(topological_order(g))
-    s1 = set(c_components(g).component_containing(x_node))
-    conditioning: dict[int, tuple[int, ...]] = {}
-    substituted = set()
-    for node in order:
-        z = zs[node]
-        if node not in s1 and x_node in z:
-            z = tuple(u for u in z if u != x_node)
-            substituted.add(node)
-        conditioning[node] = z
-    require_table_rows(conditioning, g.alphabet_size)
-
-    vals = samples.by_node()
-    x_rows = vals[vals[:, x_node] == x_val]
-    counts = {
-        v: _grouped_counts(x_rows if v in substituted else vals, conditioning[v], v, g.alphabet_size)
-        for v in order
-    }
-    thresholds = {v: 1 if v in s1 else t for v in order}
-    return _counted_model(
-        order,
-        conditioning,
-        g.alphabet_size,
-        counts,
-        thresholds,
-        {"threshold": t},
-        x_substitution=(x_node, x_val),
-        substituted_nodes=frozenset(substituted),
-        names=g.names,
-    )
-
-
-def _validate_component_union(g: Admg, y_set: frozenset[int]) -> None:
-    part = c_components(g)
-    for comp in part.components:
-        hit = y_set.intersection(comp)
-        if hit and hit != set(comp):
-            raise ValueError(f"y_set splits the confounded component {comp}")
+    plan = _do_plan(g, x_node, x_val)
+    t = _threshold(plan, cfg)
+    return _counted_model(plan, samples, t, threshold=t)
 
 
 def learn_ccomponent_intervention(
@@ -448,34 +485,19 @@ def learn_ccomponent_intervention(
     conditioning on the inside part of its effective parents, with the usual
     threshold-or-uniform rule.
     """
-    y_set = frozenset(int(v) for v in y_set)
-    _validate_component_union(g, y_set)
-    _, _, pa_minus = parent_sets(g, y_set)
-    given = {int(k): int(v) for k, v in y_bar_1.items()}
-    if set(given) != set(pa_minus):
-        raise ValueError(
-            f"y_bar_1 must assign exactly the outside parents {sorted(pa_minus)}, got {sorted(given)}"
-        )
-    for v, val in given.items():
-        if not 0 <= val < g.alphabet_size:
-            raise ValueError(f"assignment {val} to {v} outside alphabet")
-    t = resolve_threshold(g, cfg)
-    zs = effective_parents(g)
-    order = tuple(v for v in topological_order(g) if v in y_set)
-    conditioning = {v: tuple(u for u in zs[v] if u in y_set) for v in order}
-    require_table_rows(conditioning, g.alphabet_size)
+    plan = _component_plan(g, y_set, y_bar_1)
+    t = _threshold(plan, cfg)
+    return _counted_model(plan, samples, t, threshold=t)
 
-    vals = samples.by_node()
-    counts = {}
-    for node in order:
-        mask = np.ones(vals.shape[0], dtype=bool)
-        for u in zs[node]:
-            if u not in y_set:
-                mask &= vals[:, u] == given[u]
-        counts[node] = _grouped_counts(vals[mask], conditioning[node], node, g.alphabet_size)
-    return _counted_model(
-        order, conditioning, g.alphabet_size, counts, dict.fromkeys(order, t), {"threshold": t}, names=g.names
-    )
+
+def exact_do_model(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> BayesNetModel:
+    """The do-learner's output with exact conditionals in place of add-1 rows."""
+    return _exact_model(_do_plan(g, x_node, x_val), p)
+
+
+def exact_ccomponent_model(p: DenseDistribution, g: Admg, y_set: Iterable[int], y_bar_1: dict) -> BayesNetModel:
+    """Exact-conditional counterpart of learn_ccomponent_intervention."""
+    return _exact_model(_component_plan(g, y_set, y_bar_1), p)
 
 
 def estimate_alpha(samples: SampleBatch, g: Admg, x_node: int) -> float:
@@ -486,65 +508,6 @@ def estimate_alpha(samples: SampleBatch, g: Admg, x_node: int) -> float:
     _, pa_plus, _ = parent_sets(g, part.component_containing(x_node))
     emp = empirical_marginal(samples, sorted(pa_plus), g.alphabet_size)
     return strong_positivity_margin(emp, pa_plus)
-
-
-def exact_do_model(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> BayesNetModel:
-    """The do-learner's output with exact conditionals in place of add-1 rows."""
-    ident = check_identifiability(g, x_node)
-    if not ident:
-        raise IdentifiabilityError(
-            f"child {ident.witness} of {x_node} shares a confounded component with it"
-        )
-    zs = effective_parents(g)
-    order = tuple(topological_order(g))
-    s1 = set(c_components(g).component_containing(x_node))
-    tables = {}
-    conditioning: dict[int, tuple[int, ...]] = {}
-    substituted = set()
-    for node in order:
-        z = zs[node]
-        tbl = conditional_table(p, node, z)
-        if node not in s1 and x_node in z:
-            axis = z.index(x_node)
-            tbl = np.take(tbl, x_val, axis=axis)
-            z = tuple(u for u in z if u != x_node)
-            substituted.add(node)
-        conditioning[node] = z
-        tables[node] = tbl
-    return _exact_model(
-        order,
-        conditioning,
-        g.alphabet_size,
-        tables,
-        x_substitution=(x_node, x_val),
-        substituted_nodes=frozenset(substituted),
-        names=g.names,
-    )
-
-
-def exact_ccomponent_model(p: DenseDistribution, g: Admg, y_set: Iterable[int], y_bar_1: dict) -> BayesNetModel:
-    """Exact-conditional counterpart of learn_ccomponent_intervention."""
-    y_set = frozenset(int(v) for v in y_set)
-    _validate_component_union(g, y_set)
-    _, _, pa_minus = parent_sets(g, y_set)
-    given = {int(k): int(v) for k, v in y_bar_1.items()}
-    if set(given) != set(pa_minus):
-        raise ValueError(f"y_bar_1 must assign exactly the outside parents {sorted(pa_minus)}")
-    zs = effective_parents(g)
-    order = tuple(v for v in topological_order(g) if v in y_set)
-    tables = {}
-    conditioning: dict[int, tuple[int, ...]] = {}
-    for node in order:
-        z = zs[node]
-        tbl = conditional_table(p, node, z)
-        # Fix the outside coordinates at their pinned values, back to front so
-        # axis indices stay valid.
-        for pos in reversed(range(len(z))):
-            if z[pos] not in y_set:
-                tbl = np.take(tbl, given[z[pos]], axis=pos)
-        conditioning[node] = tuple(u for u in z if u in y_set)
-        tables[node] = tbl
-    return _exact_model(order, conditioning, g.alphabet_size, tables, names=g.names)
 
 
 def amplify(

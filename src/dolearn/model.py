@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -239,14 +240,23 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
     return SampleBatch(tuple(order), values[order].T)
 
 
-def _broadcast_factor(table: np.ndarray, axes: Sequence[int], rank: int, sizes: Sequence[int]) -> np.ndarray:
-    """Reshape a factor whose axes live at the given global positions so it
-    broadcasts against the full joint array."""
+def require_state_space(sizes: Sequence[int]) -> int:
+    """Cell count of the product space of sizes; refuses more than STATE_SPACE_LIMIT."""
+    total = math.prod(sizes)
+    if total > STATE_SPACE_LIMIT:
+        raise StateSpaceError(f"product space of {total} states exceeds the {STATE_SPACE_LIMIT} guard")
+    return total
+
+
+def _spread(table: np.ndarray, table_ids, target_ids, target_sizes) -> np.ndarray:
+    """Broadcast a factor over table_ids against the target product space."""
+    amap = {v: i for i, v in enumerate(target_ids)}
+    axes = [amap[v] for v in table_ids]
     perm = np.argsort(axes, kind="stable")
     t = np.transpose(table, perm)
-    shape = [1] * rank
-    for pos, ax in enumerate(sorted(axes)):
-        shape[ax] = sizes[ax]
+    shape = [1] * len(target_ids)
+    for ax in sorted(axes):
+        shape[ax] = target_sizes[ax]
     return t.reshape(shape)
 
 
@@ -256,20 +266,16 @@ def _full_joint(cbn: GroundTruthCbn, skip_node: Optional[int] = None) -> tuple[n
     g = cbn.graph
     n, h = g.node_count, cbn.hidden_count
     sizes = [g.alphabet_size] * n + [cbn.hidden_domain] * h
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > STATE_SPACE_LIMIT:
-        raise StateSpaceError(f"product space of {total} states exceeds the {STATE_SPACE_LIMIT} guard")
-    rank = n + h
+    require_state_space(sizes)
+    axes = range(n + h)
     joint = np.ones(sizes)
     for e, prior in enumerate(cbn.hidden_priors):
-        joint = joint * _broadcast_factor(prior, [n + e], rank, sizes)
+        joint = joint * _spread(prior, [n + e], axes, sizes)
     for cpt in cbn.cpts:
         if cpt.node == skip_node:
             continue
-        axes = list(cpt.obs_parents) + [n + e for e in cpt.hidden_parents] + [cpt.node]
-        joint = joint * _broadcast_factor(cpt.table, axes, rank, sizes)
+        ids = list(cpt.obs_parents) + [n + e for e in cpt.hidden_parents] + [cpt.node]
+        joint = joint * _spread(cpt.table, ids, axes, sizes)
     return joint, n
 
 
@@ -470,9 +476,7 @@ def save_samples(batch: SampleBatch, names: Sequence[str], path: str) -> None:
 def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int) -> DenseDistribution:
     """Empirical distribution of the kept columns."""
     keep = tuple(sorted(int(v) for v in keep))
-    total = domain_size ** len(keep)
-    if total > STATE_SPACE_LIMIT:
-        raise StateSpaceError(f"product space of {total} states exceeds the {STATE_SPACE_LIMIT} guard")
+    total = require_state_space([domain_size] * len(keep))
     key = np.zeros(batch.size, dtype=np.int64)
     for v in keep:
         key = key * domain_size + batch.column(v)

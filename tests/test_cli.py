@@ -329,6 +329,56 @@ class TestExperimentCommand:
         assert code == 0
         assert out_csv.read_text().startswith("alpha,trial,tv,seconds")
 
+    @pytest.mark.parametrize("key, value", [
+        ("m_grid", None),
+        ("x_val", 5),
+        ("t", 0),
+        ("m_grid", [0]),
+        ("m_grid", "1000"),
+        ("trials", 0),
+        ("seed", -1),
+        ("model", 5),
+    ])
+    def test_bad_convergence_field_is_format_error(self, tmp_path, capsys, key, value):
+        # The model is binary; a None value leaves the field out.
+        graph, model = tmp_path / "g.json", tmp_path / "m.json"
+        assert dispatch(["gen-graph", "--nodes", "3", "--in-degree", "1", "--ccomp-size", "1",
+                         "--seed", "1", "--out", str(graph)]) == 0
+        assert dispatch(["gen-model", "--graph", str(graph), "--seed", "2", "--out", str(model)]) == 0
+        fields = {"kind": "convergence", "model": str(model), "x_var": "v0", "x_val": 1,
+                  "m_grid": [100, 200], "trials": 2, "seed": 0, "t": 5}
+        fields[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}))
+        code, _, err = run(capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert f"{spec}:1: {key} must be" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("alphas", [0.9]),
+        ("alphas", []),
+        ("epsilon", 5.0),
+        ("m", 0),
+        ("trials", 0),
+        ("n_effect", None),
+    ])
+    def test_bad_alpha_sweep_field_is_format_error(self, tmp_path, capsys, key, value):
+        fields = {"kind": "alpha-sweep", "alphas": [0.1, 0.4], "n_effect": 4,
+                  "epsilon": 0.2, "m": 200, "trials": 2, "seed": 0}
+        fields[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({k: v for k, v in fields.items() if v is not None}))
+        code, _, err = run(capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert f"{spec}:1: " in err
+
+    def test_top_level_array_is_format_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('[{"kind": "convergence"}]')
+        code, _, err = run(capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert f"{spec}:1: unknown experiment kind" in err
+
     def test_unknown_kind(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text('{"kind": "nope"}')

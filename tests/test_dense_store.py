@@ -21,7 +21,7 @@ from dolearn.intervene import InterventionalModel, evaluate_do, model_to_dense, 
 from dolearn.learn import BayesNetModel, learned_model_to_json, parse_learned_model_json
 from dolearn.model import DenseDistribution, SampleBatch, draw_from_cdf
 
-PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+PROPERTY = settings.get_profile("property")
 
 
 # ---------------------------------------------------------------------------

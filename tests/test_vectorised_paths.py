@@ -10,7 +10,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dolearn.errors import FormatError
@@ -19,7 +19,7 @@ from dolearn.intervene import InterventionalModel, sample_do
 from dolearn.learn import LearnConfig, _encode, _grouped_counts, learn_do
 from dolearn.model import SampleBatch, parse_samples_csv, random_cbn, sample_observational, samples_to_csv
 
-PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+PROPERTY = settings.get_profile("property")
 
 
 # ---------------------------------------------------------------------------
