@@ -142,7 +142,7 @@ def _load_dense(path: str) -> DenseDistribution:
         return DenseDistribution(
             tuple(raw["variables"]), tuple(raw["domain_sizes"]), np.asarray(raw["mass"], dtype=float)
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}:1: invalid distribution: {e}") from None
 
 
@@ -162,8 +162,7 @@ def _check_symbol(g: Admg, val: int) -> int:
 def _resolve_budget(args, g: Admg, samples, x_node: int):
     """(m_used, t, alpha_report) from either explicit --m/--t or the
     worst-case formulas driven by --epsilon."""
-    part = c_components(g)
-    k = part.max_size
+    k = c_components(g).max_size
     d = g.max_in_degree
     n = g.node_count
     alpha_est = None
@@ -234,7 +233,6 @@ def _cmd_learn_do(args) -> int:
         oracle = exact_interventional(cbn, x_node, args.x_val)
         keep = [v for v in range(g.node_count) if v != x_node]
         tv_exact = tv_distance(oracle, model_to_dense(model, keep))
-    part = c_components(g)
     report = {
         "m": m_used,
         "epsilon": args.epsilon,
@@ -248,7 +246,7 @@ def _cmd_learn_do(args) -> int:
             "alpha_floored": floored,
             "n": g.node_count,
             "alphabet": g.alphabet_size,
-            "k": part.max_size,
+            "k": c_components(g).max_size,
             "d": g.max_in_degree,
             "x_var": g.names[x_node],
             "x_val": args.x_val,
@@ -259,30 +257,31 @@ def _cmd_learn_do(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    model = load_learned_model(args.learned)
+def _load_intervention(path: str) -> InterventionalModel:
+    """The learned model at path with the intervention it encodes; the model
+    must carry one and name its variables."""
+    model = load_learned_model(path)
     if model.x_substitution is None:
-        raise FormatError(f"{args.learned}:1: model carries no intervention")
+        raise FormatError(f"{path}:1: model carries no intervention")
     if model.names is None:
-        raise FormatError(f"{args.learned}:1: model carries no variable names")
-    x_node, x_val = model.x_substitution
-    w_nodes = [v for v in model.order if v != x_node]
-    w_names = [model.names[v] for v in w_nodes]
-    vals = parse_assignment(args.assignment, w_names, model.alphabet_size)
-    im = InterventionalModel(model, x_node, x_val)
+        raise FormatError(f"{path}:1: model carries no variable names")
+    return InterventionalModel(model, *model.x_substitution)
+
+
+def _cmd_eval(args) -> int:
+    im = _load_intervention(args.learned)
+    w_nodes = [v for v in im.dx.order if v != im.x_node]
+    w_names = [im.dx.names[v] for v in w_nodes]
+    vals = parse_assignment(args.assignment, w_names, im.dx.alphabet_size)
     p = evaluate_do(im, dict(zip(w_nodes, vals)))
     print(format_significant(p, 12))
     return 0
 
 
 def _cmd_sample_do(args) -> int:
-    model = load_learned_model(args.learned)
-    if model.x_substitution is None:
-        raise FormatError(f"{args.learned}:1: model carries no intervention")
-    x_node, x_val = model.x_substitution
-    im = InterventionalModel(model, x_node, x_val)
+    im = _load_intervention(args.learned)
     batch = sample_do(im, args.m, seed=args.seed)
-    save_samples(batch, model.names, args.out)
+    save_samples(batch, im.dx.names, args.out)
     return 0
 
 
@@ -307,6 +306,9 @@ def _cmd_marginal(args) -> int:
 def _cmd_tv(args) -> int:
     a = _load_dense(args.dense_a)
     b = _load_dense(args.dense_b)
+    if (a.variable_ids, a.domain_sizes) != (b.variable_ids, b.domain_sizes):
+        space_a, space_b = (f"variables {list(d.variable_ids)} with domain sizes {list(d.domain_sizes)}" for d in (a, b))
+        raise FormatError(f"{args.dense_b}:1: {space_b} differ from {space_a} in {args.dense_a}")
     print(f"{tv_distance(a, b):.12f}")
     return 0
 

@@ -11,7 +11,7 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -24,36 +24,14 @@ from .errors import (
 )
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Attach the larger root under the smaller so component ids are stable.
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
-
-
 @dataclass(frozen=True)
 class Admg:
     """Mixed graph over observable variables sharing one finite alphabet.
 
     Invariants checked at construction: directed edges acyclic, no self-loops,
     endpoints in range, bidirected edges canonical (lo, hi) without duplicates.
+    Adjacency, topological order and c-component partition are derived once
+    here; they are not fields, so == and hash see the edges only.
     """
 
     node_count: int
@@ -92,26 +70,36 @@ class Admg:
         object.__setattr__(self, "directed_edges", directed)
         object.__setattr__(self, "bidirected_edges", frozenset(bidirected))
         object.__setattr__(self, "_topo", tuple(_kahn_order(n, directed)))
+        parents: list[list[int]] = [[] for _ in range(n)]
+        children: list[list[int]] = [[] for _ in range(n)]
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        # In sorted edge order every list comes out ascending.
+        for i, j in sorted(directed):
+            parents[j].append(i)
+            children[i].append(j)
+        for i, j in sorted(bidirected):
+            neighbours[i].append(j)
+            neighbours[j].append(i)
+        object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
+        object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
+        object.__setattr__(self, "_partition", _bidirected_partition(self._neighbours))
 
     @property
     def max_in_degree(self) -> int:
-        indeg = [0] * self.node_count
-        for _, j in self.directed_edges:
-            indeg[j] += 1
-        return max(indeg)
+        return max(len(p) for p in self._parents)
 
     def parents(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(i for i, j in self.directed_edges if j == node))
+        return self._parents[node]
 
     def children(self, node: int) -> tuple[int, ...]:
-        return tuple(sorted(j for i, j in self.directed_edges if i == node))
+        return self._children[node]
 
     def node_index(self, name_or_index) -> int:
         """Resolve a node given either its display name or its integer index."""
         if isinstance(name_or_index, int) or (isinstance(name_or_index, str) and name_or_index.isdigit()):
             idx = int(name_or_index)
-            if not 0 <= idx < self.node_count:
-                raise ValueError(f"node index {idx} out of range")
+            require_nodes(self, (idx,))
             return idx
         try:
             return self.names.index(name_or_index)
@@ -207,43 +195,54 @@ def _kahn_order(n: int, directed: Iterable[tuple[int, int]]) -> list[int]:
     return order
 
 
+def _confounded_with(v: int, neighbours: Sequence[Sequence[int]], admit: Callable[[int], bool]) -> set[int]:
+    """v and the nodes it reaches by bidirected paths through nodes that admit accepts."""
+    comp = {v}
+    stack = [v]
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in comp and admit(w):
+                comp.add(w)
+                stack.append(w)
+    return comp
+
+
+def _bidirected_partition(neighbours: Sequence[Sequence[int]]) -> CComponentPartition:
+    """Components found from unassigned nodes in increasing order, so listed by minimum element."""
+    comp_of = [-1] * len(neighbours)
+    comps = []
+    for v in range(len(neighbours)):
+        if comp_of[v] < 0:
+            comp = tuple(sorted(_confounded_with(v, neighbours, lambda w: True)))
+            for u in comp:
+                comp_of[u] = len(comps)
+            comps.append(comp)
+    return CComponentPartition(tuple(comps), tuple(comp_of))
+
+
 def topological_order(g: Admg) -> list[int]:
     """Deterministic topological order of the directed part; ties by index."""
     return list(g._topo)
 
 
+def require_nodes(g: Admg, nodes: Iterable[int]) -> None:
+    """Raise ValueError unless every node is an index of g."""
+    for v in nodes:
+        if not 0 <= v < g.node_count:
+            raise ValueError(f"node index {v} out of range")
+
+
 def c_components(g: Admg) -> CComponentPartition:
     """Connected components of the bidirected graph, listed by minimum element."""
-    uf = UnionFind(g.node_count)
-    for i, j in g.bidirected_edges:
-        uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.node_count):
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = sorted((tuple(sorted(m)) for m in groups.values()), key=lambda c: c[0])
-    comp_of = [0] * g.node_count
-    for idx, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = idx
-    return CComponentPartition(tuple(comps), tuple(comp_of))
+    return g._partition
 
 
 def parent_sets(g: Admg, s: Iterable[int]) -> tuple[frozenset, frozenset, frozenset]:
     """Directed parents of a node set: (Pa, Pa ∪ S, Pa \\ S)."""
     s = frozenset(int(v) for v in s)
-    for v in s:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node index {v} out of range")
-    pa = frozenset(i for i, j in g.directed_edges if j in s)
+    require_nodes(g, s)
+    pa = frozenset(u for v in s for u in g._parents[v])
     return pa, pa | s, pa - s
-
-
-def _bidirected_adjacency(g: Admg) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.node_count)]
-    for i, j in g.bidirected_edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
 
 
 def effective_parents(g: Admg) -> tuple[tuple[int, ...], ...]:
@@ -253,29 +252,18 @@ def effective_parents(g: Admg) -> tuple[tuple[int, ...], ...]:
     parents-plus closure of its confounded component within the induced graph
     on the first i nodes, intersected with the strict predecessors.
     """
-    order = topological_order(g)
+    order = g._topo
     pos = {v: i for i, v in enumerate(order)}
-    adj = _bidirected_adjacency(g)
-    parents: list[list[int]] = [[] for _ in range(g.node_count)]
-    for u, w in g.directed_edges:
-        parents[w].append(u)
-    k = c_components(g).max_size
+    k = g._partition.max_size
     d = g.max_in_degree
     bound = k * d + k - 1
     result: list[tuple[int, ...]] = [()] * g.node_count
     for i, v in enumerate(order):
         # Confounded component of v within the graph induced on order[: i + 1].
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if pos[w] <= i and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+        comp = _confounded_with(v, g._neighbours, lambda w: pos[w] <= i)
         closure = set(comp)
         for u in comp:
-            closure.update(parents[u])
+            closure.update(g._parents[u])
         z = tuple(sorted(u for u in closure if pos[u] < i))
         if len(z) > bound:
             raise AssertionError(f"conditioning set of node {v} exceeds k*d+k-1 = {bound}")
@@ -285,20 +273,22 @@ def effective_parents(g: Admg) -> tuple[tuple[int, ...], ...]:
 
 def check_identifiability(g: Admg, x: int) -> IdentifiabilityResult:
     """True iff no directed child of x shares a confounded component with x."""
-    if not 0 <= x < g.node_count:
-        raise ValueError(f"node index {x} out of range")
-    comp = set(c_components(g).component_containing(x))
-    bad = sorted(c for c in g.children(x) if c in comp)
-    if bad:
-        return IdentifiabilityResult(False, bad[0])
+    require_nodes(g, (x,))
+    comp_of = g._partition.component_of
+    for c in g._children[x]:
+        if comp_of[c] == comp_of[x]:
+            return IdentifiabilityResult(False, c)
     return IdentifiabilityResult(True)
 
 
-def require_identifiable(g: Admg, x: int) -> None:
-    """Raise IdentifiabilityError unless check_identifiability(g, x) holds."""
+def require_identifiable(g: Admg, x: int, x_val: Optional[int] = None) -> None:
+    """Raise IdentifiabilityError unless check_identifiability(g, x) holds,
+    and ValueError when x_val is given and lies outside the alphabet."""
     ident = check_identifiability(g, x)
     if not ident:
         raise IdentifiabilityError(f"child {ident.witness} of {x} shares a confounded component with it")
+    if x_val is not None and not 0 <= x_val < g.alphabet_size:
+        raise ValueError(f"x_val {x_val} outside alphabet")
 
 
 def latent_project(g: LatentGraph) -> Admg:
@@ -377,18 +367,12 @@ def admg_to_latent(g: Admg, observable: Iterable[int]) -> LatentGraph:
 
 def prune_to_ancestors(g: Admg, f: Iterable[int]) -> InducedSubgraph:
     """Induced sub-ADMG on the directed ancestors of f, f included."""
-    f = set(int(v) for v in f)
-    for v in f:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node index {v} out of range")
-    parents_of: list[list[int]] = [[] for _ in range(g.node_count)]
-    for i, j in g.directed_edges:
-        parents_of[j].append(i)
-    keep = set(f)
-    stack = list(f)
+    keep = set(int(v) for v in f)
+    require_nodes(g, keep)
+    stack = list(keep)
     while stack:
         v = stack.pop()
-        for p in parents_of[v]:
+        for p in g._parents[v]:
             if p not in keep:
                 keep.add(p)
                 stack.append(p)
@@ -420,20 +404,16 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
     f = frozenset(int(v) for v in f)
     if x in f:
         raise ValueError("f must not contain the intervened variable")
-    for v in f:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node index {v} out of range")
+    require_nodes(g, f)
     require_identifiable(g, x)
-    part = c_components(g)
-    s1 = part.component_containing(x)
+    s1 = g._partition.component_containing(x)
     _, pa_plus, _ = parent_sets(g, s1)
     w_nodes = tuple(sorted(f | pa_plus))
     h = latent_project(admg_to_latent(g, observable=w_nodes))
     index_of = {v: i for i, v in enumerate(w_nodes)}
 
     s1_mapped = tuple(sorted(index_of[v] for v in s1))
-    h_part = c_components(h)
-    if h_part.component_containing(index_of[x]) != s1_mapped:
+    if h._partition.component_containing(index_of[x]) != s1_mapped:
         raise ReductionInvariantError("confounded component of x changed under reduction")
     h_ident = check_identifiability(h, index_of[x])
     if not h_ident:
@@ -442,7 +422,7 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
     if frozenset(index_of[v] for v in pa_plus) != h_pa_plus:
         raise ReductionInvariantError("parents-closure of x's component changed under reduction")
 
-    k = part.max_size
+    k = g._partition.max_size
     d = g.max_in_degree
     f_size = len(f)
     in_degree_bound = f_size + k * (d + 1)
@@ -451,7 +431,7 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
         raise ReductionInvariantError(
             f"in-degree {h.max_in_degree} exceeds bound {in_degree_bound}"
         )
-    other_sizes = [len(c) for c in h_part.components if c != s1_mapped]
+    other_sizes = [len(c) for c in h._partition.components if c != s1_mapped]
     if other_sizes and max(other_sizes) > ccomp_bound:
         raise ReductionInvariantError(
             f"a confounded component of size {max(other_sizes)} exceeds bound {ccomp_bound}"

@@ -73,8 +73,7 @@ def compute_q_factor(p: DenseDistribution, g: Admg, component_index: int) -> QFa
     effective parents, so by construction it only reads the coordinates of
     the component and its directed parents.
     """
-    part = c_components(g)
-    comp = part.components[component_index]
+    comp = c_components(g).components[component_index]
     zs = effective_parents(g)
     _, pa_plus, _ = parent_sets(g, comp)
     ids = tuple(sorted(pa_plus))
@@ -93,9 +92,7 @@ def tian_pearl_do(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> Den
     every other factor is evaluated at it. The output must already normalize;
     a miss beyond 1e-9 raises instead of silently rescaling.
     """
-    require_identifiable(g, x_node)
-    if not 0 <= x_val < g.alphabet_size:
-        raise ValueError(f"x_val {x_val} outside alphabet")
+    require_identifiable(g, x_node, x_val)
     part = c_components(g)
     x_comp = part.component_of[x_node]
     w_ids = tuple(v for v in range(g.node_count) if v != x_node)
@@ -127,11 +124,8 @@ def exact_dx(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> DenseDis
     replaced by the constant x_val; all other factors, including x's own, are
     untouched. The marginal over the other variables equals tian_pearl_do.
     """
-    require_identifiable(g, x_node)
-    if not 0 <= x_val < g.alphabet_size:
-        raise ValueError(f"x_val {x_val} outside alphabet")
-    part = c_components(g)
-    s1 = set(part.component_containing(x_node))
+    require_identifiable(g, x_node, x_val)
+    s1 = set(c_components(g).component_containing(x_node))
     zs = effective_parents(g)
     ids = tuple(range(g.node_count))
     sizes = tuple(g.alphabet_size for _ in ids)

@@ -20,6 +20,7 @@ from .graph import (
     prune_to_ancestors,
     reduce_for_marginal,
     require_identifiable,
+    require_nodes,
     topological_order,
 )
 from .learn import (
@@ -212,9 +213,7 @@ def learn_marginal_do(
     f = tuple(sorted(set(int(v) for v in f)))
     if x_node in f:
         raise ValueError("f must not contain the intervened variable")
-    for v in f:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node index {v} out of range")
+    require_nodes(g, f)
 
     if via_generator:
         model = learn_do(samples, g, x_node, x_val, cfg)

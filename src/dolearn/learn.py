@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import FormatError, StateSpaceError
 from .graph import (
-    Admg, CComponentPartition, c_components, effective_parents, parent_sets, require_identifiable, topological_order
+    Admg, c_components, effective_parents, parent_sets, require_identifiable, topological_order
 )
 from .identify import _decode, conditional_table
-from .model import DenseDistribution, SampleBatch, empirical_marginal, strong_positivity_margin
+from .model import STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, empirical_marginal, strong_positivity_margin
 
 TABLE_ROW_LIMIT = 2**20
 
@@ -135,14 +135,23 @@ class BayesNetModel:
         pos = {v: i for i, v in enumerate(self.order)}
         if len(pos) != len(self.order):
             raise ValueError("order lists a node twice")
+        if not all(_is_node(v) for v in self.order):
+            raise ValueError("order must list node indices")
         for node, z in self.conditioning_sets.items():
             if node not in pos:
                 raise ValueError(f"conditioning set given for unknown node {node}")
             for u in z:
-                if u not in pos or pos[u] >= pos[node]:
+                if not _is_node(u) or u not in pos or pos[u] >= pos[node]:
                     raise ValueError(f"conditioning set of {node} is not a set of predecessors")
+        names = self.names
+        if names is not None and not (
+            all(isinstance(s, str) for s in names) and len(set(names)) == len(names) and max(pos, default=-1) < len(names)
+        ):
+            raise ValueError("names must be distinct strings naming every node in the order")
         if self.x_substitution is not None:
-            x_node = self.x_substitution[0]
+            x_node, x_val = self.x_substitution
+            if not (_is_node(x_node) and x_node in pos and _is_symbol(x_val, self.alphabet_size)):
+                raise ValueError(f"x_substitution {self.x_substitution} must pair a node of the order with a symbol")
             for node in self.substituted_nodes:
                 if x_node in self.conditioning_sets[node]:
                     raise ValueError(f"substituted node {node} still conditions on {x_node}")
@@ -279,6 +288,10 @@ def _is_symbol(s, alphabet: int) -> bool:
     return isinstance(s, (int, np.integer)) and 0 <= s < alphabet
 
 
+def _is_node(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+
+
 def _table_blocks(order, conditioning: dict, alphabet: int) -> tuple[dict[int, slice], int]:
     """Rows of each node's table in the stacked store, and the store's row
     count; refuses tables above TABLE_ROW_LIMIT rows."""
@@ -296,11 +309,17 @@ def _table_blocks(order, conditioning: dict, alphabet: int) -> tuple[dict[int, s
 
 def require_table_rows(conditioning: dict[int, tuple[int, ...]], alphabet: int) -> None:
     """Refuse conditioning sets whose assignments would not fit a dense table
-    of TABLE_ROW_LIMIT rows; the same bound keeps every encoded key within int64."""
+    of TABLE_ROW_LIMIT rows, or tables of more than STATE_SPACE_LIMIT entries
+    in all; the first bound keeps every encoded key within int64, the second
+    the dense store and the counts behind it within memory."""
+    entries = 0
     for node, z in conditioning.items():
         rows = alphabet ** len(z)
         if rows > TABLE_ROW_LIMIT:
             raise StateSpaceError(f"node {node} would need {rows} rows")
+        entries += rows * alphabet
+    if entries > STATE_SPACE_LIMIT:
+        raise StateSpaceError(f"the tables would hold {entries} entries, above the {STATE_SPACE_LIMIT} guard")
 
 
 def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
@@ -328,7 +347,6 @@ class _Plan:
     parents that are not pinned; the nodes in exempt are fit at threshold 1."""
 
     graph: Admg
-    partition: CComponentPartition
     order: tuple[int, ...]
     parents: tuple[tuple[int, ...], ...]
     pins: dict[int, tuple[tuple[int, int], ...]]
@@ -353,21 +371,18 @@ class _Plan:
 
 def _observational_plan(g: Admg) -> _Plan:
     order = tuple(topological_order(g))
-    return _Plan(g, c_components(g), order, effective_parents(g), dict.fromkeys(order, ()))
+    return _Plan(g, order, effective_parents(g), dict.fromkeys(order, ()))
 
 
 def _do_plan(g: Admg, x_node: int, x_val: int) -> _Plan:
     """Pin x to x_val on the nodes outside x's confounded component S1 that
     condition on x; the nodes of S1 keep x and are fit at threshold 1."""
-    require_identifiable(g, x_node)
-    if not 0 <= x_val < g.alphabet_size:
-        raise ValueError(f"x_val {x_val} outside alphabet")
-    part = c_components(g)
+    require_identifiable(g, x_node, x_val)
     zs = effective_parents(g)
-    s1 = frozenset(part.component_containing(x_node))
+    s1 = frozenset(c_components(g).component_containing(x_node))
     order = tuple(topological_order(g))
     pins = {v: ((x_node, x_val),) if v not in s1 and x_node in zs[v] else () for v in order}
-    return _Plan(g, part, order, zs, pins, s1, (x_node, x_val))
+    return _Plan(g, order, zs, pins, s1, (x_node, x_val))
 
 
 def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
@@ -375,8 +390,7 @@ def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
     effective parents outside it to y_bar_1, which must assign exactly the
     directed parents of y_set outside y_set."""
     y_set = frozenset(int(v) for v in y_set)
-    part = c_components(g)
-    for comp in part.components:
+    for comp in c_components(g).components:
         hit = y_set.intersection(comp)
         if hit and hit != set(comp):
             raise ValueError(f"y_set splits the confounded component {comp}")
@@ -390,14 +404,14 @@ def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
     zs = effective_parents(g)
     order = tuple(v for v in topological_order(g) if v in y_set)
     pins = {v: tuple((u, given[u]) for u in zs[v] if u not in y_set) for v in order}
-    return _Plan(g, part, order, zs, pins)
+    return _Plan(g, order, zs, pins)
 
 
 def _threshold(plan: _Plan, cfg: Optional[LearnConfig]) -> int:
     if cfg is not None and cfg.t is not None:
         return cfg.t
     g = plan.graph
-    return practical_threshold(g.node_count, g.alphabet_size, plan.partition.max_size, g.max_in_degree)
+    return practical_threshold(g.node_count, g.alphabet_size, c_components(g).max_size, g.max_in_degree)
 
 
 def _counted_model(plan: _Plan, samples: SampleBatch, t: int, **diagnostics) -> BayesNetModel:
@@ -504,8 +518,7 @@ def estimate_alpha(samples: SampleBatch, g: Admg, x_node: int) -> float:
     """Empirical strong-positivity margin over the parents-closure of x's
     confounded component. Zero means some configuration was never seen;
     callers should floor it before feeding budget formulas."""
-    part = c_components(g)
-    _, pa_plus, _ = parent_sets(g, part.component_containing(x_node))
+    _, pa_plus, _ = parent_sets(g, c_components(g).component_containing(x_node))
     emp = empirical_marginal(samples, sorted(pa_plus), g.alphabet_size)
     return strong_positivity_margin(emp, pa_plus)
 
@@ -591,7 +604,7 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
             substituted_nodes=frozenset(raw.get("substituted_nodes", [])),
             names=tuple(raw["names"]) if raw.get("names") else None,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid learned model: {e}") from None
 
 

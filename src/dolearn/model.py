@@ -152,21 +152,20 @@ class GroundTruthCbn:
 
     def __post_init__(self):
         g = self.graph
-        edges = sorted(g.bidirected_edges)
         if self.hidden_domain < 2:
             raise ValueError("hidden_domain must be at least 2")
-        if len(self.hidden_priors) != len(edges):
+        if len(self.hidden_priors) != len(g.bidirected_edges):
             raise ValueError("one hidden prior per bidirected edge required")
         for prior in self.hidden_priors:
             if prior.shape != (self.hidden_domain,) or abs(prior.sum() - 1.0) > 1e-12:
                 raise ValueError("hidden prior rows must sum to 1")
         if len(self.cpts) != g.node_count:
             raise ValueError("one conditional table per observable required")
+        hidden = _hidden_parents(g)
         for i, cpt in enumerate(self.cpts):
             if cpt.node != i:
                 raise ValueError("cpts must be listed by node index")
-            expect_hidden = tuple(e for e, (a, b) in enumerate(edges) if i in (a, b))
-            if cpt.obs_parents != g.parents(i) or cpt.hidden_parents != expect_hidden:
+            if cpt.obs_parents != g.parents(i) or cpt.hidden_parents != hidden[i]:
                 raise ValueError(f"table domain of node {i} does not match the graph")
             shape = tuple([g.alphabet_size] * len(cpt.obs_parents)) + tuple(
                 [self.hidden_domain] * len(cpt.hidden_parents)
@@ -182,6 +181,16 @@ class GroundTruthCbn:
         return len(self.hidden_priors)
 
 
+def _hidden_parents(g: Admg) -> list[tuple[int, ...]]:
+    """Per node, the ascending indices of its hidden parents: hidden variable
+    e confounds the endpoints of the e-th bidirected edge in sorted order."""
+    hidden: list[list[int]] = [[] for _ in range(g.node_count)]
+    for e, (a, b) in enumerate(sorted(g.bidirected_edges)):
+        hidden[a].append(e)
+        hidden[b].append(e)
+    return [tuple(h) for h in hidden]
+
+
 def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 0.0, seed: int = 0) -> GroundTruthCbn:
     """Random model on g: rows are normalized unit-exponential draws mixed
     with uniform, so smoothing lower-bounds every entry by smoothing/|domain|."""
@@ -190,18 +199,16 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
     if hidden_domain is None:
         hidden_domain = g.alphabet_size
     rng = np.random.default_rng(seed)
-    edges = sorted(g.bidirected_edges)
 
     def draw_rows(shape):
         rows = rng.standard_exponential(shape)
         rows /= rows.sum(axis=-1, keepdims=True)
         return (1.0 - smoothing) * rows + smoothing / shape[-1]
 
-    priors = tuple(draw_rows((hidden_domain,)) for _ in edges)
+    priors = tuple(draw_rows((hidden_domain,)) for _ in range(len(g.bidirected_edges)))
     cpts = []
-    for i in range(g.node_count):
+    for i, hid in enumerate(_hidden_parents(g)):
         obs = g.parents(i)
-        hid = tuple(e for e, (a, b) in enumerate(edges) if i in (a, b))
         shape = tuple([g.alphabet_size] * len(obs)) + tuple([hidden_domain] * len(hid)) + (g.alphabet_size,)
         cpts.append(NodeCpt(i, obs, hid, draw_rows(shape)))
     return GroundTruthCbn(g, hidden_domain, priors, tuple(cpts))

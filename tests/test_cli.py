@@ -253,6 +253,49 @@ class TestExitCodes:
         assert code == 3
         assert "input error" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "sample-do"])
+    @pytest.mark.parametrize("field, value", [
+        ("names", None),
+        ("names", ["v0", "v1"]),
+        ("names", ["v0", "v1", "v2", "v3", 4]),
+        ("x_substitution", [0]),
+        ("x_substitution", [9, 1]),
+        ("x_substitution", [0, 7]),
+    ])
+    def test_malformed_learned_model_is_input_error(self, pipeline, tmp_path, capsys, command, field, value):
+        graph, model, samples = pipeline
+        learned = tmp_path / "learned.json"
+        run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+            "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
+        raw = json.loads(learned.read_text())
+        raw[field] = value
+        learned.write_text(json.dumps(raw))
+        if command == "eval":
+            argv = ["eval", "--learned", str(learned), "--assignment", "v1=0,v2=1,v3=0,v4=1"]
+        else:
+            argv = ["sample-do", "--learned", str(learned), "--m", "5", "--out", str(tmp_path / "do.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert f"input error: {learned}:1: " in err and out == ""
+
+    def test_tv_over_different_variables_is_input_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, var in ((a, 1), (b, 2)):
+            path.write_text(json.dumps({"variables": [var], "names": None, "domain_sizes": [2], "mass": [0.5, 0.5]}))
+        code, out, err = run(capsys, "tv", "--dense-a", str(a), "--dense-b", str(b))
+        assert code == 3
+        assert f"input error: {b}:1: variables [2]" in err and "variables [1]" in err and out == ""
+
+    @pytest.mark.parametrize("field", ["variables", "domain_sizes"])
+    def test_infinite_distribution_field_is_input_error(self, tmp_path, capsys, field):
+        # 1e400 is valid JSON and parses as infinity, which has no integer value.
+        raw = {"variables": [1], "names": None, "domain_sizes": [2], "mass": [0.5, 0.5]}
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(raw).replace(json.dumps(raw[field]), "[1e400]", 1))
+        code, out, err = run(capsys, "tv", "--dense-a", str(path), "--dense-b", str(path))
+        assert code == 3
+        assert f"input error: {path}:1: invalid distribution" in err and out == ""
+
 
     def _two_node_graph(self, tmp_path):
         graph = tmp_path / "g.json"

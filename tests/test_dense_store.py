@@ -358,3 +358,19 @@ class TestLoaderChecks:
         path.write_text(text)
         assert dispatch(["sample-do", "--learned", str(path), "--m", "1", "--out", str(tmp_path / "d.csv")]) == 4
         assert "would need" in capsys.readouterr().err
+
+    def test_oversized_store_refused_at_load(self, tmp_path, capsys):
+        # Two nodes of 4096 rows over 4096 symbols: each table is within
+        # TABLE_ROW_LIMIT rows, but the store would hold 2^25 + 4096 entries.
+        raw = {
+            "alphabet": 4096, "names": ["v0", "v1", "v2"], "order": [0, 1, 2],
+            "conditioning_sets": {"0": [], "1": [0], "2": [0]},
+            "x_substitution": [0, 1], "substituted_nodes": [], "cpts": [],
+        }
+        text = json.dumps(raw)
+        with pytest.raises(StateSpaceError, match="would hold 33558528 entries"):
+            parse_learned_model_json(text)
+        path = tmp_path / "l.json"
+        path.write_text(text)
+        assert dispatch(["sample-do", "--learned", str(path), "--m", "1", "--out", str(tmp_path / "d.csv")]) == 4
+        assert "would hold" in capsys.readouterr().err
