@@ -46,16 +46,29 @@ class InterventionalModel:
     def __post_init__(self):
         if self.dx.x_substitution != (self.x_node, self.x_val):
             raise ValueError("model's substitution does not match the declared intervention")
+        # The steps of the factors that read x: its own and those of the
+        # nodes that condition on it.
+        x, dx = self.x_node, self.dx
+        x_steps = tuple(step for step, v in zip(dx._steps, dx.order) if v == x or x in dx.conditioning_sets[v])
+        object.__setattr__(self, "_x_steps", x_steps)
 
 
 def evaluate_do(im: InterventionalModel, w: dict) -> float:
     """Probability of a full assignment to the non-intervened variables:
-    the substituted joint summed over the intervened coordinate."""
-    total = 0.0
+    the substituted joint summed over the intervened coordinate. Only the
+    factors that read x are recomputed for each value of x, so a query costs
+    O(n + |alphabet| * |factors reading x|). Raises ValueError when w misses
+    a non-intervened variable or holds a value outside the alphabet."""
+    dx = im.dx
     assignment = dict(w)
-    for x_prime in range(im.dx.alphabet_size):
-        assignment[im.x_node] = x_prime
-        total += im.dx.joint_probability(assignment)
+    assignment[im.x_node] = 0
+    factors = dx.factors(assignment)
+    total = 0.0
+    for x_prime in range(dx.alphabet_size):
+        if x_prime:
+            assignment[im.x_node] = x_prime
+            dx._fill(factors, assignment, im._x_steps)
+        total += math.prod(factors, start=1.0)
     return total
 
 

@@ -157,7 +157,7 @@ class BayesNetModel:
                     raise ValueError(f"substituted node {node} still conditions on {x_node}")
         a = self.alphabet_size
         blocks, total = _table_blocks(self.order, self.conditioning_sets, a)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         self.fitted = np.asarray(self.fitted, dtype=bool)
         if self.values.shape != (total, a) or self.fitted.shape != (total,):
             raise ValueError(f"store has shapes {self.values.shape} and {self.fitted.shape}, expected {(total, a)}")
@@ -176,7 +176,16 @@ class BayesNetModel:
         self.tables = MappingProxyType({v: self.values[blocks[v]] for v in self.order})
         self._masks = {v: self.fitted[blocks[v]] for v in self.order}
         self._fitted_count = int(self.fitted.sum())
-        self._steps = tuple((v, self.conditioning_sets[v], self.tables[v]) for v in self.order)
+        # Step pos reads node v's factor as one cell of the flat store:
+        # base + w[v] plus stride * w[u] over v's conditioning set. The view
+        # copies nothing; a list copy would cost 32+ bytes per entry.
+        self._cells = memoryview(self.values.reshape(-1))
+        z_of = self.conditioning_sets
+        self._steps = tuple(
+            (pos, v, blocks[v].start * a, tuple((u, a ** (len(z_of[v]) - j)) for j, u in enumerate(z_of[v])))
+            for pos, v in enumerate(self.order)
+        )
+        self._symbols = frozenset(range(a))
 
     @classmethod
     def from_rows(cls, order, conditioning_sets, alphabet_size, cpts, **kwargs) -> "BayesNetModel":
@@ -246,26 +255,45 @@ class BayesNetModel:
         """Read-only dense (rows, alphabet) conditional table of node."""
         return self.tables[node]
 
-    def joint_probability(self, assignment: dict) -> float:
+    def factors(self, assignment: Mapping) -> list[float]:
+        """The factors of the joint at a full assignment, in node order: each
+        node's stored probability of its value given its conditioning set's.
+        Raises ValueError when the assignment misses a variable of the model
+        or holds a value outside the alphabet."""
+        if not self._symbols.issuperset(assignment.values()):
+            var, s = next((v, s) for v, s in assignment.items() if s not in self._symbols)
+            raise ValueError(f"value {s!r} of variable {var} lies outside the alphabet of size {self.alphabet_size}")
+        out = [0.0] * len(self._steps)
+        self._fill(out, assignment, self._steps)
+        return out
+
+    def _fill(self, factors: list, assignment: Mapping, steps) -> None:
+        """Write the factor of each given step at an assignment of in-alphabet
+        values into its position of factors."""
+        cells = self._cells
+        try:
+            for pos, node, base, terms in steps:
+                i = base + assignment[node]
+                for u, stride in terms:
+                    i += stride * assignment[u]
+                factors[pos] = cells[i]
+        except KeyError as e:
+            raise ValueError(f"the assignment gives no value to variable {e.args[0]}") from None
+
+    def joint_probability(self, assignment: Mapping) -> float:
         """Probability of a full assignment over this model's variables."""
-        a = self.alphabet_size
-        p = 1.0
-        # One factor at a time in node order: a log-space sum or np.prod can
-        # change the last bits, and eval prints 12 significant digits.
-        for node, z, tbl in self._steps:
-            idx = 0
-            for u in z:
-                idx = idx * a + assignment[u]
-            p *= tbl.item(idx, assignment[node])
-        return p
+        # math.prod multiplies in list order, as a running product would: a
+        # log-space sum or np.prod can change the last bits, and eval prints
+        # 12 significant digits.
+        return math.prod(self.factors(assignment), start=1.0)
 
     def log_likelihood_rows(self, values_by_node: np.ndarray) -> np.ndarray:
         """Per-row log probability for a matrix indexed by node id."""
         m = values_by_node.shape[0]
         out = np.zeros(m)
-        for node, z, tbl in self._steps:
-            idx = _encode(values_by_node, z, self.alphabet_size)
-            out += np.log(tbl[idx, values_by_node[:, node]])
+        for node in self.order:
+            idx = _encode(values_by_node, self.conditioning_sets[node], self.alphabet_size)
+            out += np.log(self.tables[node][idx, values_by_node[:, node]])
         return out
 
 

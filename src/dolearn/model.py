@@ -346,6 +346,8 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{source}:{e.lineno}: invalid JSON: {e.msg}") from None
+    if not isinstance(raw, dict):
+        raise FormatError(f"{source}:1: expected a JSON object")
     for key in ("graph", "hidden_domain", "hidden_priors", "cpts"):
         if key not in raw:
             raise FormatError(f"{source}:1: missing required field {key!r}")
@@ -361,8 +363,11 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
             )
             for entry in raw["cpts"]
         )
-        return GroundTruthCbn(g, int(raw["hidden_domain"]), priors, cpts)
-    except (KeyError, TypeError, ValueError) as e:
+        hidden_domain = int(raw["hidden_domain"])
+        if hidden_domain != raw["hidden_domain"]:
+            raise ValueError(f"hidden_domain {raw['hidden_domain']!r} is not an integer")
+        return GroundTruthCbn(g, hidden_domain, priors, cpts)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid model: {e}") from None
 
 

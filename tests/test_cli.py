@@ -343,6 +343,25 @@ class TestExitCodes:
         assert code == 2
         assert "must be at least 1" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        # 1e400 is valid JSON and parses as infinity, which has no integer value.
+        (lambda text: text.replace('"hidden_domain": 2', '"hidden_domain": 1e400'), "invalid model"),
+        (lambda text: text.replace('"hidden_domain": 2', '"hidden_domain": 2.7'), "hidden_domain 2.7 is not an integer"),
+        (lambda text: json.dumps("graph hidden_domain hidden_priors cpts"), "expected a JSON object"),
+        (lambda text: json.dumps(["graph", "hidden_domain", "hidden_priors", "cpts"]), "expected a JSON object"),
+    ], ids=["infinite_hidden_domain", "fractional_hidden_domain", "top_level_string", "top_level_array"])
+    def test_malformed_model_file_is_input_error(self, tmp_path, capsys, edit, message):
+        graph, model = tmp_path / "g.json", tmp_path / "m.json"
+        assert dispatch(["gen-graph", "--nodes", "4", "--in-degree", "2", "--ccomp-size", "2",
+                         "--x-var", "0", "--seed", "3", "--out", str(graph)]) == 0
+        assert dispatch(["gen-model", "--graph", str(graph), "--seed", "4", "--out", str(model)]) == 0
+        text = model.read_text()
+        assert edit(text) != text
+        model.write_text(edit(text))
+        code, out, err = run(capsys, "sample", "--model", str(model), "--m", "5", "--out", str(tmp_path / "s.csv"))
+        assert code == 3
+        assert f"input error: {model}:1: " in err and message in err and out == ""
+
 
 class TestExperimentCommand:
     def test_convergence_spec(self, pipeline, tmp_path, capsys):

@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from dolearn.cli import dispatch
 from dolearn.errors import FormatError, StateSpaceError
 from dolearn.identify import _spread
-from dolearn.intervene import InterventionalModel, evaluate_do, model_to_dense, sample_do
-from dolearn.learn import BayesNetModel, learned_model_to_json, parse_learned_model_json
-from dolearn.model import DenseDistribution, SampleBatch, draw_from_cdf
+from dolearn.graph import random_admg
+from dolearn.intervene import (
+    InterventionalModel, build_split_evaluator, evaluate_do, evaluate_split, model_to_dense, sample_do
+)
+from dolearn.learn import BayesNetModel, LearnConfig, learned_model_to_json, parse_learned_model_json
+from dolearn.model import DenseDistribution, SampleBatch, draw_from_cdf, random_cbn, sample_observational
 
 PROPERTY = settings.get_profile("property")
 
@@ -102,6 +105,28 @@ def reference_evaluate_do(model, x_node, w):
     return total
 
 
+def per_node_product(model, w):
+    """The joint at w as a running product of per-node table reads."""
+    p = 1.0
+    for node in model.order:
+        idx = 0
+        for u in model.conditioning_sets[node]:
+            idx = idx * model.alphabet_size + w[u]
+        p *= model.table(node).item(idx, w[node])
+    return p
+
+
+def reference_evaluate_split(ev, w):
+    head = ev.head_tables[tuple(w[v] for v in ev.border_vars)]
+    tail = ev.tail_tables[tuple(w[v] for v in ev.head_vars)]
+    assignment = {v: w[v] for v in ev.head_vars}
+    head_val = 0.0
+    for x_prime in range(ev.alphabet_size):
+        assignment[ev.x_node] = x_prime
+        head_val += per_node_product(head, assignment)
+    return head_val * per_node_product(tail, w)
+
+
 def reference_sample_do(model, x_node, count, seed):
     rng = np.random.default_rng(seed)
     values = np.zeros((max(model.order) + 1, count), dtype=np.int64)
@@ -169,12 +194,13 @@ def reference_parse(text, source="<learned>"):
 
 @st.composite
 def sparse_models(draw):
-    """(kwargs, cpts) of a random model: |Σ| in {2, 3}, up to five nodes,
+    """(kwargs, cpts) of a random model: |Σ| in {2, 3}, up to five nodes
+    drawn from range(2n), as in the component models of a split evaluator,
     rows fitted with a drawn probability (none at all included), and an
     optional substitution with substituted nodes."""
     a = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(1, 5))
-    order = tuple(draw(st.permutations(range(n))))
+    order = tuple(draw(st.lists(st.integers(0, 2 * n - 1), min_size=n, max_size=n, unique=True)))
     conditioning = {}
     for i, v in enumerate(order):
         preds = order[:i]
@@ -229,6 +255,17 @@ class TestDenseStore:
             for row in rows:
                 w = {v: int(row[v]) for v in new.order if v != x_node}
                 assert evaluate_do(im, w) == reference_evaluate_do(ref, x_node, w)
+
+    @PROPERTY
+    @given(st.integers(3, 6), st.sampled_from([2, 3]), st.integers(0, 2**16))
+    def test_evaluate_split_bit_equal(self, n, a, seed):
+        # The component models hold node ids that skip x's component or the rest.
+        g = random_admg(n, 2, 2, alphabet_size=a, seed=seed, identifiable_for=0)
+        cbn = random_cbn(g, smoothing=0.25, seed=seed)
+        ev = build_split_evaluator(sample_observational(cbn, 300, seed=seed), g, 0, seed % a, LearnConfig(t=2))
+        for row in np.random.default_rng(seed).integers(0, a, size=(20, n)):
+            w = {v: int(row[v]) for v in range(1, n)}
+            assert evaluate_split(ev, w) == reference_evaluate_split(ev, w)
 
     @PROPERTY
     @given(sparse_models(), st.integers(0, 2**32 - 1))

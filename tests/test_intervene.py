@@ -73,6 +73,22 @@ class TestEvaluateDo:
         with pytest.raises(ValueError):
             InterventionalModel(model, 0, 0)
 
+    @pytest.mark.parametrize("w, message", [
+        ({1: 0, 2: 1, 3: 0, 4: -1}, "value -1 of variable 4 lies outside the alphabet of size 2"),
+        ({1: 0, 2: -1, 3: 0, 4: 1}, "value -1 of variable 2 lies outside"),
+        ({1: 0, 2: 1, 3: 2, 4: 1}, "value 2 of variable 3 lies outside"),
+        ({1: 0, 2: 1, 4: 1}, "no value to variable 3"),
+    ])
+    def test_bad_assignment_rejected(self, w, message):
+        # A negative symbol used to wrap around to the last one and answer
+        # for the assignment with that symbol in its place.
+        g, cbn = instance(2)
+        model = learn_do(sample_observational(cbn, 3000, seed=1), g, 0, 1, LearnConfig(t=10))
+        with pytest.raises(ValueError, match=message):
+            evaluate_do(InterventionalModel(model, 0, 1), w)
+        with pytest.raises(ValueError, match=message):
+            model.joint_probability({**w, 0: 1})
+
 
 class TestSampleDo:
     def test_fixed_seed_identical(self):
