@@ -7,7 +7,6 @@ Exit codes: 0 ok, 2 usage, 3 input format, 4 contract violation
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -27,6 +26,7 @@ from .errors import (
     PositivityError,
     StateSpaceError,
 )
+from .files import decode_json, dump_json, read_text, write_text
 from .graph import Admg, c_components, load_graph, random_admg, save_graph
 from .intervene import (
     InterventionalModel,
@@ -34,7 +34,6 @@ from .intervene import (
     learn_marginal_do,
     model_to_dense,
     sample_do,
-    write_report,
 )
 from .learn import (
     LearnConfig,
@@ -123,21 +122,16 @@ def parse_assignment(text: str, names: Sequence[str], alphabet_size: int) -> lis
 
 
 def _dense_to_json(dense: DenseDistribution, names: Optional[Sequence[str]] = None) -> str:
-    payload = {
+    return dump_json({
         "variables": list(dense.variable_ids),
         "names": list(names) if names is not None else None,
         "domain_sizes": list(dense.domain_sizes),
         "mass": dense.mass.tolist(),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def _load_dense(path: str) -> DenseDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from None
+    raw = decode_json(read_text(path), path)
     try:
         return DenseDistribution(
             tuple(raw["variables"]), tuple(raw["domain_sizes"]), np.asarray(raw["mass"], dtype=float)
@@ -253,7 +247,7 @@ def _cmd_learn_do(args) -> int:
             "diagnostics": model.diagnostics,
         },
     }
-    write_report(args.out + ".report.json", report)
+    write_text(args.out + ".report.json", dump_json(report))
     return 0
 
 
@@ -298,8 +292,7 @@ def _cmd_marginal(args) -> int:
     dense = learn_marginal_do(
         samples.head(m_used), g, x_node, x_val, targets, cfg, via_generator=args.via_generator
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_dense_to_json(dense, [g.names[v] for v in dense.variable_ids]))
+    write_text(args.out, _dense_to_json(dense, [g.names[v] for v in dense.variable_ids]))
     return 0
 
 
@@ -316,11 +309,7 @@ def _cmd_tv(args) -> int:
 def _cmd_experiment(args) -> int:
     # Every field the spec uses is decoded and range-checked before any work
     # starts; a bad one is a FormatError anchored at the spec's first line.
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{args.spec}:{e.lineno}: invalid JSON: {e.msg}") from None
+    spec = decode_json(read_text(args.spec), args.spec)
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in ("convergence", "alpha-sweep"):
         raise FormatError(f"{args.spec}:1: unknown experiment kind {kind!r}")
@@ -364,9 +353,8 @@ def _cmd_experiment(args) -> int:
         except ValueError as e:
             raise FormatError(f"{args.spec}:1: {e}") from None
         result = exp.alpha_sweep_experiment(alphas, n_effect, epsilon, m, trials, seed, t, confounded)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.to_csv())
-    write_report(args.out + ".summary.json", result.summary())
+    write_text(args.out, result.to_csv())
+    write_text(args.out + ".summary.json", dump_json(result.summary()))
     return 0
 
 

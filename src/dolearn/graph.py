@@ -8,7 +8,6 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -22,6 +21,7 @@ from .errors import (
     IdentifiabilityError,
     ReductionInvariantError,
 )
+from .files import decode_json, dump_json, read_text, write_text
 
 
 @dataclass(frozen=True)
@@ -498,15 +498,18 @@ def random_admg(
 # Graph file format: JSON with fields n, names, alphabet, directed, bidirected.
 
 
-def graph_to_json(g: Admg) -> str:
-    payload = {
+def graph_payload(g: Admg) -> dict:
+    return {
         "n": g.node_count,
         "names": list(g.names),
         "alphabet": g.alphabet_size,
         "directed": sorted([i, j] for i, j in g.directed_edges),
         "bidirected": sorted([i, j] for i, j in g.bidirected_edges),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def graph_to_json(g: Admg) -> str:
+    return dump_json(graph_payload(g))
 
 
 def _line_of(text: str, pattern: str, occurrence: int = 0) -> int:
@@ -529,12 +532,12 @@ def _edge_line(text: str, key: str, index: int) -> int:
 
 
 def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
-    """Parse the graph file format, rejecting invariant violations with
-    file:line anchored messages."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{source}:{e.lineno}: invalid JSON: {e.msg}") from None
+    return graph_from_payload(decode_json(text, source), source, text)
+
+
+def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
+    """Graph of a decoded graph file; each invariant violation is a FormatError
+    at its line of text, the file's text, or at line 1 without it."""
     if not isinstance(raw, dict):
         raise FormatError(f"{source}:1: expected a JSON object")
 
@@ -596,10 +599,8 @@ def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
 
 
 def load_graph(path: str) -> Admg:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_json(fh.read(), source=path)
+    return parse_graph_json(read_text(path), source=path)
 
 
 def save_graph(g: Admg, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(graph_to_json(g))
+    write_text(path, graph_to_json(g))

@@ -5,7 +5,6 @@ the split per-component evaluator, and marginal estimation via reduction.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -187,7 +186,13 @@ def build_split_evaluator_exact(p: DenseDistribution, g: Admg, x_node: int, x_va
 
 
 def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
-    """Head table summed over the intervened coordinate times the tail table."""
+    """Head table summed over the intervened coordinate times the tail table.
+    Raises ValueError for the assignments evaluate_do refuses."""
+    for v in ev.head_vars + ev.border_vars + ev.tail_vars:
+        if v not in w:
+            raise ValueError(f"the assignment gives no value to variable {v}")
+        if w[v] not in range(ev.alphabet_size):
+            raise ValueError(f"value {w[v]!r} of variable {v} lies outside the alphabet of size {ev.alphabet_size}")
     a = tuple(w[v] for v in ev.head_vars)
     b = tuple(w[v] for v in ev.border_vars)
     head_model = ev.head_tables[b]
@@ -249,8 +254,3 @@ def learn_marginal_do(
     model = learn_do(batch, h, to_h[x_node], x_val, cfg)
     dense = model_to_dense(model, keep=[to_h[v] for v in f])
     return dense.relabel({to_h[v]: v for v in f})
-
-
-def write_report(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

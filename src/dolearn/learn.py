@@ -9,7 +9,6 @@ learner total and failure-free.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, StateSpaceError
+from .files import decode_json, dump_json, read_text, write_text
 from .graph import (
     Admg, c_components, effective_parents, parent_sets, require_identifiable, topological_order
 )
@@ -279,6 +279,9 @@ class BayesNetModel:
                 factors[pos] = cells[i]
         except KeyError as e:
             raise ValueError(f"the assignment gives no value to variable {e.args[0]}") from None
+        except TypeError:  # a value such as 1.0 equals a symbol but cannot index the store
+            var, s = next((v, s) for v, s in assignment.items() if not isinstance(s, (int, np.integer)))
+            raise ValueError(f"value {s!r} of variable {var} is not an integer symbol") from None
 
     def joint_probability(self, assignment: Mapping) -> float:
         """Probability of a full assignment over this model's variables."""
@@ -603,7 +606,7 @@ def learned_model_to_json(model: BayesNetModel) -> str:
         idxs, rows = model.fitted_rows(node)
         for idx, row in zip(idxs.tolist(), rows.tolist()):
             entries.append({"node": node, "assignment": list(_decode(idx, sizes)), "row": row})
-    payload = {
+    return dump_json({
         "alphabet": model.alphabet_size,
         "names": list(model.names) if model.names is not None else None,
         "order": list(model.order),
@@ -611,15 +614,11 @@ def learned_model_to_json(model: BayesNetModel) -> str:
         "x_substitution": list(model.x_substitution) if model.x_substitution else None,
         "substituted_nodes": sorted(model.substituted_nodes),
         "cpts": entries,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetModel:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{source}:{e.lineno}: invalid JSON: {e.msg}") from None
+    raw = decode_json(text, source)
     try:
         # Later entries for the same row replace earlier ones.
         cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
@@ -637,10 +636,8 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
 
 
 def load_learned_model(path: str) -> BayesNetModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_learned_model_json(fh.read(), source=path)
+    return parse_learned_model_json(read_text(path), source=path)
 
 
 def save_learned_model(model: BayesNetModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(learned_model_to_json(model))
+    write_text(path, learned_model_to_json(model))

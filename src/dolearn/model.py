@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -18,7 +17,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, StateSpaceError
-from .graph import Admg, parse_graph_json, graph_to_json, topological_order
+from .files import decode_json, dump_json, read_text, write_text
+from .graph import Admg, graph_from_payload, graph_payload, topological_order
 
 STATE_SPACE_LIMIT = 2**24
 
@@ -324,8 +324,8 @@ def strong_positivity_margin(p: DenseDistribution, s: Iterable[int]) -> float:
 
 
 def model_to_json(cbn: GroundTruthCbn) -> str:
-    payload = {
-        "graph": json.loads(graph_to_json(cbn.graph)),
+    return dump_json({
+        "graph": graph_payload(cbn.graph),
         "hidden_domain": cbn.hidden_domain,
         "hidden_priors": [prior.tolist() for prior in cbn.hidden_priors],
         "cpts": [
@@ -337,21 +337,17 @@ def model_to_json(cbn: GroundTruthCbn) -> str:
             }
             for cpt in cbn.cpts
         ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{source}:{e.lineno}: invalid JSON: {e.msg}") from None
+    raw = decode_json(text, source)
     if not isinstance(raw, dict):
         raise FormatError(f"{source}:1: expected a JSON object")
     for key in ("graph", "hidden_domain", "hidden_priors", "cpts"):
         if key not in raw:
             raise FormatError(f"{source}:1: missing required field {key!r}")
-    g = parse_graph_json(json.dumps(raw["graph"]), source=f"{source}#graph")
+    g = graph_from_payload(raw["graph"], source=f"{source}#graph")
     try:
         priors = tuple(np.asarray(p, dtype=float) for p in raw["hidden_priors"])
         cpts = tuple(
@@ -372,13 +368,11 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
 
 
 def load_model(path: str) -> GroundTruthCbn:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_json(fh.read(), source=path)
+    return parse_model_json(read_text(path), source=path)
 
 
 def save_model(cbn: GroundTruthCbn, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_json(cbn))
+    write_text(path, model_to_json(cbn))
 
 
 # Sample CSV bodies whose symbols are single digits are read and written as
@@ -476,13 +470,11 @@ def _read_rows(reader, names: Sequence[str], alphabet_size: int, source: str) ->
 
 
 def load_samples(path: str, names: Sequence[str], alphabet_size: int) -> SampleBatch:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_samples_csv(fh.read(), names, alphabet_size, source=path)
+    return parse_samples_csv(read_text(path), names, alphabet_size, source=path)
 
 
 def save_samples(batch: SampleBatch, names: Sequence[str], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(samples_to_csv(batch, names))
+    write_text(path, samples_to_csv(batch, names))
 
 
 def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int) -> DenseDistribution:

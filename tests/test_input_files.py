@@ -1,0 +1,157 @@
+"""Input files the CLI reads: bytes that are not UTF-8, fuzzed graph,
+distribution and sample files, and CR line ends.
+
+A bad input file exits 2, 3 or 4 with a file:line anchor and never reports an
+internal error (exit 5).
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dolearn.cli import dispatch
+from dolearn.errors import FormatError
+from dolearn.graph import graph_to_json, random_admg
+from dolearn.learn import learn_do, learned_model_to_json
+from dolearn.model import (
+    load_samples,
+    model_to_json,
+    parse_samples_csv,
+    random_cbn,
+    sample_observational,
+    samples_to_csv,
+)
+
+from test_learned_model_fuzz import drawn_values
+
+PROPERTY = settings.get_profile("property")
+
+G = random_admg(4, 2, 2, seed=3, identifiable_for=0)
+CBN = random_cbn(G, smoothing=0.2, seed=4)
+BATCH = sample_observational(CBN, 400, seed=5)
+GRAPH = json.loads(graph_to_json(G))
+DENSE = {"variables": [1, 2], "names": ["v1", "v2"], "domain_sizes": [2, 2], "mass": [0.1, 0.2, 0.3, 0.4]}
+SAMPLES = samples_to_csv(BATCH.head(12), G.names).encode()
+
+# Each input kind: the file it is written to, its valid text, and the command
+# that reads it (with {} for its path).
+INPUTS = {
+    "samples": ("s.csv", samples_to_csv(BATCH, G.names),
+                ["learn-do", "--graph", "g.json", "--samples", "{}", "--x-var", "v0", "--x-val", "1",
+                 "--m", "400", "--t", "5", "--out", "out.json"]),
+    "graph": ("g.json", graph_to_json(G),
+              ["learn-do", "--graph", "{}", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1",
+               "--m", "400", "--t", "5", "--out", "out.json"]),
+    "learned": ("l.json", learned_model_to_json(learn_do(BATCH, G, 0, 1)),
+                ["eval", "--learned", "{}", "--assignment", "v1=0,v2=1,v3=0"]),
+    "model": ("m.json", model_to_json(CBN), ["sample", "--model", "{}", "--m", "5", "--out", "out.csv"]),
+    "distribution": ("d.json", json.dumps(DENSE, indent=2) + "\n", ["tv", "--dense-a", "{}", "--dense-b", "d.json"]),
+    "spec": ("spec.json",
+             json.dumps({"kind": "alpha-sweep", "alphas": [0.2], "n_effect": 2, "epsilon": 0.2,
+                         "m": 200, "trials": 1}, indent=2) + "\n",
+             ["experiment", "--spec", "{}", "--out", "out.csv"]),
+}
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return dispatch(list(argv)), err.getvalue()
+
+
+def _inputs(base: Path) -> None:
+    for name, text, _ in INPUTS.values():
+        (base / name).write_text(text)
+
+
+def _command(base: Path, kind: str, path: Path) -> list:
+    argv = INPUTS[kind][2]
+    return [str(path) if a == "{}" else str(base / a) if a.endswith((".json", ".csv")) else a for a in argv]
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_unchanged_inputs_run(tmp_path, kind):
+    _inputs(tmp_path)
+    assert _run(_command(tmp_path, kind, tmp_path / INPUTS[kind][0]))[0] == 0
+
+
+@pytest.mark.parametrize("kind", sorted(INPUTS))
+def test_non_utf8_byte_is_format_error_at_its_line(tmp_path, kind):
+    _inputs(tmp_path)
+    name, text, _ = INPUTS[kind]
+    lines = text.encode().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    bad = tmp_path / ("bad-" + name)
+    bad.write_bytes(b"\n".join(lines))
+    code, err = _run(_command(tmp_path, kind, bad))
+    assert code == 3, err
+    assert f"{bad}:3: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_non_utf8_line_counts_universal_newlines(tmp_path, newline):
+    _inputs(tmp_path)
+    lines = samples_to_csv(BATCH.head(9), G.names).splitlines()
+    data = newline.join(lines[:6]).encode() + newline.encode() + b"0,\xfe" + newline.join(lines[6:]).encode()
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    code, err = _run(_command(tmp_path, "samples", bad))
+    assert code == 3, err
+    assert f"{bad}:7: not UTF-8 text" in err
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(GRAPH)), value=drawn_values)
+def test_one_bad_graph_field_never_exits_5(tmp_path_factory, field, value):
+    base = tmp_path_factory.mktemp("graph")
+    _inputs(base)
+    (base / "g.json").write_text(json.dumps(dict(GRAPH, **{field: value})))
+    # A drawn names field can drop the variable named by --x-var: a usage error.
+    code, err = _run(_command(base, "graph", base / "g.json"))
+    assert code in (0, 2, 3, 4), (field, value, err)
+
+
+@PROPERTY
+@given(field=st.sampled_from(sorted(DENSE)), value=drawn_values, first=st.booleans())
+def test_one_bad_distribution_field_never_exits_5(tmp_path_factory, field, value, first):
+    base = tmp_path_factory.mktemp("dense")
+    _inputs(base)
+    (base / "bad.json").write_text(json.dumps(dict(DENSE, **{field: value})))
+    a, b = (base / "bad.json", base / "d.json")[:: 1 if first else -1]
+    code, err = _run(["tv", "--dense-a", str(a), "--dense-b", str(b)])
+    assert code in (0, 3), (field, value, err)
+
+
+@PROPERTY
+@given(at=st.integers(0, len(SAMPLES)), cut=st.integers(0, 4), junk=st.binary(max_size=6))
+def test_samples_bytes_never_exit_5(tmp_path_factory, at, cut, junk):
+    base = tmp_path_factory.mktemp("samples")
+    _inputs(base)
+    (base / "bad.csv").write_bytes(SAMPLES[:at] + junk + SAMPLES[at + cut:])
+    code, err = _run(_command(base, "samples", base / "bad.csv"))
+    assert code in (0, 3, 4), (at, cut, junk, err)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("body", ["0,1,0,1\n1,1,0,0\n0,0,1,1\n", "0,1,0,1\n1,5,0,0\n0,0,1,1\n"])
+def test_cr_line_ends_read_as_universal_newlines(tmp_path, newline, body):
+    # A CRLF or lone-CR file reads as the same text with LF line ends: same
+    # batch, or the same error at the same line.
+    text = ",".join(G.names) + "\n" + body
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.replace("\n", newline).encode())
+
+    def outcome(read):
+        try:
+            batch = read()
+        except FormatError as e:
+            return str(e)
+        return batch.columns, batch.data.tolist()
+
+    want = outcome(lambda: parse_samples_csv(text, G.names, G.alphabet_size, source=str(path)))
+    assert outcome(lambda: load_samples(str(path), G.names, G.alphabet_size)) == want

@@ -78,16 +78,21 @@ class TestEvaluateDo:
         ({1: 0, 2: -1, 3: 0, 4: 1}, "value -1 of variable 2 lies outside"),
         ({1: 0, 2: 1, 3: 2, 4: 1}, "value 2 of variable 3 lies outside"),
         ({1: 0, 2: 1, 4: 1}, "no value to variable 3"),
+        # 1.0 equals the symbol 1 but cannot index a table.
+        ({1: 0, 2: 1, 3: 0, 4: 1.0}, "value 1.0 of variable 4 is not an integer symbol"),
     ])
     def test_bad_assignment_rejected(self, w, message):
         # A negative symbol used to wrap around to the last one and answer
         # for the assignment with that symbol in its place.
         g, cbn = instance(2)
-        model = learn_do(sample_observational(cbn, 3000, seed=1), g, 0, 1, LearnConfig(t=10))
+        batch = sample_observational(cbn, 3000, seed=1)
+        model = learn_do(batch, g, 0, 1, LearnConfig(t=10))
         with pytest.raises(ValueError, match=message):
             evaluate_do(InterventionalModel(model, 0, 1), w)
         with pytest.raises(ValueError, match=message):
             model.joint_probability({**w, 0: 1})
+        with pytest.raises(ValueError, match=message):
+            evaluate_split(build_split_evaluator(batch, g, 0, 1, LearnConfig(t=10)), w)
 
 
 class TestSampleDo:

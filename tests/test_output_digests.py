@@ -1,11 +1,12 @@
 """Cross-commit byte identity of the CLI's artifacts.
 
-Runs the criterion-10 walkthrough (seeds 11-14) in process, plus `sample-do`
-and the generator route of `marginal`, and compares the SHA-256 of every
-artifact with the digests stored in `output_digests.json`. Criterion 10 only
-compares runs of one commit with each other; this test catches a change that
-alters any output byte against the commit that wrote the digests. A change
-that alters output on purpose regenerates the file with
+Runs the criterion-10 walkthrough (seeds 11-14) in process, plus `sample-do`,
+the generator route of `marginal` and a tiny `alpha-sweep` experiment, and
+compares the SHA-256 of every artifact with the digests stored in
+`output_digests.json`. Criterion 10 only compares runs of one commit with
+each other; this test catches a change that alters any output byte against
+the commit that wrote the digests. A change that alters output on purpose
+regenerates the file with
 
     PYTHONPATH=src python tests/test_output_digests.py --write
 
@@ -16,12 +17,14 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
 from dolearn.cli import dispatch
 
 DIGESTS = Path(__file__).with_name("output_digests.json")
+WALLCLOCK = re.compile(rb'("wallclock_ms": )[^,\n]*')
 
 
 def _run(argv):
@@ -52,7 +55,16 @@ def walkthrough_artifacts(base: Path) -> dict:
     rep = json.loads((base / "l.json.report.json").read_text())
     rep.pop("wallclock_ms")
     blobs["report.json"] = json.dumps(rep, sort_keys=True).encode()
+    # The raw bytes too, so the writer's indent, key order and closing newline
+    # are pinned; only the timing's value is masked.
+    blobs["report.raw.json"] = WALLCLOCK.sub(rb"\1<masked>", (base / "l.json.report.json").read_bytes())
     blobs["eval.stdout"] = eval_out.encode()
+    # The experiment's CSV carries timings; its summary does not.
+    spec, sweep = base / "sweep_spec.json", base / "sweep.csv"
+    spec.write_text(json.dumps({"kind": "alpha-sweep", "alphas": [0.2], "n_effect": 2, "epsilon": 0.2,
+                                "m": 200, "trials": 2, "seed": 0}))
+    _run(["experiment", "--spec", str(spec), "--out", str(sweep)])
+    blobs["sweep.csv.summary.json"] = (base / "sweep.csv.summary.json").read_bytes()
     return blobs
 
 
