@@ -133,9 +133,10 @@ def _dense_to_json(dense: DenseDistribution, names: Optional[Sequence[str]] = No
 def _load_dense(path: str) -> DenseDistribution:
     raw = decode_json(read_text(path), path)
     try:
-        return DenseDistribution(
-            tuple(raw["variables"]), tuple(raw["domain_sizes"]), np.asarray(raw["mass"], dtype=float)
-        )
+        ids, sizes = tuple(raw["variables"]), tuple(raw["domain_sizes"])
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in ids + sizes):
+            raise ValueError("variables and domain_sizes must list integers")
+        return DenseDistribution(ids, sizes, np.asarray(raw["mass"], dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{path}:1: invalid distribution: {e}") from None
 

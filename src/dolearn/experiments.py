@@ -25,6 +25,7 @@ from .learn import LearnConfig, learn_do
 from .model import (
     GroundTruthCbn,
     NodeCpt,
+    _decode,
     exact_interventional,
     sample_observational,
     tv_distance,
@@ -125,7 +126,7 @@ def build_hard_instance(spec: HardInstanceSpec) -> GroundTruthCbn:
         for z_val in (0, 1):
             for x_val in (0, 1):
                 for w_key in range(2**d):
-                    w_vals = tuple((w_key >> (d - 1 - i)) & 1 for i in range(d))
+                    w_vals = _decode(w_key, (2,) * d)
                     if x_val != z_val:
                         sign = 1.0 if spec.codewords[w_key][j] else -1.0
                         p1 = 0.5 + sign * s

@@ -31,8 +31,13 @@ def dump_json(payload) -> str:
 
 
 def decode_json(text: str, source: str):
-    """The value of a JSON text; a syntax error is a FormatError at its line."""
+    """The value of a JSON text; a syntax error is a FormatError at its line,
+    and a text the decoder cannot hold one at line 1."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{source}:{e.lineno}: invalid JSON: {e.msg}") from None
+    except (RecursionError, ValueError) as e:
+        # Nesting past the recursion limit, or an integer above the digit
+        # limit; JSONDecodeError, also a ValueError, keeps its line above.
+        raise FormatError(f"{source}:1: invalid JSON: {e}") from None

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NormalizationError, PositivityError
 from .graph import Admg, c_components, effective_parents, parent_sets, require_identifiable
-from .model import DenseDistribution, _spread
+from .model import DenseDistribution, _decode, _product, first_non_distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,14 +33,6 @@ class QFactor:
 
     def as_array(self) -> np.ndarray:
         return self.values.reshape(self.domain_sizes)
-
-
-def _decode(index: int, sizes) -> tuple[int, ...]:
-    out = []
-    for s in reversed(sizes):
-        out.append(index % s)
-        index //= s
-    return tuple(reversed(out))
 
 
 def conditional_table(p: DenseDistribution, child: int, cond: tuple[int, ...]) -> np.ndarray:
@@ -78,10 +70,7 @@ def compute_q_factor(p: DenseDistribution, g: Admg, component_index: int) -> QFa
     _, pa_plus, _ = parent_sets(g, comp)
     ids = tuple(sorted(pa_plus))
     sizes = tuple(g.alphabet_size for _ in ids)
-    values = np.ones(sizes if sizes else (1,))
-    for v in comp:
-        tbl = conditional_table(p, v, zs[v])
-        values = values * _spread(tbl, zs[v] + (v,), ids, sizes)
+    values = _product(((conditional_table(p, v, zs[v]), zs[v] + (v,)) for v in comp), ids, sizes)
     return QFactor(comp, ids, sizes, values.reshape(-1))
 
 
@@ -97,23 +86,20 @@ def tian_pearl_do(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> Den
     x_comp = part.component_of[x_node]
     w_ids = tuple(v for v in range(g.node_count) if v != x_node)
     w_sizes = tuple(g.alphabet_size for _ in w_ids)
-    result = np.ones(w_sizes if w_sizes else (1,))
-    for j in range(len(part.components)):
-        q = compute_q_factor(p, g, j)
-        arr = q.as_array()
-        ids = q.variable_ids
-        if j == x_comp:
-            axis = ids.index(x_node)
-            arr = arr.sum(axis=axis)
-            ids = tuple(v for v in ids if v != x_node)
-        elif x_node in ids:
-            axis = ids.index(x_node)
-            arr = np.take(arr, x_val, axis=axis)
-            ids = tuple(v for v in ids if v != x_node)
-        result = result * _spread(arr, ids, w_ids, w_sizes)
-    total = float(result.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(f"identified distribution sums to {total!r}")
+
+    def factors():
+        for j in range(len(part.components)):
+            q = compute_q_factor(p, g, j)
+            arr, ids = q.as_array(), q.variable_ids
+            if x_node in ids:
+                axis = ids.index(x_node)
+                arr = arr.sum(axis=axis) if j == x_comp else np.take(arr, x_val, axis=axis)
+                ids = ids[:axis] + ids[axis + 1 :]
+            yield arr, ids
+
+    result = _product(factors(), w_ids, w_sizes)
+    if first_non_distribution(result.reshape(1, -1), 1e-9, floor=1e-12) is not None:
+        raise NormalizationError(f"identified distribution sums to {float(result.sum())!r}")
     return DenseDistribution(w_ids, w_sizes, result.reshape(-1))
 
 
@@ -129,13 +115,15 @@ def exact_dx(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> DenseDis
     zs = effective_parents(g)
     ids = tuple(range(g.node_count))
     sizes = tuple(g.alphabet_size for _ in ids)
-    result = np.ones(sizes)
-    for v in range(g.node_count):
+
+    def factor(v):
         z = zs[v]
         tbl = conditional_table(p, v, z)
         if v not in s1 and x_node in z:
             axis = z.index(x_node)
             tbl = np.take(tbl, x_val, axis=axis)
-            z = tuple(u for u in z if u != x_node)
-        result = result * _spread(tbl, z + (v,), ids, sizes)
+            z = z[:axis] + z[axis + 1 :]
+        return tbl, z + (v,)
+
+    result = _product(map(factor, range(g.node_count)), ids, sizes)
     return DenseDistribution(ids, sizes, result.reshape(-1))

@@ -29,7 +29,9 @@ from .learn import (
     learn_ccomponent_intervention,
     learn_do,
 )
-from .model import DenseDistribution, SampleBatch, _spread, draw_from_cdf, empirical_marginal, require_state_space
+from .model import (
+    DenseDistribution, SampleBatch, _encode, _product, draw_from_cdf, empirical_marginal, require_state_space
+)
 
 ENUMERATION_LIMIT = 2**16
 
@@ -81,10 +83,7 @@ def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch
     width = max(model.order) + 1
     values = np.zeros((width, count), dtype=np.int64)
     for node in model.order:
-        z = model.conditioning_sets[node]
-        idx = np.zeros(count, dtype=np.int64)
-        for u in z:
-            idx = idx * model.alphabet_size + values[u]
+        idx = _encode(values.T, model.conditioning_sets[node], model.alphabet_size)
         cdf = np.cumsum(model.tables[node], axis=1)
         values[node] = draw_from_cdf(cdf, idx, rng.random(count))
     keep = [v for v in model.order if v != im.x_node]
@@ -97,16 +96,12 @@ def model_to_dense(model: BayesNetModel, keep: Iterable[int]) -> DenseDistributi
     if keep - set(model.order):
         raise ValueError(f"unknown variables {sorted(keep - set(model.order))}")
     ids = tuple(sorted(model.order))
-    sizes = tuple(model.alphabet_size for _ in ids)
+    a = model.alphabet_size
+    sizes = (a,) * len(ids)
     require_state_space(sizes)
-    joint = np.ones(sizes if sizes else (1,))
-    for node in model.order:
-        z = model.conditioning_sets[node]
-        tbl = model.table(node).reshape(
-            tuple(model.alphabet_size for _ in z) + (model.alphabet_size,)
-        )
-        joint = joint * _spread(tbl, z + (node,), ids, sizes)
-    dense = DenseDistribution(ids, sizes, joint.reshape(-1))
+    z_of = model.conditioning_sets
+    tables = ((model.table(v).reshape((a,) * (len(z_of[v]) + 1)), z_of[v] + (v,)) for v in model.order)
+    dense = DenseDistribution(ids, sizes, _product(tables, ids, sizes).reshape(-1))
     return dense.marginal(keep)
 
 

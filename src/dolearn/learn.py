@@ -22,8 +22,11 @@ from .files import decode_json, dump_json, read_text, write_text
 from .graph import (
     Admg, c_components, effective_parents, parent_sets, require_identifiable, topological_order
 )
-from .identify import _decode, conditional_table
-from .model import STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, empirical_marginal, strong_positivity_margin
+from .identify import conditional_table
+from .model import (
+    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, empirical_marginal, first_non_distribution,
+    strong_positivity_margin,
+)
 
 TABLE_ROW_LIMIT = 2**20
 
@@ -76,35 +79,6 @@ def default_parameters(n: int, alphabet_size: int, k: int, d: int, alpha: float,
 def practical_threshold(n: int, alphabet_size: int, k: int, d: int) -> int:
     """Count threshold used when the caller supplies the sample budget."""
     return max(10, math.ceil(10.0 * math.log(n * alphabet_size ** (k * d + k))))
-
-
-class _FittedRows(Mapping):
-    """Read-only (node, assignment) -> row view of a model's fitted rows, in
-    the model's node order and then by assignment."""
-
-    def __init__(self, model: "BayesNetModel"):
-        self._model = model
-
-    def __getitem__(self, key):
-        node, assignment = key
-        model = self._model
-        try:
-            idx = model._row_index(node, assignment)
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        if not model._masks[node][idx]:
-            raise KeyError(key)
-        return model.tables[node][idx]
-
-    def __iter__(self):
-        model = self._model
-        for node in model.order:
-            sizes = (model.alphabet_size,) * len(model.conditioning_sets[node])
-            for idx in model.fitted_rows(node)[0].tolist():
-                yield node, _decode(idx, sizes)
-
-    def __len__(self):
-        return self._model._fitted_count
 
 
 @dataclass(eq=False)
@@ -161,11 +135,9 @@ class BayesNetModel:
         self.fitted = np.asarray(self.fitted, dtype=bool)
         if self.values.shape != (total, a) or self.fitted.shape != (total,):
             raise ValueError(f"store has shapes {self.values.shape} and {self.fitted.shape}, expected {(total, a)}")
-        rows = self.values[self.fitted]
-        # Written as what must hold, so that NaN and inf entries fail it.
-        good = (np.abs(rows.sum(axis=1) - 1.0) <= 1e-12) & (rows.min(axis=1) >= 0)
-        if not good.all():
-            idx = int(np.flatnonzero(self.fitted)[np.argmin(good)])
+        bad = first_non_distribution(self.values[self.fitted], 1e-12)
+        if bad is not None:
+            idx = int(np.flatnonzero(self.fitted)[bad])
             node = next(v for v in self.order if blocks[v].start <= idx < blocks[v].stop)
             assignment = _decode(idx - blocks[node].start, (a,) * len(self.conditioning_sets[node]))
             raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
@@ -175,7 +147,6 @@ class BayesNetModel:
         self.fitted.flags.writeable = False
         self.tables = MappingProxyType({v: self.values[blocks[v]] for v in self.order})
         self._masks = {v: self.fitted[blocks[v]] for v in self.order}
-        self._fitted_count = int(self.fitted.sum())
         # Step pos reads node v's factor as one cell of the flat store:
         # base + w[v] plus stride * w[u] over v's conditioning set. The view
         # copies nothing; a list copy would cost 32+ bytes per entry.
@@ -229,27 +200,30 @@ class BayesNetModel:
 
     @property
     def cpts(self) -> Mapping:
-        """Read-only (node, assignment) -> row mapping of the fitted rows."""
-        return _FittedRows(self)
+        """Read-only (node, assignment) -> row mapping of the fitted rows, in
+        node order and then by assignment; built anew on each read."""
+        rows = {}
+        for node in self.order:
+            sizes = (self.alphabet_size,) * len(self.conditioning_sets[node])
+            table = self.tables[node]
+            for idx in self.fitted_rows(node)[0].tolist():
+                rows[node, _decode(idx, sizes)] = table[idx]
+        return MappingProxyType(rows)
 
     def fitted_rows(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending indices of node's fitted rows, and those rows."""
         mask = self._masks[node]
         return np.flatnonzero(mask), self.tables[node][mask]
 
-    def _row_index(self, node: int, assignment: Sequence[int]) -> int:
-        """Row of node's table that holds the given conditioning assignment."""
+    def row(self, node: int, assignment: Sequence[int]) -> np.ndarray:
+        """Stored row, uniform when the assignment was never fitted."""
         a = self.alphabet_size
         if len(assignment) != len(self.conditioning_sets[node]) or not all(_is_symbol(s, a) for s in assignment):
             raise ValueError(f"assignment {tuple(assignment)} does not fit the conditioning set of {node}")
         idx = 0
         for s in assignment:
             idx = idx * a + s
-        return idx
-
-    def row(self, node: int, assignment: Sequence[int]) -> np.ndarray:
-        """Stored row, uniform when the assignment was never fitted."""
-        return self.tables[node][self._row_index(node, assignment)]
+        return self.tables[node][idx]
 
     def table(self, node: int) -> np.ndarray:
         """Read-only dense (rows, alphabet) conditional table of node."""
@@ -326,8 +300,8 @@ def _is_node(v) -> bool:
 def _table_blocks(order, conditioning: dict, alphabet: int) -> tuple[dict[int, slice], int]:
     """Rows of each node's table in the stacked store, and the store's row
     count; refuses tables above TABLE_ROW_LIMIT rows."""
-    if alphabet < 1:
-        raise ValueError("alphabet must hold at least one symbol")
+    if not (_is_node(alphabet) and alphabet >= 1):
+        raise ValueError(f"alphabet {alphabet!r} must be an integer of at least 1")
     require_table_rows({v: conditioning[v] for v in order}, alphabet)
     blocks = {}
     start = 0
@@ -353,19 +327,11 @@ def require_table_rows(conditioning: dict[int, tuple[int, ...]], alphabet: int) 
         raise StateSpaceError(f"the tables would hold {entries} entries, above the {STATE_SPACE_LIMIT} guard")
 
 
-def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
-    key = np.zeros(values_by_node.shape[0], dtype=np.int64)
-    for c in cols:
-        key = key * alphabet + values_by_node[:, c]
-    return key
-
-
 def _grouped_counts(values_by_node: np.ndarray, cols: Sequence[int], child: int, alphabet: int):
     """Dense (|alphabet|^|cols|, |alphabet|) child counts per conditioning
     key, with their row totals; callers bound the key space with
     require_table_rows."""
-    keys = _encode(values_by_node, cols, alphabet)
-    joint = np.bincount(keys * alphabet + values_by_node[:, child], minlength=alphabet ** (len(cols) + 1))
+    joint = np.bincount(_encode(values_by_node, (*cols, child), alphabet), minlength=alphabet ** (len(cols) + 1))
     joint = joint.reshape(-1, alphabet)
     return joint, joint.sum(axis=1)
 
@@ -625,7 +591,7 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
         return BayesNetModel.from_rows(
             order=tuple(raw["order"]),
             conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
-            alphabet_size=int(raw["alphabet"]),
+            alphabet_size=raw["alphabet"],
             cpts=cpts,
             x_substitution=tuple(raw["x_substitution"]) if raw.get("x_substitution") else None,
             substituted_nodes=frozenset(raw.get("substituted_nodes", [])),

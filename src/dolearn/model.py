@@ -45,11 +45,8 @@ class DenseDistribution:
         expected = int(np.prod(self.domain_sizes)) if self.domain_sizes else 1
         if mass.size != expected:
             raise ValueError(f"mass has {mass.size} entries, expected {expected}")
-        if mass.min(initial=0.0) < -1e-12:
-            raise ValueError("mass must be nonnegative")
-        total = float(mass.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mass sums to {total!r}, not 1")
+        if first_non_distribution(mass[None, :], 1e-9, floor=1e-12) is not None:
+            raise ValueError(f"mass must be nonnegative and sum to 1, not {float(mass.sum())!r}")
 
     def as_array(self) -> np.ndarray:
         return self.mass.reshape(self.domain_sizes)
@@ -156,9 +153,11 @@ class GroundTruthCbn:
             raise ValueError("hidden_domain must be at least 2")
         if len(self.hidden_priors) != len(g.bidirected_edges):
             raise ValueError("one hidden prior per bidirected edge required")
-        for prior in self.hidden_priors:
-            if prior.shape != (self.hidden_domain,) or abs(prior.sum() - 1.0) > 1e-12:
-                raise ValueError("hidden prior rows must sum to 1")
+        if any(prior.shape != (self.hidden_domain,) for prior in self.hidden_priors):
+            raise ValueError(f"hidden priors must have shape ({self.hidden_domain},)")
+        bad = first_non_distribution(np.array(self.hidden_priors).reshape(-1, self.hidden_domain), 1e-12)
+        if bad is not None:
+            raise ValueError(f"hidden prior {bad} is not a distribution")
         if len(self.cpts) != g.node_count:
             raise ValueError("one conditional table per observable required")
         hidden = _hidden_parents(g)
@@ -172,9 +171,12 @@ class GroundTruthCbn:
             ) + (g.alphabet_size,)
             if cpt.table.shape != shape:
                 raise ValueError(f"table of node {i} has shape {cpt.table.shape}, expected {shape}")
-            sums = cpt.table.sum(axis=-1)
-            if np.max(np.abs(sums - 1.0)) > 1e-12 or cpt.table.min() < 0:
-                raise ValueError(f"rows of node {i} must be distributions")
+        # One check over all rows; the cumulative row counts name the node.
+        a = g.alphabet_size
+        bad = first_non_distribution(np.concatenate([cpt.table.reshape(-1, a) for cpt in self.cpts]), 1e-12)
+        if bad is not None:
+            ends = np.cumsum([cpt.table.size // a for cpt in self.cpts])
+            raise ValueError(f"rows of node {int(np.searchsorted(ends, bad, side='right'))} must be distributions")
 
     @property
     def hidden_count(self) -> int:
@@ -237,9 +239,7 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
     values = np.zeros((g.node_count, m), dtype=np.int64)
     for node in order:
         cpt = cbn.cpts[node]
-        idx = np.zeros(m, dtype=np.int64)
-        for p in cpt.obs_parents:
-            idx = idx * g.alphabet_size + values[p]
+        idx = _encode(values.T, cpt.obs_parents, g.alphabet_size)
         for h in cpt.hidden_parents:
             idx = idx * cbn.hidden_domain + hidden_vals[h]
         cdf = np.cumsum(cpt.table.reshape(-1, g.alphabet_size), axis=1)
@@ -255,6 +255,34 @@ def require_state_space(sizes: Sequence[int]) -> int:
     return total
 
 
+def first_non_distribution(rows: np.ndarray, atol: float, floor: float = 0.0) -> Optional[int]:
+    """Index of the first row of rows (k, D) whose sum misses 1 by more than
+    atol or that holds an entry below -floor; None when every row is a
+    distribution. Written as what must hold, so NaN and inf entries fail it."""
+    sums = rows.sum(axis=1)
+    if np.max(np.abs(sums - 1.0), initial=0.0) <= atol and rows.min(initial=np.inf) >= -floor:
+        return None
+    good = (np.abs(sums - 1.0) <= atol) & (rows.min(axis=1, initial=np.inf) >= -floor)
+    return int(np.argmin(good))
+
+
+def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
+    """Big-endian row key of each row of values_by_node over the columns cols."""
+    key = np.zeros(values_by_node.shape[0], dtype=np.int64)
+    for c in cols:
+        key = key * alphabet + values_by_node[:, c]
+    return key
+
+
+def _decode(index: int, sizes) -> tuple[int, ...]:
+    """The big-endian digits of index over the radices sizes; inverse of _encode."""
+    out = []
+    for s in reversed(sizes):
+        out.append(index % s)
+        index //= s
+    return tuple(reversed(out))
+
+
 def _spread(table: np.ndarray, table_ids, target_ids, target_sizes) -> np.ndarray:
     """Broadcast a factor over table_ids against the target product space."""
     amap = {v: i for i, v in enumerate(target_ids)}
@@ -267,6 +295,15 @@ def _spread(table: np.ndarray, table_ids, target_ids, target_sizes) -> np.ndarra
     return t.reshape(shape)
 
 
+def _product(factors, target_ids, target_sizes) -> np.ndarray:
+    """Product over the target space of (table, ids) factors, multiplied in
+    the order given."""
+    out = np.ones(target_sizes or (1,))
+    for table, ids in factors:
+        out = out * _spread(table, ids, target_ids, target_sizes)
+    return out
+
+
 def _full_joint(cbn: GroundTruthCbn, skip_node: Optional[int] = None) -> tuple[np.ndarray, int]:
     """Product of all factors (optionally omitting one node's own factor)
     over the axes (observables 0..n-1, hidden variables after)."""
@@ -274,16 +311,13 @@ def _full_joint(cbn: GroundTruthCbn, skip_node: Optional[int] = None) -> tuple[n
     n, h = g.node_count, cbn.hidden_count
     sizes = [g.alphabet_size] * n + [cbn.hidden_domain] * h
     require_state_space(sizes)
-    axes = range(n + h)
-    joint = np.ones(sizes)
-    for e, prior in enumerate(cbn.hidden_priors):
-        joint = joint * _spread(prior, [n + e], axes, sizes)
-    for cpt in cbn.cpts:
-        if cpt.node == skip_node:
-            continue
-        ids = list(cpt.obs_parents) + [n + e for e in cpt.hidden_parents] + [cpt.node]
-        joint = joint * _spread(cpt.table, ids, axes, sizes)
-    return joint, n
+    factors = [(prior, [n + e]) for e, prior in enumerate(cbn.hidden_priors)]
+    factors += [
+        (cpt.table, [*cpt.obs_parents, *(n + e for e in cpt.hidden_parents), cpt.node])
+        for cpt in cbn.cpts
+        if cpt.node != skip_node
+    ]
+    return _product(factors, range(n + h), sizes), n
 
 
 def exact_observational(cbn: GroundTruthCbn) -> DenseDistribution:
@@ -481,8 +515,6 @@ def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int
     """Empirical distribution of the kept columns."""
     keep = tuple(sorted(int(v) for v in keep))
     total = require_state_space([domain_size] * len(keep))
-    key = np.zeros(batch.size, dtype=np.int64)
-    for v in keep:
-        key = key * domain_size + batch.column(v)
+    key = _encode(batch.data, [batch.columns.index(v) for v in keep], domain_size)
     counts = np.bincount(key, minlength=total).astype(float)
     return DenseDistribution(keep, (domain_size,) * len(keep), counts / batch.size)

@@ -33,7 +33,7 @@ from dolearn.graph import (
     random_admg,
     reduce_for_marginal,
 )
-from dolearn.identify import _spread, compute_q_factor, exact_dx, tian_pearl_do
+from dolearn.identify import compute_q_factor, exact_dx, tian_pearl_do
 from dolearn.intervene import (
     InterventionalModel,
     build_split_evaluator_exact,
@@ -44,6 +44,7 @@ from dolearn.intervene import (
 )
 from dolearn.learn import LearnConfig, exact_do_model, learn_do
 from dolearn.model import (
+    _spread,
     exact_interventional,
     exact_observational,
     random_cbn,

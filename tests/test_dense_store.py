@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 
 from dolearn.cli import dispatch
 from dolearn.errors import FormatError, StateSpaceError
-from dolearn.identify import _spread
 from dolearn.graph import random_admg
 from dolearn.intervene import (
     InterventionalModel, build_split_evaluator, evaluate_do, evaluate_split, model_to_dense, sample_do
 )
 from dolearn.learn import BayesNetModel, LearnConfig, learned_model_to_json, parse_learned_model_json
-from dolearn.model import DenseDistribution, SampleBatch, draw_from_cdf, random_cbn, sample_observational
+from dolearn.model import DenseDistribution, SampleBatch, _spread, draw_from_cdf, random_cbn, sample_observational
 
 PROPERTY = settings.get_profile("property")
 

@@ -75,7 +75,7 @@ class TestQFactor:
                 part = c_components(g)
                 sizes = (g.alphabet_size,) * g.node_count
                 prod = np.ones(sizes)
-                from dolearn.identify import _spread
+                from dolearn.model import _spread
 
                 for j in range(len(part.components)):
                     q = compute_q_factor(p, g, j)
@@ -87,7 +87,7 @@ class TestQFactor:
         # which is what makes it a function of the component closure only.
         g, cbn, p = random_instance(3, n=4)
         part = c_components(g)
-        from dolearn.identify import _spread
+        from dolearn.model import _spread
 
         for j, comp in enumerate(part.components):
             q = compute_q_factor(p, g, j)

@@ -1,5 +1,7 @@
-"""Input files the CLI reads: bytes that are not UTF-8, fuzzed graph,
-distribution and sample files, and CR line ends.
+"""Input files the CLI reads: bytes that are not UTF-8, JSON the decoder
+cannot hold, integer fields that are not integers, probabilities that are not
+finite and nonnegative, fuzzed graph, distribution and sample files, and CR
+line ends.
 
 A bad input file exits 2, 3 or 4 with a file:line anchor and never reports an
 internal error (exit 5).
@@ -8,6 +10,7 @@ internal error (exit 5).
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -155,3 +158,103 @@ def test_cr_line_ends_read_as_universal_newlines(tmp_path, newline, body):
 
     want = outcome(lambda: parse_samples_csv(text, G.names, G.alphabet_size, source=str(path)))
     assert outcome(lambda: load_samples(str(path), G.names, G.alphabet_size)) == want
+
+
+JSON_KINDS = sorted(kind for kind, (name, _, _) in INPUTS.items() if name.endswith(".json"))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000], ids=["deep-nesting", "long-integer"])
+@pytest.mark.parametrize("kind", JSON_KINDS)
+def test_json_the_decoder_cannot_hold_is_format_error_at_line_1(tmp_path, kind, text):
+    _inputs(tmp_path)
+    bad = tmp_path / ("bad-" + INPUTS[kind][0])
+    bad.write_text(text)
+    code, err = _run(_command(tmp_path, kind, bad))
+    assert code == 3, err
+    assert f"{bad}:1:" in err
+
+
+# Integer fields given as a float or a bool; int() would read each as a valid
+# value (1.7 as 1, true as 1) and the command would exit 0.
+NOT_INTEGERS = [
+    ("distribution", "variables", [1.7, 2]),
+    ("distribution", "variables", [1, 2.9]),
+    ("distribution", "variables", [True, 2]),
+    ("distribution", "domain_sizes", [2, 2.9]),
+    ("learned", "alphabet", 2.9),
+]
+
+
+@pytest.mark.parametrize("kind, field, value", NOT_INTEGERS)
+def test_integer_field_that_is_not_an_integer_is_format_error(tmp_path, kind, field, value):
+    _inputs(tmp_path)
+    bad = tmp_path / ("bad-" + INPUTS[kind][0])
+    bad.write_text(json.dumps(dict(json.loads(INPUTS[kind][1]), **{field: value})))
+    code, err = _run(_command(tmp_path, kind, bad))
+    assert code == 3, err
+    assert f"{bad}:1:" in err
+
+
+def _leaves(value, path=()):
+    """Paths to the numbers of a nested list."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path
+
+
+def _entries(kind: str, key: str, leaf=None) -> tuple:
+    """(kind, paths): the paths in a valid file of kind to each probability
+    under key, read from each item's leaf field when leaf is given."""
+    raw = json.loads(INPUTS[kind][1])[key]
+    if leaf is None:
+        return kind, [(key, *p) for p in _leaves(raw)]
+    return kind, [(key, i, leaf, *p) for i, item in enumerate(raw) for p in _leaves(item[leaf])]
+
+
+PROBABILITIES = {
+    "model table cell": _entries("model", "cpts", "table"),
+    "model hidden prior": _entries("model", "hidden_priors"),
+    "learned row": _entries("learned", "cpts", "row"),
+    "distribution mass": _entries("distribution", "mass"),
+}
+BAD_PROBABILITIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(max_value=-1e-300, allow_infinity=False)
+)
+
+
+def _run_with(base: Path, kind: str, path: tuple, value) -> tuple[int, str]:
+    """Run kind's command on its valid file with the entry at path set to value."""
+    raw = json.loads(INPUTS[kind][1])
+    *parents, last = path
+    node = raw
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    bad = base / ("bad-" + INPUTS[kind][0])
+    bad.write_text(json.dumps(raw))
+    return _run(_command(base, kind, bad))
+
+
+@PROPERTY
+@given(
+    entry=st.sampled_from(sorted(PROBABILITIES)).flatmap(
+        lambda group: st.tuples(st.just(PROBABILITIES[group][0]), st.sampled_from(PROBABILITIES[group][1]))
+    ),
+    value=BAD_PROBABILITIES,
+)
+def test_non_finite_or_negative_probability_exits_3(tmp_path_factory, entry, value):
+    kind, path = entry
+    base = tmp_path_factory.mktemp("probability")
+    _inputs(base)
+    code, err = _run_with(base, kind, path, value)
+    assert code == 3, (kind, path, value, err)
+
+
+def test_hidden_prior_with_a_negative_entry_exits_3(tmp_path):
+    # [1.5, -0.5] sums to 1, so only the sign check refuses it.
+    _inputs(tmp_path)
+    code, err = _run_with(tmp_path, "model", ("hidden_priors", 0), [1.5, -0.5])
+    assert code == 3, err
+    assert "hidden prior 0 is not a distribution" in err

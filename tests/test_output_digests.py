@@ -59,6 +59,13 @@ def walkthrough_artifacts(base: Path) -> dict:
     # are pinned; only the timing's value is masked.
     blobs["report.raw.json"] = WALLCLOCK.sub(rb"\1<masked>", (base / "l.json.report.json").read_bytes())
     blobs["eval.stdout"] = eval_out.encode()
+    # The same learning with the walkthrough model as oracle: the report's
+    # tv_exact pins the exact joint (hidden priors included), the exact
+    # interventional and the learned model's dense form bit for bit.
+    truth = str(base / "l_truth.json")
+    _run(["learn-do", "--graph", g, "--samples", smp, "--x-var", "0", "--x-val", "1", *budget, "--seed", "14",
+          "--truth-model", mdl, "--out", truth])
+    blobs["report.truth.raw.json"] = WALLCLOCK.sub(rb"\1<masked>", Path(truth + ".report.json").read_bytes())
     # The experiment's CSV carries timings; its summary does not.
     spec, sweep = base / "sweep_spec.json", base / "sweep.csv"
     spec.write_text(json.dumps({"kind": "alpha-sweep", "alphas": [0.2], "n_effect": 2, "epsilon": 0.2,
