@@ -27,7 +27,7 @@ from .errors import (
     StateSpaceError,
 )
 from .files import decode_json, dump_json, read_text, write_text
-from .graph import Admg, c_components, load_graph, random_admg, save_graph
+from .graph import Admg, c_components, is_integer, load_graph, random_admg, save_graph
 from .intervene import (
     InterventionalModel,
     evaluate_do,
@@ -81,15 +81,26 @@ def format_significant(x: float, digits: int = 12) -> str:
     return format(Decimal(f"{x:.{digits - 1}e}"), "f")
 
 
-def _count(text: str) -> int:
-    """A sample count or threshold: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _argument(cast, need: str, ok):
+    """An argparse type: the text read by cast (int or float), refused with a
+    usage error unless ok holds of the value; NaN holds of no range."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    return parse
+
+
+_count = _argument(int, "at least 1", lambda v: v >= 1)  # sample counts, thresholds, sizes
+_nonnegative = _argument(int, "at least 0", lambda v: v >= 0)  # seeds, in-degrees
+_domain = _argument(int, "at least 2", lambda v: v >= 2)  # alphabet and hidden domain sizes
+_epsilon = _argument(float, "in (0, 1)", lambda v: 0 < v < 1)
+_alpha = _argument(float, "in (0, 1]", lambda v: 0 < v <= 1)
+_smoothing = _argument(float, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def parse_assignment(text: str, names: Sequence[str], alphabet_size: int) -> list[int]:
@@ -134,7 +145,7 @@ def _load_dense(path: str) -> DenseDistribution:
     raw = decode_json(read_text(path), path)
     try:
         ids, sizes = tuple(raw["variables"]), tuple(raw["domain_sizes"])
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in ids + sizes):
+        if not all(is_integer(v) for v in ids + sizes):
             raise ValueError("variables and domain_sizes must list integers")
         return DenseDistribution(ids, sizes, np.asarray(raw["mass"], dtype=float))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -185,6 +196,8 @@ def _resolve_budget(args, g: Admg, samples, x_node: int):
 
 
 def _cmd_gen_graph(args) -> int:
+    if args.x_var >= args.nodes:
+        raise UsageError(f"--x-var {args.x_var} must be below --nodes {args.nodes}")
     g = random_admg(
         n=args.nodes,
         max_in_degree=args.in_degree,
@@ -286,8 +299,8 @@ def _cmd_marginal(args) -> int:
     x_node = _node(g, args.x_var)
     x_val = _check_symbol(g, args.x_val)
     targets = [_node(g, s.strip()) for s in args.targets.split(",") if s.strip()]
-    if not targets:
-        raise UsageError("no target variables given")
+    if not targets or x_node in targets:
+        raise UsageError(f"targets must name variables other than {args.x_var}")
     m_requested, m_used, t, _, _ = _resolve_budget(args, g, samples, x_node)
     cfg = LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed)
     dense = learn_marginal_do(
@@ -315,16 +328,17 @@ def _cmd_experiment(args) -> int:
     if kind not in ("convergence", "alpha-sweep"):
         raise FormatError(f"{args.spec}:1: unknown experiment kind {kind!r}")
 
-    def field(key, need="an integer of at least 1", cast=int, ok=lambda v: v >= 1, required=True):
-        # A list is cast item by item; ok decides whether a list is wanted.
+    def field(key, need="an integer of at least 1", kinds=int, ok=lambda v: v >= 1, required=True):
+        # The value, or each item of a list, must be of kinds, and true and
+        # false are no number; ok decides whether a list is wanted.
         raw = spec.get(key)
         if raw is None and not required:
             return None
         try:
-            value = [cast(v) for v in raw] if isinstance(raw, list) else cast(raw)
-            if ok(value):
-                return value
-        except (TypeError, ValueError, OverflowError):
+            items = raw if isinstance(raw, list) else [raw]
+            if all(isinstance(v, kinds) and not isinstance(v, bool) for v in items) and ok(raw):
+                return raw
+        except (TypeError, OverflowError):
             pass
         raise FormatError(f"{args.spec}:1: {key} must be {need}, got {raw!r}")
 
@@ -332,7 +346,7 @@ def _cmd_experiment(args) -> int:
     seed = field("seed", "a nonnegative integer", ok=lambda v: v >= 0, required=False) or 0
     t = field("t", required=False)
     if kind == "convergence":
-        cbn = load_model(field("model", "a file name", cast=lambda v: v, ok=lambda v: isinstance(v, str)))
+        cbn = load_model(field("model", "a file name", str, lambda v: isinstance(v, str)))
         try:
             x_node = cbn.graph.node_index(spec.get("x_var"))
         except ValueError as e:
@@ -343,9 +357,9 @@ def _cmd_experiment(args) -> int:
         cfg = LearnConfig(t=t) if t is not None else None
         result = exp.convergence_experiment(cbn, x_node, x_val, m_grid, trials, cfg, seed=seed)
     else:
-        alphas = field("alphas", "a nonempty list of numbers", cast=float, ok=lambda v: isinstance(v, list) and v)
+        alphas = field("alphas", "a nonempty list of numbers", (int, float), lambda v: isinstance(v, list) and v)
         n_effect = field("n_effect")
-        epsilon = field("epsilon", "a finite number", cast=float, ok=math.isfinite)
+        epsilon = field("epsilon", "a finite number", (int, float), math.isfinite)
         m = field("m")
         confounded = bool(spec.get("confounded", False))
         try:  # the hard family's own range checks, on every instance the sweep builds
@@ -364,27 +378,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-graph", help="random identifiable ADMG")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--in-degree", type=int, required=True)
-    p.add_argument("--ccomp-size", type=int, required=True)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--x-var", type=int, default=0, help="node whose interventions must be identifiable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", type=_count, required=True)
+    p.add_argument("--in-degree", type=_nonnegative, required=True)
+    p.add_argument("--ccomp-size", type=_count, required=True)
+    p.add_argument("--alphabet", type=_domain, default=2)
+    p.add_argument("--x-var", type=_nonnegative, default=0, help="node whose interventions must be identifiable")
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_graph)
 
     p = sub.add_parser("gen-model", help="random ground-truth model on a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--lambda", dest="smoothing", type=float, default=0.0)
-    p.add_argument("--hidden-domain", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="smoothing", type=_smoothing, default=0.0)
+    p.add_argument("--hidden-domain", type=_domain, default=None)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_model)
 
     p = sub.add_parser("sample", help="draw observational samples")
     p.add_argument("--model", required=True)
     p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -393,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True)
     p.add_argument("--x-var", required=True)
     p.add_argument("--x-val", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=0.1)
+    p.add_argument("--alpha", type=_alpha, default=None)
     p.add_argument("--m", type=_count, default=None)
     p.add_argument("--t", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--truth-model", default=None, help="optional oracle for the report's exact TV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_learn_do)
@@ -410,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-do", help="draw from the learned interventional model")
     p.add_argument("--learned", required=True)
     p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample_do)
 
@@ -420,11 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-var", required=True)
     p.add_argument("--x-val", type=int, required=True)
     p.add_argument("--targets", required=True, help="comma-separated variable names")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--epsilon", type=_epsilon, default=0.1)
+    p.add_argument("--alpha", type=_alpha, default=None)
     p.add_argument("--m", type=_count, default=None)
     p.add_argument("--t", type=_count, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative, default=0)
     p.add_argument("--via-generator", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_marginal)

@@ -24,6 +24,12 @@ from .errors import (
 from .files import decode_json, dump_json, read_text, write_text
 
 
+def is_integer(v) -> bool:
+    """Whether v is an int or a numpy integer. A bool, which JSON true and
+    false decode to, is neither, though bool subclasses int."""
+    return type(v) is int or isinstance(v, np.integer)
+
+
 @dataclass(frozen=True)
 class Admg:
     """Mixed graph over observable variables sharing one finite alphabet.
@@ -553,13 +559,13 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
         if key not in raw:
             raise FormatError(f"{source}:1: missing required field {key!r}")
     n = raw["n"]
-    if not isinstance(n, int) or n <= 0:
+    if not is_integer(n) or n <= 0:
         fail("n", "n must be a positive integer")
     names = raw.get("names")
     if names is not None and (not isinstance(names, list) or len(names) != n):
         fail("names", f"names must list exactly {n} identifiers")
     alphabet = raw["alphabet"]
-    if not isinstance(alphabet, int) or alphabet < 2:
+    if not is_integer(alphabet) or alphabet < 2:
         fail("alphabet", "alphabet must be an integer >= 2")
 
     for key in ("directed", "bidirected"):
@@ -568,7 +574,7 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
             fail(key, f"{key} must be a list of [i, j] pairs")
         seen = set()
         for idx, pair in enumerate(edges):
-            if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, int) for v in pair)):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(is_integer(v) for v in pair)):
                 fail_edge(key, idx, f"{key}[{idx}] must be a pair of integers")
             i, j = pair
             if i == j:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FormatError, StateSpaceError
 from .files import decode_json, dump_json, read_text, write_text
 from .graph import (
-    Admg, c_components, effective_parents, parent_sets, require_identifiable, topological_order
+    Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, topological_order
 )
 from .identify import conditional_table
 from .model import (
@@ -294,7 +294,7 @@ def _is_symbol(s, alphabet: int) -> bool:
 
 
 def _is_node(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+    return is_integer(v) and v >= 0
 
 
 def _table_blocks(order, conditioning: dict, alphabet: int) -> tuple[dict[int, slice], int]:
@@ -565,22 +565,36 @@ def amplify(
 
 def learned_model_to_json(model: BayesNetModel) -> str:
     """Sparse JSON of a model: its fitted rows only, sorted by node and then
-    by assignment; every row not listed reads as uniform."""
+    by assignment; every row not listed reads as uniform. The bytes are
+    dump_json of the payload with one {"assignment", "node", "row"} dict per
+    row, but the entries are filled into one template per node: %r of a
+    finite float is what json writes for it."""
+    a = model.alphabet_size
     entries = []
     for node in sorted(model.order):
-        sizes = (model.alphabet_size,) * len(model.conditioning_sets[node])
+        width = len(model.conditioning_sets[node])
         idxs, rows = model.fitted_rows(node)
-        for idx, row in zip(idxs.tolist(), rows.tolist()):
-            entries.append({"node": node, "assignment": list(_decode(idx, sizes)), "row": row})
-    return dump_json({
-        "alphabet": model.alphabet_size,
+        template = (f'    {{\n      "assignment": {_list_template("%d", width)},\n'
+                    f'      "node": {node},\n      "row": {_list_template("%r", a)}\n    }}')
+        digits = [d.tolist() for d in _decode(idxs, (a,) * width)]
+        entries += [template % cells for cells in zip(*digits, *rows.T.tolist())]
+    header = dump_json({
+        "alphabet": a,
         "names": list(model.names) if model.names is not None else None,
         "order": list(model.order),
         "conditioning_sets": {str(v): list(z) for v, z in model.conditioning_sets.items()},
         "x_substitution": list(model.x_substitution) if model.x_substitution else None,
         "substituted_nodes": sorted(model.substituted_nodes),
-        "cpts": entries,
+        "cpts": [],
     })
+    cpts = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    # JSON strings hold no raw newline, so the first top-level "cpts" line is the key's own.
+    return header.replace('\n  "cpts": []', '\n  "cpts": ' + cpts, 1)
+
+
+def _list_template(item: str, count: int) -> str:
+    """The indent=2 layout of a list of count items at entry depth."""
+    return "[" + ",".join(["\n        " + item] * count) + "\n      ]" if count else "[]"
 
 
 def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetModel:

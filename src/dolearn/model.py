@@ -274,12 +274,13 @@ def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> n
     return key
 
 
-def _decode(index: int, sizes) -> tuple[int, ...]:
-    """The big-endian digits of index over the radices sizes; inverse of _encode."""
+def _decode(index, sizes) -> tuple:
+    """The big-endian digits of index over the radices sizes; inverse of
+    _encode. An integer array of indices gives one digit array per radix."""
     out = []
     for s in reversed(sizes):
         out.append(index % s)
-        index //= s
+        index = index // s
     return tuple(reversed(out))
 
 

@@ -400,6 +400,15 @@ class TestExperimentCommand:
         ("trials", 0),
         ("seed", -1),
         ("model", 5),
+        ("model", ["m.json"]),
+        # Fractions and bools that int() would read as valid values.
+        ("trials", 1.7),
+        ("trials", True),
+        ("m_grid", [200.9]),
+        ("m_grid", [100, True]),
+        ("x_val", True),
+        ("seed", False),
+        ("t", 5.5),
     ])
     def test_bad_convergence_field_is_format_error(self, tmp_path, capsys, key, value):
         # The model is binary; a None value leaves the field out.
@@ -423,6 +432,10 @@ class TestExperimentCommand:
         ("m", 0),
         ("trials", 0),
         ("n_effect", None),
+        ("m", 200.5),
+        ("n_effect", True),
+        ("alphas", [0.1, True]),
+        ("epsilon", False),
     ])
     def test_bad_alpha_sweep_field_is_format_error(self, tmp_path, capsys, key, value):
         fields = {"kind": "alpha-sweep", "alphas": [0.1, 0.4], "n_effect": 4,
@@ -433,6 +446,14 @@ class TestExperimentCommand:
         code, _, err = run(capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
         assert code == 3
         assert f"{spec}:1: " in err
+
+    def test_integer_in_a_number_field_reaches_the_range_check(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "alpha-sweep", "alphas": [1], "n_effect": 4,
+                                    "epsilon": 0.2, "m": 200, "trials": 2, "seed": 0}))
+        code, _, err = run(capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert f"{spec}:1: alpha must lie" in err
 
     def test_top_level_array_is_format_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -195,6 +195,26 @@ def test_integer_field_that_is_not_an_integer_is_format_error(tmp_path, kind, fi
     assert f"{bad}:1:" in err
 
 
+# Graph fields given as true or false, each in a graph that would otherwise
+# load (true read as node 1 or as one node).
+BOOL_GRAPHS = {
+    "n": {"n": True, "alphabet": 2, "directed": [], "bidirected": []},
+    "alphabet": {"n": 2, "alphabet": True, "directed": [], "bidirected": []},
+    "directed": {"n": 3, "alphabet": 2, "directed": [[True, 2]], "bidirected": []},
+    "bidirected": {"n": 3, "alphabet": 2, "directed": [], "bidirected": [[False, 2]]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_GRAPHS))
+def test_graph_field_that_is_a_bool_is_format_error(tmp_path, field):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(BOOL_GRAPHS[field], indent=2))
+    code, err = _run(["gen-model", "--graph", str(graph), "--out", str(tmp_path / "m.json")])
+    assert code == 3, err
+    assert f"{graph}:" in err and field in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def _leaves(value, path=()):
     """Paths to the numbers of a nested list."""
     if isinstance(value, list):
