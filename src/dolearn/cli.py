@@ -16,16 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import experiments as exp
-from .errors import (
-    FormatError,
-    GenerationError,
-    GraphCycleError,
-    IdentifiabilityError,
-    ReductionInvariantError,
-    NormalizationError,
-    PositivityError,
-    StateSpaceError,
-)
+from .errors import DolearnError, FormatError
 from .files import decode_json, dump_json, read_text, write_text
 from .graph import Admg, c_components, is_integer, load_graph, random_admg, save_graph
 from .intervene import (
@@ -46,6 +37,7 @@ from .learn import (
 )
 from .model import (
     DenseDistribution,
+    SampleBatch,
     exact_interventional,
     load_model,
     load_samples,
@@ -55,17 +47,6 @@ from .model import (
     save_samples,
     tv_distance,
 )
-
-CONTRACT_ERRORS = (
-    IdentifiabilityError,
-    PositivityError,
-    StateSpaceError,
-    NormalizationError,
-    ReductionInvariantError,
-    GraphCycleError,
-    GenerationError,
-)
-
 
 class UsageError(Exception):
     pass
@@ -159,15 +140,21 @@ def _node(g: Admg, spec) -> int:
         raise UsageError(str(e)) from None
 
 
-def _check_symbol(g: Admg, val: int) -> int:
-    if not 0 <= val < g.alphabet_size:
-        raise UsageError(f"value {val} outside alphabet [0, {g.alphabet_size})")
-    return val
+def _learner_inputs(args) -> tuple[Admg, SampleBatch, int]:
+    """The graph and samples that --graph and --samples name, and the node of
+    --x-var; --x-val must be a symbol of the graph's alphabet."""
+    g = load_graph(args.graph)
+    samples = load_samples(args.samples, g.names, g.alphabet_size)
+    x_node = _node(g, args.x_var)
+    if not 0 <= args.x_val < g.alphabet_size:
+        raise UsageError(f"value {args.x_val} outside alphabet [0, {g.alphabet_size})")
+    return g, samples, x_node
 
 
 def _resolve_budget(args, g: Admg, samples, x_node: int):
-    """(m_used, t, alpha_report) from either explicit --m/--t or the
-    worst-case formulas driven by --epsilon."""
+    """(m requested, m used, learner config, alpha estimate, whether it was
+    floored) from either explicit --m/--t or the worst-case formulas driven
+    by --epsilon."""
     k = c_components(g).max_size
     d = g.max_in_degree
     n = g.node_count
@@ -192,7 +179,7 @@ def _resolve_budget(args, g: Admg, samples, x_node: int):
         m_requested = plan.m
         t = args.t if args.t is not None else plan.t
     m_used = min(m_requested, samples.size)
-    return m_requested, m_used, t, alpha_est, floored
+    return m_requested, m_used, LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed), alpha_est, floored
 
 
 def _cmd_gen_graph(args) -> int:
@@ -226,13 +213,9 @@ def _cmd_sample(args) -> int:
 
 def _cmd_learn_do(args) -> int:
     start = time.perf_counter()
-    g = load_graph(args.graph)
-    samples = load_samples(args.samples, g.names, g.alphabet_size)
-    x_node = _node(g, args.x_var)
-    x_val = _check_symbol(g, args.x_val)
-    m_requested, m_used, t, alpha_est, floored = _resolve_budget(args, g, samples, x_node)
-    cfg = LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed)
-    model = learn_do(samples.head(m_used), g, x_node, x_val, cfg)
+    g, samples, x_node = _learner_inputs(args)
+    m_requested, m_used, cfg, alpha_est, floored = _resolve_budget(args, g, samples, x_node)
+    model = learn_do(samples.head(m_used), g, x_node, args.x_val, cfg)
     save_learned_model(model, args.out)
 
     tv_exact = None
@@ -249,7 +232,7 @@ def _cmd_learn_do(args) -> int:
         "wallclock_ms": round((time.perf_counter() - start) * 1000.0, 3),
         "seed": args.seed,
         "params": {
-            "t": t,
+            "t": cfg.t,
             "m_requested": m_requested,
             "alpha_floored": floored,
             "n": g.node_count,
@@ -294,17 +277,13 @@ def _cmd_sample_do(args) -> int:
 
 
 def _cmd_marginal(args) -> int:
-    g = load_graph(args.graph)
-    samples = load_samples(args.samples, g.names, g.alphabet_size)
-    x_node = _node(g, args.x_var)
-    x_val = _check_symbol(g, args.x_val)
+    g, samples, x_node = _learner_inputs(args)
     targets = [_node(g, s.strip()) for s in args.targets.split(",") if s.strip()]
     if not targets or x_node in targets:
         raise UsageError(f"targets must name variables other than {args.x_var}")
-    m_requested, m_used, t, _, _ = _resolve_budget(args, g, samples, x_node)
-    cfg = LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed)
+    _, m_used, cfg, _, _ = _resolve_budget(args, g, samples, x_node)
     dense = learn_marginal_do(
-        samples.head(m_used), g, x_node, x_val, targets, cfg, via_generator=args.via_generator
+        samples.head(m_used), g, x_node, args.x_val, targets, cfg, via_generator=args.via_generator
     )
     write_text(args.out, _dense_to_json(dense, [g.names[v] for v in dense.variable_ids]))
     return 0
@@ -328,15 +307,16 @@ def _cmd_experiment(args) -> int:
     if kind not in ("convergence", "alpha-sweep"):
         raise FormatError(f"{args.spec}:1: unknown experiment kind {kind!r}")
 
-    def field(key, need="an integer of at least 1", kinds=int, ok=lambda v: v >= 1, required=True):
-        # The value, or each item of a list, must be of kinds, and true and
-        # false are no number; ok decides whether a list is wanted.
+    def field(key, need="an integer of at least 1", kinds=(int,), ok=lambda v: v >= 1, required=True):
+        # The value, or each item of a list, must be of one of the types
+        # kinds, so true and false are no number; ok decides whether a list
+        # is wanted.
         raw = spec.get(key)
         if raw is None and not required:
             return None
         try:
             items = raw if isinstance(raw, list) else [raw]
-            if all(isinstance(v, kinds) and not isinstance(v, bool) for v in items) and ok(raw):
+            if all(type(v) in kinds for v in items) and ok(raw):
                 return raw
         except (TypeError, OverflowError):
             pass
@@ -346,7 +326,7 @@ def _cmd_experiment(args) -> int:
     seed = field("seed", "a nonnegative integer", ok=lambda v: v >= 0, required=False) or 0
     t = field("t", required=False)
     if kind == "convergence":
-        cbn = load_model(field("model", "a file name", str, lambda v: isinstance(v, str)))
+        cbn = load_model(field("model", "a file name", (str,), lambda v: isinstance(v, str)))
         try:
             x_node = cbn.graph.node_index(spec.get("x_var"))
         except ValueError as e:
@@ -361,7 +341,8 @@ def _cmd_experiment(args) -> int:
         n_effect = field("n_effect")
         epsilon = field("epsilon", "a finite number", (int, float), math.isfinite)
         m = field("m")
-        confounded = bool(spec.get("confounded", False))
+        confounded = field("confounded", "true or false", (bool,), lambda v: isinstance(v, bool),
+                           required=False) or False
         try:  # the hard family's own range checks, on every instance the sweep builds
             for alpha in alphas:
                 exp.HardInstanceSpec(n_effect, alpha, epsilon, ((1,) * n_effect,), confounded=confounded)
@@ -371,6 +352,26 @@ def _cmd_experiment(args) -> int:
     write_text(args.out, result.to_csv())
     write_text(args.out + ".summary.json", dump_json(result.summary()))
     return 0
+
+
+def _add_learner(sub, name: str, help: str, func, own: dict) -> None:
+    """Add a command that learns from --samples over --graph under do(--x-var =
+    --x-val); own maps its further flags to add_argument options. They come
+    before --out, as usage errors list the missing flags in declared order."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("--graph", required=True)
+    p.add_argument("--samples", required=True)
+    p.add_argument("--x-var", required=True)
+    p.add_argument("--x-val", type=int, required=True)
+    p.add_argument("--epsilon", type=_epsilon, default=0.1)
+    p.add_argument("--alpha", type=_alpha, default=None)
+    p.add_argument("--m", type=_count, default=None)
+    p.add_argument("--t", type=_count, default=None)
+    p.add_argument("--seed", type=_nonnegative, default=0)
+    for flag, options in own.items():
+        p.add_argument(flag, **options)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,19 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("learn-do", help="learn the interventional distribution")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--x-var", required=True)
-    p.add_argument("--x-val", type=int, required=True)
-    p.add_argument("--epsilon", type=_epsilon, default=0.1)
-    p.add_argument("--alpha", type=_alpha, default=None)
-    p.add_argument("--m", type=_count, default=None)
-    p.add_argument("--t", type=_count, default=None)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--truth-model", default=None, help="optional oracle for the report's exact TV")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_learn_do)
+    _add_learner(sub, "learn-do", "learn the interventional distribution", _cmd_learn_do,
+                 {"--truth-model": dict(default=None, help="optional oracle for the report's exact TV")})
 
     p = sub.add_parser("eval", help="probability of one assignment under the learned model")
     p.add_argument("--learned", required=True)
@@ -428,20 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample_do)
 
-    p = sub.add_parser("marginal", help="marginal interventional distribution over targets")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--x-var", required=True)
-    p.add_argument("--x-val", type=int, required=True)
-    p.add_argument("--targets", required=True, help="comma-separated variable names")
-    p.add_argument("--epsilon", type=_epsilon, default=0.1)
-    p.add_argument("--alpha", type=_alpha, default=None)
-    p.add_argument("--m", type=_count, default=None)
-    p.add_argument("--t", type=_count, default=None)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--via-generator", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_marginal)
+    _add_learner(sub, "marginal", "marginal interventional distribution over targets", _cmd_marginal, {
+        "--targets": dict(required=True, help="comma-separated variable names"),
+        "--via-generator": dict(action="store_true"),
+    })
 
     p = sub.add_parser("tv", help="total variation between two stored distributions")
     p.add_argument("--dense-a", required=True)
@@ -456,28 +436,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
+        args = build_parser().parse_args(list(argv))
+        return args.func(args) or 0
     except SystemExit as e:  # help text path
         return int(e.code or 0)
-    try:
-        return args.func(args) or 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except FormatError as e:
+    except (FormatError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 3
-    except CONTRACT_ERRORS as e:
+    except DolearnError as e:  # identifiability, positivity, guards
         print(f"contract violation: {e}", file=sys.stderr)
         return 4
-    except OSError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
     except Exception as e:  # single funnel to exit code 5
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 5

@@ -518,12 +518,10 @@ def graph_to_json(g: Admg) -> str:
     return dump_json(graph_payload(g))
 
 
-def _line_of(text: str, pattern: str, occurrence: int = 0) -> int:
-    """1-based line of the given regex occurrence; falls back to line 1."""
-    for idx, m in enumerate(re.finditer(pattern, text)):
-        if idx == occurrence:
-            return text.count("\n", 0, m.start()) + 1
-    return 1
+def _line_of(text: str, pattern: str) -> int:
+    """1-based line of the first match of the regex; falls back to line 1."""
+    m = re.search(pattern, text)
+    return text.count("\n", 0, m.start()) + 1 if m else 1
 
 
 def _edge_line(text: str, key: str, index: int) -> int:
@@ -547,8 +545,8 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
     if not isinstance(raw, dict):
         raise FormatError(f"{source}:1: expected a JSON object")
 
-    def fail(key, msg, occurrence=0):
-        line = _line_of(text, rf'"{re.escape(key)}"\s*:', occurrence)
+    def fail(key, msg):
+        line = _line_of(text, rf'"{re.escape(key)}"\s*:')
         raise FormatError(f"{source}:{line}: {msg}")
 
     def fail_edge(key, idx, msg):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -129,6 +130,8 @@ class BayesNetModel:
             for node in self.substituted_nodes:
                 if x_node in self.conditioning_sets[node]:
                     raise ValueError(f"substituted node {node} still conditions on {x_node}")
+                if not _is_node(node):  # true and 1.0 find node 1's conditioning set
+                    raise ValueError(f"substituted node {node!r} must be a node index")
         a = self.alphabet_size
         blocks, total = _table_blocks(self.order, self.conditioning_sets, a)
         self.values = np.ascontiguousarray(self.values, dtype=float)
@@ -173,6 +176,8 @@ class BayesNetModel:
         groups: dict[int, tuple[list, list, list]] = {}
         for (node, assignment), row in cpts.items():
             width = len(conditioning_sets[node])
+            if not is_integer(node):  # true and 1.0 find node 1's conditioning set
+                raise ValueError(f"node {node!r} of an entry must be a node index")
             if len(assignment) != width:
                 raise ValueError(f"assignment arity mismatch for node {node}")
             starts, keys, rows = groups.setdefault(width, ([], [], []))
@@ -181,9 +186,11 @@ class BayesNetModel:
             rows.append(row)
         for width, (starts, keys, rows) in groups.items():
             symbols = np.array([assignment for _, assignment in keys])
+            # The types are scanned, as numpy reads true and false mixed with
+            # integers as integers.
             if width and not (
                 symbols.shape == (len(keys), width)
-                and symbols.dtype.kind in "biu"
+                and all(map(is_integer, chain.from_iterable(assignment for _, assignment in keys)))
                 and symbols.min() >= 0
                 and symbols.max() < a
             ):
@@ -290,7 +297,7 @@ def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:
 
 
 def _is_symbol(s, alphabet: int) -> bool:
-    return isinstance(s, (int, np.integer)) and 0 <= s < alphabet
+    return is_integer(s) and 0 <= s < alphabet
 
 
 def _is_node(v) -> bool:

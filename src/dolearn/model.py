@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import FormatError, StateSpaceError
 from .files import decode_json, dump_json, read_text, write_text
-from .graph import Admg, graph_from_payload, graph_payload, topological_order
+from .graph import Admg, graph_from_payload, graph_payload, is_integer, topological_order
 
 STATE_SPACE_LIMIT = 2**24
 
@@ -108,9 +108,6 @@ class SampleBatch:
     @property
     def size(self) -> int:
         return self.data.shape[0]
-
-    def column(self, node: int) -> np.ndarray:
-        return self.data[:, self.columns.index(node)]
 
     def by_node(self) -> np.ndarray:
         """Data rearranged so column j holds node j's symbols; requires the
@@ -385,19 +382,18 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
     g = graph_from_payload(raw["graph"], source=f"{source}#graph")
     try:
         priors = tuple(np.asarray(p, dtype=float) for p in raw["hidden_priors"])
-        cpts = tuple(
-            NodeCpt(
-                node=entry["node"],
-                obs_parents=tuple(entry["obs_parents"]),
-                hidden_parents=tuple(entry["hidden_parents"]),
-                table=np.asarray(entry["table"], dtype=float),
-            )
-            for entry in raw["cpts"]
-        )
+        cpts = []
+        for entry in raw["cpts"]:
+            node, obs, hidden = entry["node"], tuple(entry["obs_parents"]), tuple(entry["hidden_parents"])
+            # true and 1.0 equal 1 and pass the graph check, but numpy reads
+            # true as a mask and refuses 1.0 as an index.
+            if not all(is_integer(v) for v in (node, *obs, *hidden)):
+                raise ValueError(f"node, obs_parents and hidden_parents of node {node!r} must be integers")
+            cpts.append(NodeCpt(node, obs, hidden, np.asarray(entry["table"], dtype=float)))
         hidden_domain = int(raw["hidden_domain"])
         if hidden_domain != raw["hidden_domain"]:
             raise ValueError(f"hidden_domain {raw['hidden_domain']!r} is not an integer")
-        return GroundTruthCbn(g, hidden_domain, priors, cpts)
+        return GroundTruthCbn(g, hidden_domain, priors, tuple(cpts))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid model: {e}") from None
 

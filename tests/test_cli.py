@@ -238,6 +238,7 @@ class TestExitCodes:
         ("row", [float("inf"), 0.0]),
         ("assignment", [2]),
         ("assignment", [-1]),
+        ("assignment", [True]),
     ])
     def test_bad_learned_row_is_input_error(self, pipeline, tmp_path, capsys, field, value):
         graph, model, samples = pipeline
@@ -261,6 +262,10 @@ class TestExitCodes:
         ("x_substitution", [0]),
         ("x_substitution", [9, 1]),
         ("x_substitution", [0, 7]),
+        # The learned x_substitution is [0, 1] and substituted_nodes [1, 2]:
+        # true equals 1.
+        ("x_substitution", [0, True]),
+        ("substituted_nodes", [True, 2]),
     ])
     def test_malformed_learned_model_is_input_error(self, pipeline, tmp_path, capsys, command, field, value):
         graph, model, samples = pipeline
@@ -277,6 +282,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert f"input error: {learned}:1: " in err and out == ""
+
+    def test_bool_node_of_learned_entry_is_input_error(self, pipeline, tmp_path, capsys):
+        # true equals 1, so the entry would still read as one of node 1's.
+        graph, model, samples = pipeline
+        learned = tmp_path / "learned.json"
+        run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+            "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
+        raw = json.loads(learned.read_text())
+        next(e for e in raw["cpts"] if e["node"] == 1)["node"] = True
+        learned.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "eval", "--learned", str(learned), "--assignment", "v1=0,v2=1,v3=0,v4=1")
+        assert code == 3
+        assert f"input error: {learned}:1: invalid learned model: node True" in err and out == ""
 
     def test_tv_over_different_variables_is_input_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -436,6 +454,9 @@ class TestExperimentCommand:
         ("n_effect", True),
         ("alphas", [0.1, True]),
         ("epsilon", False),
+        ("confounded", "no"),
+        ("confounded", 1),
+        ("confounded", [True]),
     ])
     def test_bad_alpha_sweep_field_is_format_error(self, tmp_path, capsys, key, value):
         fields = {"kind": "alpha-sweep", "alphas": [0.1, 0.4], "n_effect": 4,
