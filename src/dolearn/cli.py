@@ -334,8 +334,7 @@ def _cmd_experiment(args) -> int:
         a = cbn.graph.alphabet_size
         x_val = field("x_val", f"a symbol in [0, {a})", ok=lambda v: 0 <= v < a)
         m_grid = field("m_grid", "a nonempty list of counts", ok=lambda v: isinstance(v, list) and v and min(v) >= 1)
-        cfg = LearnConfig(t=t) if t is not None else None
-        result = exp.convergence_experiment(cbn, x_node, x_val, m_grid, trials, cfg, seed=seed)
+        result = exp.convergence_experiment(cbn, x_node, x_val, m_grid, trials, t, seed)
     else:
         alphas = field("alphas", "a nonempty list of numbers", (int, float), lambda v: isinstance(v, list) and v)
         n_effect = field("n_effect")

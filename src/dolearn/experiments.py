@@ -26,6 +26,7 @@ from .model import (
     GroundTruthCbn,
     NodeCpt,
     _decode,
+    derived_seed,
     exact_interventional,
     sample_observational,
     tv_distance,
@@ -257,8 +258,19 @@ def _tv_spread(rows: list, keys: list) -> tuple[dict, dict]:
     return medians, quartiles
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+def _learned_tvs(cbn: GroundTruthCbn, x_node: int, x_val: int, t: Optional[int], runs) -> list:
+    """(tv, seconds) of one trial per (m, seed) of runs: sample m rows of cbn,
+    learn_do at threshold t, TV of its joint to the exact interventional."""
+    g = cbn.graph
+    oracle = exact_interventional(cbn, x_node, x_val)
+    keep = [v for v in range(g.node_count) if v != x_node]
+    cfg = LearnConfig(t=t) if t is not None else None
+    out = []
+    for m, seed in runs:
+        start = time.perf_counter()
+        model = learn_do(sample_observational(cbn, m, seed=seed), g, x_node, x_val, cfg)
+        out.append((tv_distance(oracle, model_to_dense(model, keep)), time.perf_counter() - start))
+    return out
 
 
 def convergence_experiment(
@@ -267,22 +279,14 @@ def convergence_experiment(
     x_val: int,
     m_grid: Sequence[int],
     trials: int,
-    cfg: Optional[LearnConfig] = None,
+    t: Optional[int] = None,
     seed: int = 0,
 ) -> ExperimentResult:
     """Exact TV against the oracle across a grid of sample budgets, with the
     fitted log-log slope of the medians."""
-    g = cbn.graph
-    oracle = exact_interventional(cbn, x_node, x_val)
-    keep = [v for v in range(g.node_count) if v != x_node]
-    rows = []
-    for m in m_grid:
-        for trial in range(trials):
-            start = time.perf_counter()
-            batch = sample_observational(cbn, int(m), seed=_derived_seed(seed, int(m), trial))
-            model = learn_do(batch, g, x_node, x_val, cfg)
-            tv = tv_distance(oracle, model_to_dense(model, keep))
-            rows.append((int(m), trial, tv, time.perf_counter() - start))
+    keys = [(int(m), trial) for m in m_grid for trial in range(trials)]
+    tvs = _learned_tvs(cbn, x_node, x_val, t, [(m, derived_seed(seed, m, trial)) for m, trial in keys])
+    rows = [(m, trial, *tv) for (m, trial), tv in zip(keys, tvs)]
     medians, quartiles = _tv_spread(rows, [int(m) for m in m_grid])
     xs = np.log(np.array(sorted(medians), dtype=float))
     ys = np.log(np.array([medians[m] for m in sorted(medians)]))
@@ -303,18 +307,9 @@ def alpha_sweep_experiment(
     """Median learned TV at a fixed budget across positivity levels."""
     codeword = tuple([1] * n_effect)
     rows = []
-    cfg = LearnConfig(t=t) if t is not None else None
     for alpha in alphas:
-        spec = HardInstanceSpec(n_effect, float(alpha), epsilon, (codeword,), confounded=confounded)
-        cbn = build_hard_instance(spec)
-        x_node = 1
-        oracle = exact_interventional(cbn, x_node, 1)
-        keep = [v for v in range(cbn.graph.node_count) if v != x_node]
-        for trial in range(trials):
-            start = time.perf_counter()
-            batch = sample_observational(cbn, m, seed=_derived_seed(seed, trial, int(alpha * 10**9)))
-            model = learn_do(batch, cbn.graph, x_node, 1, cfg)
-            tv = tv_distance(oracle, model_to_dense(model, keep))
-            rows.append((float(alpha), trial, tv, time.perf_counter() - start))
+        cbn = build_hard_instance(HardInstanceSpec(n_effect, float(alpha), epsilon, (codeword,), confounded=confounded))
+        runs = [(m, derived_seed(seed, trial, int(alpha * 10**9))) for trial in range(trials)]
+        rows += [(float(alpha), trial, *tv) for trial, tv in enumerate(_learned_tvs(cbn, 1, 1, t, runs))]
     medians, quartiles = _tv_spread(rows, [float(alpha) for alpha in alphas])
     return ExperimentResult("alpha", rows, medians, quartiles)

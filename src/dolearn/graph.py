@@ -8,6 +8,7 @@ All types are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import heapq
+import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -36,8 +37,9 @@ class Admg:
 
     Invariants checked at construction: directed edges acyclic, no self-loops,
     endpoints in range, bidirected edges canonical (lo, hi) without duplicates.
-    Adjacency, topological order and c-component partition are derived once
-    here; they are not fields, so == and hash see the edges only.
+    Adjacency, topological order, c-component partition and the node of each
+    name are derived once here; they are not fields, so == and hash see the
+    edges only.
     """
 
     node_count: int
@@ -90,6 +92,7 @@ class Admg:
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
         object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
         object.__setattr__(self, "_partition", _bidirected_partition(self._neighbours))
+        object.__setattr__(self, "_node_of_name", {s: i for i, s in enumerate(names)})
 
     @property
     def max_in_degree(self) -> int:
@@ -102,15 +105,16 @@ class Admg:
         return self._children[node]
 
     def node_index(self, name_or_index) -> int:
-        """Resolve a node given either its display name or its integer index."""
-        if isinstance(name_or_index, int) or (isinstance(name_or_index, str) and name_or_index.isdigit()):
-            idx = int(name_or_index)
-            require_nodes(self, (idx,))
-            return idx
-        try:
-            return self.names.index(name_or_index)
-        except ValueError:
-            raise ValueError(f"unknown variable name {name_or_index!r}") from None
+        """The node a string names; otherwise the node whose index is given as
+        an integer or its ASCII decimal text. A bool is neither."""
+        text = isinstance(name_or_index, str)
+        if text and name_or_index in self._node_of_name:
+            return self._node_of_name[name_or_index]
+        if not (name_or_index.isascii() and name_or_index.isdigit() if text else is_integer(name_or_index)):
+            raise ValueError(f"unknown variable name {name_or_index!r}")
+        idx = int(name_or_index)
+        require_nodes(self, (idx,))
+        return idx
 
 
 @dataclass(frozen=True)
@@ -525,14 +529,21 @@ def _line_of(text: str, pattern: str) -> int:
 
 
 def _edge_line(text: str, key: str, index: int) -> int:
-    key_m = re.search(rf'"{key}"\s*:', text)
+    """1-based line where element index of the list under key starts, found by
+    decoding the elements before it; the key's line, or 1, when that fails."""
+    key_m = re.search(rf'"{key}"\s*:\s*\[', text)
     if key_m is None:
         return 1
-    tail = text[key_m.end() :]
-    for idx, m in enumerate(re.finditer(r"\[\s*\d+\s*,\s*\d+\s*\]", tail)):
-        if idx == index:
-            return text.count("\n", 0, key_m.end() + m.start()) + 1
-    return text.count("\n", 0, key_m.start()) + 1
+    skip = re.compile(r"[ \t\n\r]*")  # JSON whitespace
+    decode = json.JSONDecoder().raw_decode
+    pos = key_m.end()
+    try:
+        for _ in range(index):
+            pos = decode(text, skip.match(text, pos).end())[1]
+            pos = skip.match(text, pos).end() + 1  # past the comma
+    except ValueError:
+        return text.count("\n", 0, key_m.start()) + 1
+    return text.count("\n", 0, skip.match(text, pos).end()) + 1
 
 
 def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
@@ -562,6 +573,8 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
     names = raw.get("names")
     if names is not None and (not isinstance(names, list) or len(names) != n):
         fail("names", f"names must list exactly {n} identifiers")
+    if names is not None and not all(isinstance(s, str) for s in names):
+        fail("names", f"names must be strings, not {next(s for s in names if not isinstance(s, str))!r}")
     alphabet = raw["alphabet"]
     if not is_integer(alphabet) or alphabet < 2:
         fail("alphabet", "alphabet must be an integer >= 2")

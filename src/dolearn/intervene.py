@@ -20,7 +20,6 @@ from .graph import (
     reduce_for_marginal,
     require_identifiable,
     require_nodes,
-    topological_order,
 )
 from .learn import (
     BayesNetModel,
@@ -30,7 +29,8 @@ from .learn import (
     learn_do,
 )
 from .model import (
-    DenseDistribution, SampleBatch, _encode, _product, draw_from_cdf, empirical_marginal, require_state_space
+    DenseDistribution, SampleBatch, _encode, _product, derived_seed, draw_from_cdf, empirical_marginal,
+    require_state_space,
 )
 
 ENUMERATION_LIMIT = 2**16
@@ -47,30 +47,15 @@ class InterventionalModel:
     def __post_init__(self):
         if self.dx.x_substitution != (self.x_node, self.x_val):
             raise ValueError("model's substitution does not match the declared intervention")
-        # The steps of the factors that read x: its own and those of the
-        # nodes that condition on it.
-        x, dx = self.x_node, self.dx
-        x_steps = tuple(step for step, v in zip(dx._steps, dx.order) if v == x or x in dx.conditioning_sets[v])
-        object.__setattr__(self, "_x_steps", x_steps)
+        object.__setattr__(self, "_x_steps", self.dx.steps_reading(self.x_node))
 
 
 def evaluate_do(im: InterventionalModel, w: dict) -> float:
-    """Probability of a full assignment to the non-intervened variables:
-    the substituted joint summed over the intervened coordinate. Only the
-    factors that read x are recomputed for each value of x, so a query costs
-    O(n + |alphabet| * |factors reading x|). Raises ValueError when w misses
-    a non-intervened variable or holds a value outside the alphabet."""
-    dx = im.dx
-    assignment = dict(w)
-    assignment[im.x_node] = 0
-    factors = dx.factors(assignment)
-    total = 0.0
-    for x_prime in range(dx.alphabet_size):
-        if x_prime:
-            assignment[im.x_node] = x_prime
-            dx._fill(factors, assignment, im._x_steps)
-        total += math.prod(factors, start=1.0)
-    return total
+    """Probability of a full assignment to the non-intervened variables: the
+    substituted joint summed over x, in O(n + |alphabet| * |factors reading x|).
+    Raises ValueError when w misses a non-intervened variable or holds a value
+    outside the alphabet."""
+    return im.dx.joint_summed_over(w, im.x_node, im._x_steps)
 
 
 def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch:
@@ -164,20 +149,14 @@ def build_split_evaluator(
     samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Optional[LearnConfig] = None
 ) -> SplitDoEvaluator:
     """Learn the split evaluator from observational rows."""
-
-    def fit(y_set, pinned):
-        return learn_ccomponent_intervention(samples, g, y_set, pinned, cfg)
-
-    return _build_split(g, x_node, x_val, fit)
+    return _build_split(
+        g, x_node, x_val, lambda y_set, pinned: learn_ccomponent_intervention(samples, g, y_set, pinned, cfg)
+    )
 
 
 def build_split_evaluator_exact(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> SplitDoEvaluator:
     """Split evaluator with exact conditionals substituted for learned rows."""
-
-    def fit(y_set, pinned):
-        return exact_ccomponent_model(p, g, y_set, pinned)
-
-    return _build_split(g, x_node, x_val, fit)
+    return _build_split(g, x_node, x_val, lambda y_set, pinned: exact_ccomponent_model(p, g, y_set, pinned))
 
 
 def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
@@ -188,16 +167,10 @@ def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
             raise ValueError(f"the assignment gives no value to variable {v}")
         if w[v] not in range(ev.alphabet_size):
             raise ValueError(f"value {w[v]!r} of variable {v} lies outside the alphabet of size {ev.alphabet_size}")
-    a = tuple(w[v] for v in ev.head_vars)
-    b = tuple(w[v] for v in ev.border_vars)
-    head_model = ev.head_tables[b]
-    tail_model = ev.tail_tables[a]
-    head_assignment = {v: w[v] for v in ev.head_vars}
-    head_val = 0.0
-    for x_prime in range(ev.alphabet_size):
-        head_assignment[ev.x_node] = x_prime
-        head_val += head_model.joint_probability(head_assignment)
-    tail_val = tail_model.joint_probability({v: w[v] for v in ev.border_vars + ev.tail_vars})
+    head = {v: w[v] for v in ev.head_vars}
+    head_model = ev.head_tables[tuple(w[v] for v in ev.border_vars)]
+    head_val = head_model.joint_summed_over(head, ev.x_node, head_model.steps_reading(ev.x_node))
+    tail_val = ev.tail_tables[tuple(head.values())].joint_probability({v: w[v] for v in ev.border_vars + ev.tail_vars})
     return head_val * tail_val
 
 
@@ -232,20 +205,17 @@ def learn_marginal_do(
         model = learn_do(samples, g, x_node, x_val, cfg)
         im = InterventionalModel(model, x_node, x_val)
         count = generator_sample_count(g.alphabet_size, len(f), cfg.epsilon)
-        draw_seed = int(np.random.SeedSequence([cfg.seed, 1]).generate_state(1)[0])
-        draws = sample_do(im, count, seed=draw_seed)
+        draws = sample_do(im, count, seed=derived_seed(cfg.seed, 1))
         return empirical_marginal(draws, f, g.alphabet_size)
 
     pruned = prune_to_ancestors(g, set(f) | {x_node})
     to_pruned = {v: i for i, v in enumerate(pruned.nodes)}
     reduction = reduce_for_marginal(pruned.admg, to_pruned[x_node], [to_pruned[v] for v in f])
-    h = reduction.admg
     orig_w = tuple(pruned.nodes[i] for i in reduction.nodes)
     to_h = {v: i for i, v in enumerate(orig_w)}
 
-    vals = samples.by_node()
-    h_cols = tuple(topological_order(h))
-    batch = SampleBatch(h_cols, vals[:, [orig_w[c] for c in h_cols]])
-    model = learn_do(batch, h, to_h[x_node], x_val, cfg)
+    # The reduced graph's node i is orig_w[i], so its columns come in node order.
+    batch = SampleBatch(tuple(range(len(orig_w))), samples.by_node()[:, list(orig_w)])
+    model = learn_do(batch, reduction.admg, to_h[x_node], x_val, cfg)
     dense = model_to_dense(model, keep=[to_h[v] for v in f])
     return dense.relabel({to_h[v]: v for v in f})

@@ -25,8 +25,8 @@ from .graph import (
 )
 from .identify import conditional_table
 from .model import (
-    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, empirical_marginal, first_non_distribution,
-    strong_positivity_margin,
+    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, derived_seed, empirical_marginal,
+    first_non_distribution, strong_positivity_margin,
 )
 
 TABLE_ROW_LIMIT = 2**20
@@ -263,6 +263,24 @@ class BayesNetModel:
         except TypeError:  # a value such as 1.0 equals a symbol but cannot index the store
             var, s = next((v, s) for v, s in assignment.items() if not isinstance(s, (int, np.integer)))
             raise ValueError(f"value {s!r} of variable {var} is not an integer symbol") from None
+
+    def steps_reading(self, node: int) -> tuple:
+        """Steps of the factors that read node: its own and those of the nodes conditioning on it."""
+        return tuple(step for step in self._steps if step[1] == node or node in self.conditioning_sets[step[1]])
+
+    def joint_summed_over(self, assignment: Mapping, node: int, steps: tuple) -> float:
+        """The joint at assignment summed over node's values, refilling only the
+        factors of steps, steps_reading(node), for each further value."""
+        assignment = dict(assignment)
+        assignment[node] = 0
+        factors = self.factors(assignment)
+        total = 0.0
+        for value in range(self.alphabet_size):
+            if value:
+                assignment[node] = value
+                self._fill(factors, assignment, steps)
+            total += math.prod(factors, start=1.0)
+        return total
 
     def joint_probability(self, assignment: Mapping) -> float:
         """Probability of a full assignment over this model's variables."""
@@ -551,8 +569,7 @@ def amplify(
     candidates = []
     for r in range(reps):
         part = SampleBatch(samples.columns, samples.data[r * slice_len : (r + 1) * slice_len])
-        derived = int(np.random.SeedSequence([seed, r]).generate_state(1)[0])
-        candidates.append(learner(part, derived))
+        candidates.append(learner(part, derived_seed(seed, r)))
     hold_vals = holdout.by_node()
     blocks = min(5, holdout.size)
     block_of = np.arange(holdout.size) % blocks

@@ -244,6 +244,11 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
     return SampleBatch(tuple(order), values[order].T)
 
 
+def derived_seed(*parts: int) -> int:
+    """Seed of a sub-task, from the caller's seed and the numbers naming the sub-task."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+
+
 def require_state_space(sizes: Sequence[int]) -> int:
     """Cell count of the product space of sizes; refuses more than STATE_SPACE_LIMIT."""
     total = math.prod(sizes)
@@ -391,7 +396,7 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
                 raise ValueError(f"node, obs_parents and hidden_parents of node {node!r} must be integers")
             cpts.append(NodeCpt(node, obs, hidden, np.asarray(entry["table"], dtype=float)))
         hidden_domain = int(raw["hidden_domain"])
-        if hidden_domain != raw["hidden_domain"]:
+        if not is_integer(raw["hidden_domain"]):  # 2.0 and true pass int() but are no JSON integer
             raise ValueError(f"hidden_domain {raw['hidden_domain']!r} is not an integer")
         return GroundTruthCbn(g, hidden_domain, priors, tuple(cpts))
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -192,6 +192,54 @@ class TestExitCodes:
         assert code == 2
         assert "unknown variable" in err
 
+    def _named_chain(self, tmp_path, names):
+        """Graph, model and samples of a 3-node chain whose names are given."""
+        graph, model, samples = (tmp_path / f for f in ("g.json", "m.json", "s.csv"))
+        graph.write_text(json.dumps({"n": 3, "names": names, "alphabet": 2, "directed": [[0, 1], [1, 2]],
+                                     "bidirected": []}))
+        assert dispatch(["gen-model", "--graph", str(graph), "--seed", "1", "--out", str(model)]) == 0
+        assert dispatch(["sample", "--model", str(model), "--m", "200", "--seed", "2", "--out", str(samples)]) == 0
+        return graph, model, samples
+
+    def test_digit_names_resolve_before_indices(self, tmp_path, capsys):
+        graph, _, samples = self._named_chain(tmp_path, ["1", "0", "2"])
+        learned = tmp_path / "l.json"
+        code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                           "--x-var", "0", "--x-val", "1", "--m", "200", "--out", str(learned))
+        assert (code, err) == (0, "")
+        assert json.loads(learned.read_text())["x_substitution"] == [1, 1]
+        assert json.loads((tmp_path / "l.json.report.json").read_text())["params"]["x_var"] == "0"
+        # "1" names node 0, so it is a target apart from the intervened node 1.
+        code, _, err = run(capsys, "marginal", "--graph", str(graph), "--samples", str(samples), "--x-var", "0",
+                           "--x-val", "1", "--targets", "1", "--m", "200", "--out", str(tmp_path / "marg.json"))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "marg.json").read_text())["names"] == ["1"]
+
+    def test_digit_name_above_the_node_count(self, tmp_path, capsys):
+        graph, _, samples = self._named_chain(tmp_path, ["10", "11", "12"])
+        code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                           "--x-var", "10", "--x-val", "1", "--m", "200", "--out", str(tmp_path / "l.json"))
+        assert (code, err) == (0, "")
+        assert json.loads((tmp_path / "l.json.report.json").read_text())["params"]["x_var"] == "10"
+
+    def test_bool_x_var_in_spec_is_format_error(self, tmp_path, capsys):
+        _, model, _ = self._named_chain(tmp_path, ["a", "b", "c"])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "convergence", "model": str(model), "x_var": True, "x_val": 1,
+                                    "m_grid": [100], "trials": 1}))
+        code, _, err = run(capsys, "experiment", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+        assert code == 3
+        assert f"input error: {spec}:1: unknown variable name True" in err
+
+    def test_non_string_graph_names_are_input_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text('{\n"n": 3,\n"alphabet": 2,\n"names": [2, null, true],\n"directed": [],\n"bidirected": []\n}')
+        model = tmp_path / "m.json"
+        code, _, err = run(capsys, "gen-model", "--graph", str(graph), "--out", str(model))
+        assert code == 3
+        assert f"input error: {graph}:4: names must be strings" in err
+        assert not model.exists()
+
     def test_x_val_outside_alphabet_is_usage_error(self, pipeline, tmp_path, capsys):
         graph, model, samples = pipeline
         code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
@@ -367,7 +415,9 @@ class TestExitCodes:
         (lambda text: text.replace('"hidden_domain": 2', '"hidden_domain": 2.7'), "hidden_domain 2.7 is not an integer"),
         (lambda text: json.dumps("graph hidden_domain hidden_priors cpts"), "expected a JSON object"),
         (lambda text: json.dumps(["graph", "hidden_domain", "hidden_priors", "cpts"]), "expected a JSON object"),
-    ], ids=["infinite_hidden_domain", "fractional_hidden_domain", "top_level_string", "top_level_array"])
+        (lambda text: text.replace('"hidden_domain": 2', '"hidden_domain": 2.0'), "hidden_domain 2.0 is not an integer"),
+    ], ids=["infinite_hidden_domain", "fractional_hidden_domain", "top_level_string", "top_level_array",
+            "integral_float_hidden_domain"])
     def test_malformed_model_file_is_input_error(self, tmp_path, capsys, edit, message):
         graph, model = tmp_path / "g.json", tmp_path / "m.json"
         assert dispatch(["gen-graph", "--nodes", "4", "--in-degree", "2", "--ccomp-size", "2",

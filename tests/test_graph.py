@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dolearn.errors import FormatError, GraphCycleError, IdentifiabilityError
+from dolearn.files import dump_json
 from dolearn.graph import (
     Admg,
     LatentGraph,
@@ -9,6 +12,7 @@ from dolearn.graph import (
     c_components,
     check_identifiability,
     effective_parents,
+    graph_payload,
     graph_to_json,
     induced_subgraph,
     latent_project,
@@ -23,6 +27,24 @@ from dolearn.graph import (
 
 def chain(n, alphabet=2):
     return Admg(n, alphabet_size=alphabet, directed_edges=[(i, i + 1) for i in range(n - 1)])
+
+
+# Edge-list elements that are no pair of node indices, in every JSON form.
+_small = st.integers(0, 8)
+_negative = st.integers(-10**6, -1)
+BAD_EDGES = st.one_of(
+    st.tuples(_negative, _small).map(list),
+    st.tuples(_small, _negative).map(list),
+    _negative,
+    st.booleans(),
+    st.lists(st.one_of(st.booleans(), _small), min_size=2, max_size=2).filter(lambda v: bool in map(type, v)),
+    st.floats(),
+    st.lists(st.one_of(st.floats(), _small), min_size=2, max_size=2).filter(lambda v: float in map(type, v)),
+    st.lists(_small, min_size=3, max_size=3),
+    st.text(max_size=5),
+    st.dictionaries(st.text(max_size=3), _small, max_size=2),
+    st.lists(st.lists(_small, max_size=2), min_size=1, max_size=2),
+)
 
 
 class TestTopologicalOrder:
@@ -300,6 +322,26 @@ class TestGraphFile:
         with pytest.raises(FormatError, match=rf"^<graph>:{line}: {message}"):
             parse_graph_json(text)
 
+    @settings(settings.get_profile("property"))
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**16), key=st.sampled_from(["directed", "bidirected"]),
+           data=st.data())
+    def test_bad_edge_anchored_where_the_element_starts(self, n, seed, key, data):
+        payload = graph_payload(random_admg(n, 2, 3, seed=seed))
+        if not payload[key]:
+            return
+        idx = data.draw(st.integers(0, len(payload[key]) - 1))
+        payload[key][idx] = "@element@"
+        marked = dump_json(payload)
+        line = marked[: marked.index('"@element@"')].count("\n") + 1
+        payload[key][idx] = data.draw(BAD_EDGES)
+        with pytest.raises(FormatError, match=rf"^g\.json:{line}: "):
+            parse_graph_json(dump_json(payload), "g.json")
+
+    def test_names_must_be_strings(self):
+        text = '{\n"n": 3,\n"alphabet": 2,\n"names": [2, null, true],\n"directed": [],\n"bidirected": []\n}'
+        with pytest.raises(FormatError, match=r"^<graph>:4: names must be strings, not 2$"):
+            parse_graph_json(text)
+
     def test_non_canonical_bidirected_rejected(self):
         text = '{"n": 3, "alphabet": 2, "directed": [], "bidirected": [[2, 1]]}'
         with pytest.raises(FormatError, match="lo < hi"):
@@ -336,3 +378,20 @@ class TestRandomAdmg:
         for seed in range(15):
             g = random_admg(6, 2, 2, seed=seed, identifiable_for=3)
             assert check_identifiability(g, 3)
+
+
+class TestNodeIndex:
+    def test_a_name_wins_over_an_index(self):
+        g = Admg(3, names=["1", "0", "2"])
+        assert [g.node_index(s) for s in ("0", "1", "2")] == [1, 0, 2]
+        assert g.node_index(0) == 0
+
+    def test_decimal_text_of_an_index_beyond_the_names(self):
+        g = Admg(3, names=["10", "11", "12"])
+        assert [g.node_index(s) for s in ("10", "12", "2", "02")] == [0, 2, 2, 2]
+        assert g.node_index(np.int64(1)) == 1
+
+    @pytest.mark.parametrize("value", [True, False, "\u0661", "\u00b2"])
+    def test_neither_a_name_nor_an_index_refused(self, value):
+        with pytest.raises(ValueError, match="unknown variable name"):
+            Admg(3).node_index(value)

@@ -1,11 +1,11 @@
 """Cross-commit byte identity of the CLI's artifacts.
 
 Runs the criterion-10 walkthrough (seeds 11-14) in process, plus `sample-do`,
-the generator route of `marginal` and a tiny `alpha-sweep` experiment, and
-compares the SHA-256 of every artifact with the digests stored in
-`output_digests.json`. Criterion 10 only compares runs of one commit with
-each other; this test catches a change that alters any output byte against
-the commit that wrote the digests. A change that alters output on purpose
+the generator route of `marginal` and a tiny `alpha-sweep` and `convergence`
+experiment each, and compares the SHA-256 of every artifact with the digests
+stored in `output_digests.json`. Criterion 10 only compares runs of one commit
+with each other; this test catches a change that alters any output byte
+against the commit that wrote the digests. A change that alters output on purpose
 regenerates the file with
 
     PYTHONPATH=src python tests/test_output_digests.py --write
@@ -72,6 +72,12 @@ def walkthrough_artifacts(base: Path) -> dict:
                                 "m": 200, "trials": 2, "seed": 0}))
     _run(["experiment", "--spec", str(spec), "--out", str(sweep)])
     blobs["sweep.csv.summary.json"] = (base / "sweep.csv.summary.json").read_bytes()
+    # A tiny convergence run on the walkthrough model, with its threshold set.
+    spec, conv = base / "conv_spec.json", base / "conv.csv"
+    spec.write_text(json.dumps({"kind": "convergence", "model": mdl, "x_var": "v0", "x_val": 1,
+                                "m_grid": [200, 400], "trials": 2, "seed": 3, "t": 5}))
+    _run(["experiment", "--spec", str(spec), "--out", str(conv)])
+    blobs["conv.csv.summary.json"] = (base / "conv.csv.summary.json").read_bytes()
     return blobs
 
 
