@@ -1,9 +1,10 @@
 """Cross-commit byte identity of the CLI's artifacts.
 
 Runs the criterion-10 walkthrough (seeds 11-14) in process, plus `sample-do`,
-the generator route of `marginal` and a tiny `alpha-sweep` and `convergence`
-experiment each, and compares the SHA-256 of every artifact with the digests
-stored in `output_digests.json`. Criterion 10 only compares runs of one commit
+the generator route of `marginal`, a tiny `alpha-sweep` and `convergence`
+experiment each, and `learn-do` and both `marginal` routes at the default
+threshold, and compares the SHA-256 of every artifact with the digests stored
+in `output_digests.json`. Criterion 10 only compares runs of one commit
 with each other; this test catches a change that alters any output byte
 against the commit that wrote the digests. A change that alters output on purpose
 regenerates the file with
@@ -78,6 +79,18 @@ def walkthrough_artifacts(base: Path) -> dict:
                                 "m_grid": [200, 400], "trials": 2, "seed": 3, "t": 5}))
     _run(["experiment", "--spec", str(spec), "--out", str(conv)])
     blobs["conv.csv.summary.json"] = (base / "conv.csv.summary.json").read_bytes()
+    # The default threshold, which leaves rows uniform at 300 rows: learn-do and
+    # marginal with --m and no --t, and the generator route with its own --seed
+    # and --epsilon.
+    default_t = str(base / "l_default_t.json")
+    _run(["learn-do", "--graph", g, "--samples", smp, "--x-var", "0", "--x-val", "1", "--m", "300", "--seed", "14",
+          "--out", default_t])
+    blobs["report.default_t.raw.json"] = WALLCLOCK.sub(rb"\1<masked>", Path(default_t + ".report.json").read_bytes())
+    generator = ["--via-generator", "--seed", "7", "--epsilon", "0.3"]
+    for name, extra in (("marg.default_t.json", []), ("marg_gen.seed_epsilon.json", generator)):
+        _run(["marginal", "--graph", g, "--samples", smp, "--x-var", "0", "--x-val", "1", "--targets", "v3", "--m", "300",
+              *extra, "--out", str(base / name)])
+        blobs[name] = (base / name).read_bytes()
     return blobs
 
 
