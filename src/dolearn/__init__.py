@@ -45,7 +45,6 @@ from .intervene import (
 )
 from .learn import (
     BayesNetModel,
-    LearnConfig,
     add_one_estimator,
     amplify,
     default_parameters,

@@ -26,15 +26,7 @@ from .intervene import (
     model_to_dense,
     sample_do,
 )
-from .learn import (
-    LearnConfig,
-    default_parameters,
-    estimate_alpha,
-    learn_do,
-    load_learned_model,
-    practical_threshold,
-    save_learned_model,
-)
+from .learn import default_parameters, estimate_alpha, learn_do, load_learned_model, save_learned_model
 from .model import (
     DenseDistribution,
     SampleBatch,
@@ -152,18 +144,12 @@ def _learner_inputs(args) -> tuple[Admg, SampleBatch, int]:
 
 
 def _resolve_budget(args, g: Admg, samples, x_node: int):
-    """(m requested, m used, learner config, alpha estimate, whether it was
+    """(m requested, m used, threshold, alpha estimate, whether it was
     floored) from either explicit --m/--t or the worst-case formulas driven
-    by --epsilon."""
-    k = c_components(g).max_size
-    d = g.max_in_degree
-    n = g.node_count
-    alpha_est = None
-    floored = False
-    if args.m is not None:
-        m_requested = args.m
-        t = args.t if args.t is not None else practical_threshold(n, g.alphabet_size, k, d)
-    else:
+    by --epsilon. With --m and no --t the threshold is None, which the
+    learners read as the practical threshold of g."""
+    m_requested, t, alpha_est, floored = args.m, args.t, None, False
+    if m_requested is None:
         alpha = args.alpha
         if alpha is None:
             alpha_est = estimate_alpha(samples, g, x_node)
@@ -175,11 +161,13 @@ def _resolve_budget(args, g: Admg, samples, x_node: int):
                 f"warning: strong-positivity parameter not supplied; using empirical estimate {alpha:.6g}",
                 file=sys.stderr,
             )
-        plan = default_parameters(n, g.alphabet_size, k, d, alpha, args.epsilon)
+        plan = default_parameters(
+            g.node_count, g.alphabet_size, c_components(g).max_size, g.max_in_degree, alpha, args.epsilon
+        )
         m_requested = plan.m
-        t = args.t if args.t is not None else plan.t
+        t = plan.t if t is None else t
     m_used = min(m_requested, samples.size)
-    return m_requested, m_used, LearnConfig(t=t, epsilon=args.epsilon, seed=args.seed), alpha_est, floored
+    return m_requested, m_used, t, alpha_est, floored
 
 
 def _cmd_gen_graph(args) -> int:
@@ -214,8 +202,8 @@ def _cmd_sample(args) -> int:
 def _cmd_learn_do(args) -> int:
     start = time.perf_counter()
     g, samples, x_node = _learner_inputs(args)
-    m_requested, m_used, cfg, alpha_est, floored = _resolve_budget(args, g, samples, x_node)
-    model = learn_do(samples.head(m_used), g, x_node, args.x_val, cfg)
+    m_requested, m_used, t, alpha_est, floored = _resolve_budget(args, g, samples, x_node)
+    model = learn_do(samples.head(m_used), g, x_node, args.x_val, t)
     save_learned_model(model, args.out)
 
     tv_exact = None
@@ -232,7 +220,7 @@ def _cmd_learn_do(args) -> int:
         "wallclock_ms": round((time.perf_counter() - start) * 1000.0, 3),
         "seed": args.seed,
         "params": {
-            "t": cfg.t,
+            "t": model.diagnostics["threshold"],
             "m_requested": m_requested,
             "alpha_floored": floored,
             "n": g.node_count,
@@ -281,9 +269,10 @@ def _cmd_marginal(args) -> int:
     targets = [_node(g, s.strip()) for s in args.targets.split(",") if s.strip()]
     if not targets or x_node in targets:
         raise UsageError(f"targets must name variables other than {args.x_var}")
-    _, m_used, cfg, _, _ = _resolve_budget(args, g, samples, x_node)
+    _, m_used, t, _, _ = _resolve_budget(args, g, samples, x_node)
     dense = learn_marginal_do(
-        samples.head(m_used), g, x_node, args.x_val, targets, cfg, via_generator=args.via_generator
+        samples.head(m_used), g, x_node, args.x_val, targets, t,
+        via_generator=args.via_generator, epsilon=args.epsilon, seed=args.seed,
     )
     write_text(args.out, _dense_to_json(dense, [g.names[v] for v in dense.variable_ids]))
     return 0

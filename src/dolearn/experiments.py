@@ -21,10 +21,9 @@ import numpy as np
 from .errors import GenerationError
 from .graph import Admg
 from .intervene import model_to_dense
-from .learn import LearnConfig, learn_do
+from .learn import learn_do
 from .model import (
     GroundTruthCbn,
-    NodeCpt,
     _decode,
     derived_seed,
     exact_interventional,
@@ -110,17 +109,11 @@ def build_hard_instance(spec: HardInstanceSpec) -> GroundTruthCbn:
     s = spec.bias
     flip = np.array([[1.0 - a, a], [a, 1.0 - a]])  # row u: P(X = 1-u) = alpha
     uniform = np.array([0.5, 0.5])
-    cpts = []
-    if spec.confounded:
-        priors = (uniform.copy(),)
-        cpts.append(NodeCpt(z_id, (), (0,), np.eye(2)))  # Z copies the confounder
-        cpts.append(NodeCpt(x_id, (), (0,), flip))
-    else:
-        priors = ()
-        cpts.append(NodeCpt(z_id, (), (), uniform.copy()))
-        cpts.append(NodeCpt(x_id, (z_id,), (), flip))
-    for w in w_ids:
-        cpts.append(NodeCpt(w, (), (), uniform.copy()))
+    # Z copies the hidden confounder or is a uniform source; X flips what Z
+    # reads with probability alpha.
+    priors = (uniform.copy(),) if spec.confounded else ()
+    tables = [np.eye(2) if spec.confounded else uniform.copy(), flip]
+    tables += [uniform.copy() for _ in w_ids]
     for j, y in enumerate(y_ids):
         shape = (2, 2) + (2,) * d + (2,)
         table = np.empty(shape)
@@ -134,8 +127,8 @@ def build_hard_instance(spec: HardInstanceSpec) -> GroundTruthCbn:
                     else:
                         p1 = 0.5
                     table[(z_val, x_val) + w_vals] = [1.0 - p1, p1]
-        cpts.append(NodeCpt(y, tuple([z_id, x_id] + w_ids), (), table))
-    return GroundTruthCbn(g, 2, priors, tuple(cpts))
+        tables.append(table)
+    return GroundTruthCbn(g, 2, priors, tuple(tables))
 
 
 def random_code(n: int, count: int, min_sep_fraction: float, seed: int = 0, attempts: int = 1000):
@@ -264,11 +257,10 @@ def _learned_tvs(cbn: GroundTruthCbn, x_node: int, x_val: int, t: Optional[int],
     g = cbn.graph
     oracle = exact_interventional(cbn, x_node, x_val)
     keep = [v for v in range(g.node_count) if v != x_node]
-    cfg = LearnConfig(t=t) if t is not None else None
     out = []
     for m, seed in runs:
         start = time.perf_counter()
-        model = learn_do(sample_observational(cbn, m, seed=seed), g, x_node, x_val, cfg)
+        model = learn_do(sample_observational(cbn, m, seed=seed), g, x_node, x_val, t)
         out.append((tv_distance(oracle, model_to_dense(model, keep)), time.perf_counter() - start))
     return out
 

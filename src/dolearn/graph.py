@@ -522,28 +522,35 @@ def graph_to_json(g: Admg) -> str:
     return dump_json(graph_payload(g))
 
 
-def _line_of(text: str, pattern: str) -> int:
-    """1-based line of the first match of the regex; falls back to line 1."""
-    m = re.search(pattern, text)
-    return text.count("\n", 0, m.start()) + 1 if m else 1
-
-
-def _edge_line(text: str, key: str, index: int) -> int:
-    """1-based line where element index of the list under key starts, found by
-    decoding the elements before it; the key's line, or 1, when that fails."""
-    key_m = re.search(rf'"{key}"\s*:\s*\[', text)
-    if key_m is None:
-        return 1
+def _line_of(text: str, key: str, index: Optional[int] = None) -> int:
+    """1-based line of the top-level key of the JSON object text, or of where
+    element index of the key's list starts; 1 without such a key. The walk
+    decodes the object's own members in turn, so the keys of nested objects
+    are passed over, and of repeated keys the last wins, as in json."""
     skip = re.compile(r"[ \t\n\r]*")  # JSON whitespace
     decode = json.JSONDecoder().raw_decode
-    pos = key_m.end()
+
+    def after(pos: int) -> int:  # past the value at or after pos, and the whitespace after it
+        return skip.match(text, decode(text, skip.match(text, pos).end())[1]).end()
+
+    found = None
     try:
-        for _ in range(index):
-            pos = decode(text, skip.match(text, pos).end())[1]
-            pos = skip.match(text, pos).end() + 1  # past the comma
-    except ValueError:
-        return text.count("\n", 0, key_m.start()) + 1
-    return text.count("\n", 0, skip.match(text, pos).end()) + 1
+        pos = skip.match(text).end()  # at the {
+        while text[pos] in "{,":
+            start = skip.match(text, pos + 1).end()
+            name, pos = decode(text, start)
+            value = skip.match(text, skip.match(text, pos).end() + 1).end()  # past the :
+            pos = after(value)  # at the , or }
+            if name == key:
+                found = start, value
+        if found is not None and index is not None:
+            pos = found[1]  # at the [
+            for _ in range(index):
+                pos = after(pos + 1)  # at the , after each element before index
+            return text.count("\n", 0, skip.match(text, pos + 1).end()) + 1
+    except (ValueError, IndexError, RecursionError):
+        pass
+    return 1 if found is None else text.count("\n", 0, found[0]) + 1
 
 
 def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
@@ -556,13 +563,9 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
     if not isinstance(raw, dict):
         raise FormatError(f"{source}:1: expected a JSON object")
 
-    def fail(key, msg):
-        line = _line_of(text, rf'"{re.escape(key)}"\s*:')
-        raise FormatError(f"{source}:{line}: {msg}")
-
-    def fail_edge(key, idx, msg):
+    def fail(key, msg, idx=None):
         # The line is looked up only on failure, as each lookup rescans the text.
-        raise FormatError(f"{source}:{_edge_line(text, key, idx)}: {msg}")
+        raise FormatError(f"{source}:{_line_of(text, key, idx)}: {msg}")
 
     for key in ("n", "alphabet", "directed", "bidirected"):
         if key not in raw:
@@ -586,17 +589,17 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
         seen = set()
         for idx, pair in enumerate(edges):
             if not (isinstance(pair, list) and len(pair) == 2 and all(is_integer(v) for v in pair)):
-                fail_edge(key, idx, f"{key}[{idx}] must be a pair of integers")
+                fail(key, f"{key}[{idx}] must be a pair of integers", idx)
             i, j = pair
             if i == j:
-                fail_edge(key, idx, f"{key}[{idx}] is a self-loop on node {i}")
+                fail(key, f"{key}[{idx}] is a self-loop on node {i}", idx)
             if not (0 <= i < n and 0 <= j < n):
-                fail_edge(key, idx, f"{key}[{idx}] endpoint out of range [0, {n})")
+                fail(key, f"{key}[{idx}] endpoint out of range [0, {n})", idx)
             if key == "bidirected":
                 if i >= j:
-                    fail_edge(key, idx, f"bidirected[{idx}] must be stored as [lo, hi] with lo < hi")
+                    fail(key, f"bidirected[{idx}] must be stored as [lo, hi] with lo < hi", idx)
                 if (i, j) in seen:
-                    fail_edge(key, idx, f"duplicate bidirected edge [{i}, {j}]")
+                    fail(key, f"duplicate bidirected edge [{i}, {j}]", idx)
                 seen.add((i, j))
     try:
         return Admg(
@@ -609,7 +612,7 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
     except GraphCycleError as e:
         i, j = e.edge
         idx = raw["directed"].index([i, j]) if [i, j] in raw["directed"] else 0
-        line = _edge_line(text, "directed", idx)
+        line = _line_of(text, "directed", idx)
         raise FormatError(f"{source}:{line}: directed edges contain a cycle through {i} -> {j}") from None
     except ValueError as e:
         raise FormatError(f"{source}:1: {e}") from None

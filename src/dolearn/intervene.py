@@ -23,7 +23,7 @@ from .graph import (
 )
 from .learn import (
     BayesNetModel,
-    LearnConfig,
+    count_threshold,
     exact_ccomponent_model,
     learn_ccomponent_intervention,
     learn_do,
@@ -146,11 +146,11 @@ def _build_split(g: Admg, x_node: int, x_val: int, component_model) -> SplitDoEv
 
 
 def build_split_evaluator(
-    samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Optional[LearnConfig] = None
+    samples: SampleBatch, g: Admg, x_node: int, x_val: int, t: Optional[int] = None
 ) -> SplitDoEvaluator:
     """Learn the split evaluator from observational rows."""
     return _build_split(
-        g, x_node, x_val, lambda y_set, pinned: learn_ccomponent_intervention(samples, g, y_set, pinned, cfg)
+        g, x_node, x_val, lambda y_set, pinned: learn_ccomponent_intervention(samples, g, y_set, pinned, t)
     )
 
 
@@ -185,27 +185,33 @@ def learn_marginal_do(
     x_node: int,
     x_val: int,
     f: Iterable[int],
-    cfg: Optional[LearnConfig] = None,
+    t: Optional[int] = None,
     via_generator: bool = False,
+    epsilon: float = 0.1,
+    seed: int = 0,
 ) -> DenseDistribution:
-    """Marginal interventional distribution over the target set f.
+    """Marginal interventional distribution over the target set f, learned at
+    threshold t (count_threshold of g, on both routes, when unset).
 
     Default route: prune to the ancestors of f and x, project everything else
     out, learn the substituted net on the small graph, and enumerate its
-    marginal. Generator route (flag): learn on the full graph, draw from the
-    sampler, and return the empirical marginal over f.
+    marginal. Generator route (flag): learn on the full graph, draw enough
+    rows for accuracy epsilon from the sampler, seeded by seed, and return
+    their empirical marginal over f.
     """
-    cfg = cfg or LearnConfig()
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    t = count_threshold(g, t)
     f = tuple(sorted(set(int(v) for v in f)))
     if x_node in f:
         raise ValueError("f must not contain the intervened variable")
     require_nodes(g, f)
 
     if via_generator:
-        model = learn_do(samples, g, x_node, x_val, cfg)
+        model = learn_do(samples, g, x_node, x_val, t)
         im = InterventionalModel(model, x_node, x_val)
-        count = generator_sample_count(g.alphabet_size, len(f), cfg.epsilon)
-        draws = sample_do(im, count, seed=derived_seed(cfg.seed, 1))
+        count = generator_sample_count(g.alphabet_size, len(f), epsilon)
+        draws = sample_do(im, count, seed=derived_seed(seed, 1))
         return empirical_marginal(draws, f, g.alphabet_size)
 
     pruned = prune_to_ancestors(g, set(f) | {x_node})
@@ -216,6 +222,6 @@ def learn_marginal_do(
 
     # The reduced graph's node i is orig_w[i], so its columns come in node order.
     batch = SampleBatch(tuple(range(len(orig_w))), samples.by_node()[:, list(orig_w)])
-    model = learn_do(batch, reduction.admg, to_h[x_node], x_val, cfg)
+    model = learn_do(batch, reduction.admg, to_h[x_node], x_val, t)
     dense = model_to_dense(model, keep=[to_h[v] for v in f])
     return dense.relabel({to_h[v]: v for v in f})

@@ -42,21 +42,6 @@ def add_one_estimator(counts: Sequence[int]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LearnConfig:
-    """Knobs for the learners: threshold t (derived from the graph when unset), epsilon and seed."""
-
-    t: Optional[int] = None
-    epsilon: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.t is not None and self.t < 1:
-            raise ValueError("t must be at least 1")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class ParameterPlan:
     """Worst-case budget (m, t) plus the headline sample count for reports."""
 
@@ -80,6 +65,15 @@ def default_parameters(n: int, alphabet_size: int, k: int, d: int, alpha: float,
 def practical_threshold(n: int, alphabet_size: int, k: int, d: int) -> int:
     """Count threshold used when the caller supplies the sample budget."""
     return max(10, math.ceil(10.0 * math.log(n * alphabet_size ** (k * d + k))))
+
+
+def count_threshold(g: Admg, t: Optional[int] = None) -> int:
+    """The learners' count threshold: t, or the practical threshold of g when t is unset."""
+    if t is None:
+        return practical_threshold(g.node_count, g.alphabet_size, c_components(g).max_size, g.max_in_degree)
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    return t
 
 
 @dataclass(eq=False)
@@ -429,13 +423,6 @@ def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
     return _Plan(g, order, zs, pins)
 
 
-def _threshold(plan: _Plan, cfg: Optional[LearnConfig]) -> int:
-    if cfg is not None and cfg.t is not None:
-        return cfg.t
-    g = plan.graph
-    return practical_threshold(g.node_count, g.alphabet_size, c_components(g).max_size, g.max_in_degree)
-
-
 def _counted_model(plan: _Plan, samples: SampleBatch, t: int, **diagnostics) -> BayesNetModel:
     """The plan with add-1 rows wherever a conditioning assignment was seen at
     least t times (once for exempt nodes) among the sample rows that match
@@ -492,18 +479,17 @@ def learn_observational(samples: SampleBatch, g: Admg, t: int = 1) -> BayesNetMo
     return _counted_model(_observational_plan(g), samples, t)
 
 
-def learn_do(samples: SampleBatch, g: Admg, x_node: int, x_val: int, cfg: Optional[LearnConfig] = None) -> BayesNetModel:
+def learn_do(samples: SampleBatch, g: Admg, x_node: int, x_val: int, t: Optional[int] = None) -> BayesNetModel:
     """Learn the intervention-substituted Bayes net from observational rows.
 
     Nodes in x's confounded component get add-1 rows for every observed
     conditioning assignment (no threshold). Every other node conditions with
     x replaced by the constant when x is an effective parent; assignments
-    matched by fewer than t rows fall back to uniform and are tallied in the
-    diagnostics.
+    matched by fewer than t rows (count_threshold of g when unset) fall back
+    to uniform and are tallied in the diagnostics.
     """
-    plan = _do_plan(g, x_node, x_val)
-    t = _threshold(plan, cfg)
-    return _counted_model(plan, samples, t, threshold=t)
+    t = count_threshold(g, t)
+    return _counted_model(_do_plan(g, x_node, x_val), samples, t, threshold=t)
 
 
 def learn_ccomponent_intervention(
@@ -511,7 +497,7 @@ def learn_ccomponent_intervention(
     g: Admg,
     y_set: Iterable[int],
     y_bar_1: dict,
-    cfg: Optional[LearnConfig] = None,
+    t: Optional[int] = None,
 ) -> BayesNetModel:
     """Learn the joint on a union of confounded components under an
     intervention that pins their outside parents.
@@ -521,9 +507,8 @@ def learn_ccomponent_intervention(
     conditioning on the inside part of its effective parents, with the usual
     threshold-or-uniform rule.
     """
-    plan = _component_plan(g, y_set, y_bar_1)
-    t = _threshold(plan, cfg)
-    return _counted_model(plan, samples, t, threshold=t)
+    t = count_threshold(g, t)
+    return _counted_model(_component_plan(g, y_set, y_bar_1), samples, t, threshold=t)
 
 
 def exact_do_model(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> BayesNetModel:

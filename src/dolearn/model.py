@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -125,24 +125,19 @@ class SampleBatch:
 
 
 @dataclass(frozen=True, eq=False)
-class NodeCpt:
-    """Conditional table of one observable: axes are (observable parents
-    ascending, incident hidden variables by edge index, the node itself)."""
-
-    node: int
-    obs_parents: tuple[int, ...]
-    hidden_parents: tuple[int, ...]
-    table: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class GroundTruthCbn:
-    """Fully specified synthetic causal model used as simulator and oracle."""
+    """Fully specified synthetic causal model used as simulator and oracle.
+
+    tables[i] is the conditional table of node i, with axes (its parents in
+    the graph, ascending; its hidden parents, ascending; the node itself).
+    hidden_parents[i] lists node i's hidden parents, derived from the graph.
+    """
 
     graph: Admg
     hidden_domain: int
     hidden_priors: tuple[np.ndarray, ...]
-    cpts: tuple[NodeCpt, ...]
+    tables: tuple[np.ndarray, ...]
+    hidden_parents: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         g = self.graph
@@ -155,24 +150,18 @@ class GroundTruthCbn:
         bad = first_non_distribution(np.array(self.hidden_priors).reshape(-1, self.hidden_domain), 1e-12)
         if bad is not None:
             raise ValueError(f"hidden prior {bad} is not a distribution")
-        if len(self.cpts) != g.node_count:
+        if len(self.tables) != g.node_count:
             raise ValueError("one conditional table per observable required")
-        hidden = _hidden_parents(g)
-        for i, cpt in enumerate(self.cpts):
-            if cpt.node != i:
-                raise ValueError("cpts must be listed by node index")
-            if cpt.obs_parents != g.parents(i) or cpt.hidden_parents != hidden[i]:
-                raise ValueError(f"table domain of node {i} does not match the graph")
-            shape = tuple([g.alphabet_size] * len(cpt.obs_parents)) + tuple(
-                [self.hidden_domain] * len(cpt.hidden_parents)
-            ) + (g.alphabet_size,)
-            if cpt.table.shape != shape:
-                raise ValueError(f"table of node {i} has shape {cpt.table.shape}, expected {shape}")
+        object.__setattr__(self, "hidden_parents", _hidden_parents(g))
+        shapes = _table_shapes(g, self.hidden_domain, self.hidden_parents)
+        for i, (table, shape) in enumerate(zip(self.tables, shapes)):
+            if table.shape != shape:
+                raise ValueError(f"table of node {i} has shape {table.shape}, expected {shape}")
         # One check over all rows; the cumulative row counts name the node.
         a = g.alphabet_size
-        bad = first_non_distribution(np.concatenate([cpt.table.reshape(-1, a) for cpt in self.cpts]), 1e-12)
+        bad = first_non_distribution(np.concatenate([table.reshape(-1, a) for table in self.tables]), 1e-12)
         if bad is not None:
-            ends = np.cumsum([cpt.table.size // a for cpt in self.cpts])
+            ends = np.cumsum([table.size // a for table in self.tables])
             raise ValueError(f"rows of node {int(np.searchsorted(ends, bad, side='right'))} must be distributions")
 
     @property
@@ -180,14 +169,20 @@ class GroundTruthCbn:
         return len(self.hidden_priors)
 
 
-def _hidden_parents(g: Admg) -> list[tuple[int, ...]]:
+def _hidden_parents(g: Admg) -> tuple[tuple[int, ...], ...]:
     """Per node, the ascending indices of its hidden parents: hidden variable
     e confounds the endpoints of the e-th bidirected edge in sorted order."""
     hidden: list[list[int]] = [[] for _ in range(g.node_count)]
     for e, (a, b) in enumerate(sorted(g.bidirected_edges)):
         hidden[a].append(e)
         hidden[b].append(e)
-    return [tuple(h) for h in hidden]
+    return tuple(tuple(h) for h in hidden)
+
+
+def _table_shapes(g: Admg, hidden_domain: int, hidden_parents) -> list[tuple[int, ...]]:
+    """Shape of each node's conditional table, given each node's hidden parents."""
+    a = g.alphabet_size
+    return [(a,) * len(g.parents(v)) + (hidden_domain,) * len(h) + (a,) for v, h in enumerate(hidden_parents)]
 
 
 def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 0.0, seed: int = 0) -> GroundTruthCbn:
@@ -197,6 +192,12 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
         raise ValueError("smoothing must lie in [0, 1]")
     if hidden_domain is None:
         hidden_domain = g.alphabet_size
+    # Checked before any draw: one node on two bidirected edges with a large
+    # hidden domain asks for a table beyond memory.
+    shapes = _table_shapes(g, hidden_domain, _hidden_parents(g))
+    entries = hidden_domain * len(g.bidirected_edges) + sum(map(math.prod, shapes))
+    if entries > STATE_SPACE_LIMIT:
+        raise StateSpaceError(f"the tables and priors would hold {entries} entries, above the {STATE_SPACE_LIMIT} guard")
     rng = np.random.default_rng(seed)
 
     def draw_rows(shape):
@@ -205,12 +206,7 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
         return (1.0 - smoothing) * rows + smoothing / shape[-1]
 
     priors = tuple(draw_rows((hidden_domain,)) for _ in range(len(g.bidirected_edges)))
-    cpts = []
-    for i, hid in enumerate(_hidden_parents(g)):
-        obs = g.parents(i)
-        shape = tuple([g.alphabet_size] * len(obs)) + tuple([hidden_domain] * len(hid)) + (g.alphabet_size,)
-        cpts.append(NodeCpt(i, obs, hid, draw_rows(shape)))
-    return GroundTruthCbn(g, hidden_domain, priors, tuple(cpts))
+    return GroundTruthCbn(g, hidden_domain, priors, tuple(draw_rows(shape) for shape in shapes))
 
 
 def draw_from_cdf(cdf: np.ndarray, idx, u: np.ndarray) -> np.ndarray:
@@ -235,11 +231,10 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
     order = topological_order(g)
     values = np.zeros((g.node_count, m), dtype=np.int64)
     for node in order:
-        cpt = cbn.cpts[node]
-        idx = _encode(values.T, cpt.obs_parents, g.alphabet_size)
-        for h in cpt.hidden_parents:
+        idx = _encode(values.T, g.parents(node), g.alphabet_size)
+        for h in cbn.hidden_parents[node]:
             idx = idx * cbn.hidden_domain + hidden_vals[h]
-        cdf = np.cumsum(cpt.table.reshape(-1, g.alphabet_size), axis=1)
+        cdf = np.cumsum(cbn.tables[node].reshape(-1, g.alphabet_size), axis=1)
         values[node] = draw_from_cdf(cdf, idx, rng.random(m))
     return SampleBatch(tuple(order), values[order].T)
 
@@ -316,9 +311,9 @@ def _full_joint(cbn: GroundTruthCbn, skip_node: Optional[int] = None) -> tuple[n
     require_state_space(sizes)
     factors = [(prior, [n + e]) for e, prior in enumerate(cbn.hidden_priors)]
     factors += [
-        (cpt.table, [*cpt.obs_parents, *(n + e for e in cpt.hidden_parents), cpt.node])
-        for cpt in cbn.cpts
-        if cpt.node != skip_node
+        (table, [*g.parents(v), *(n + e for e in cbn.hidden_parents[v]), v])
+        for v, table in enumerate(cbn.tables)
+        if v != skip_node
     ]
     return _product(factors, range(n + h), sizes), n
 
@@ -367,12 +362,12 @@ def model_to_json(cbn: GroundTruthCbn) -> str:
         "hidden_priors": [prior.tolist() for prior in cbn.hidden_priors],
         "cpts": [
             {
-                "node": cpt.node,
-                "obs_parents": list(cpt.obs_parents),
-                "hidden_parents": list(cpt.hidden_parents),
-                "table": cpt.table.tolist(),
+                "node": v,
+                "obs_parents": list(cbn.graph.parents(v)),
+                "hidden_parents": list(cbn.hidden_parents[v]),
+                "table": table.tolist(),
             }
-            for cpt in cbn.cpts
+            for v, table in enumerate(cbn.tables)
         ],
     })
 
@@ -387,18 +382,27 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
     g = graph_from_payload(raw["graph"], source=f"{source}#graph")
     try:
         priors = tuple(np.asarray(p, dtype=float) for p in raw["hidden_priors"])
-        cpts = []
+        domains, tables = [], []
         for entry in raw["cpts"]:
             node, obs, hidden = entry["node"], tuple(entry["obs_parents"]), tuple(entry["hidden_parents"])
             # true and 1.0 equal 1 and pass the graph check, but numpy reads
             # true as a mask and refuses 1.0 as an index.
             if not all(is_integer(v) for v in (node, *obs, *hidden)):
                 raise ValueError(f"node, obs_parents and hidden_parents of node {node!r} must be integers")
-            cpts.append(NodeCpt(node, obs, hidden, np.asarray(entry["table"], dtype=float)))
+            domains.append((node, obs, hidden))
+            tables.append(np.asarray(entry["table"], dtype=float))
         hidden_domain = int(raw["hidden_domain"])
         if not is_integer(raw["hidden_domain"]):  # 2.0 and true pass int() but are no JSON integer
             raise ValueError(f"hidden_domain {raw['hidden_domain']!r} is not an integer")
-        return GroundTruthCbn(g, hidden_domain, priors, tuple(cpts))
+        # Each entry restates its node's domain, which must be the graph's; a
+        # wrong entry count is GroundTruthCbn's to refuse.
+        if len(domains) == g.node_count:
+            for i, ((node, obs, hidden), own_hidden) in enumerate(zip(domains, _hidden_parents(g))):
+                if node != i:
+                    raise ValueError("cpts must be listed by node index")
+                if obs != g.parents(i) or hidden != own_hidden:
+                    raise ValueError(f"table domain of node {i} does not match the graph")
+        return GroundTruthCbn(g, hidden_domain, priors, tuple(tables))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid model: {e}") from None
 

@@ -42,7 +42,7 @@ from dolearn.intervene import (
     learn_marginal_do,
     model_to_dense,
 )
-from dolearn.learn import LearnConfig, exact_do_model, learn_do
+from dolearn.learn import exact_do_model, learn_do
 from dolearn.model import (
     _spread,
     exact_interventional,
@@ -216,11 +216,10 @@ def test_criterion_7_marginal_two_path_agreement():
     for g, x_node, f_sets in cases:
         cbn = random_cbn(g, smoothing=0.3, seed=21)
         batch = sample_observational(cbn, 60_000, seed=22)
-        cfg = LearnConfig(epsilon=eps, t=20, seed=0)
         for f in f_sets:
             oracle = exact_interventional(cbn, x_node, 1).marginal(f)
-            reduced = learn_marginal_do(batch, g, x_node, 1, f, cfg)
-            generated = learn_marginal_do(batch, g, x_node, 1, f, cfg, via_generator=True)
+            reduced = learn_marginal_do(batch, g, x_node, 1, f, t=20, epsilon=eps)
+            generated = learn_marginal_do(batch, g, x_node, 1, f, t=20, via_generator=True, epsilon=eps)
             worst_vs_exact = max(
                 worst_vs_exact, tv_distance(oracle, reduced), tv_distance(oracle, generated)
             )

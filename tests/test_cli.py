@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +179,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "sample", "--model", str(tmp_path / "nope.json"),
                            "--m", "10", "--out", str(tmp_path / "s.csv"))
         assert code == 3
+
+    def test_gen_model_tables_above_the_guard_is_contract_error(self, tmp_path):
+        # Node 1 sits on two bidirected edges, so at --hidden-domain 100000 its
+        # table alone would hold 10^10 * 2 entries. The run is a child
+        # process under a 2 GB address-space limit, so a missing guard ends
+        # in a MemoryError there and not in the memory of the test host.
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"n": 3, "alphabet": 2, "directed": [], "bidirected": [[0, 1], [1, 2]]}))
+        model = tmp_path / "m.json"
+        limit = 2 * 1024**3
+        done = subprocess.run(
+            [sys.executable, "-m", "dolearn", "gen-model", "--graph", str(graph), "--hidden-domain", "100000",
+             "--out", str(model)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert done.returncode == 4, done.stderr
+        assert "contract violation: the tables and priors would hold 20000600000 entries" in done.stderr
+        assert not model.exists()
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, err = run(capsys, "tv", "--nonsense", "x")

@@ -20,7 +20,7 @@ from dolearn.graph import random_admg
 from dolearn.intervene import (
     InterventionalModel, build_split_evaluator, evaluate_do, evaluate_split, model_to_dense, sample_do
 )
-from dolearn.learn import BayesNetModel, LearnConfig, learned_model_to_json, parse_learned_model_json
+from dolearn.learn import BayesNetModel, learned_model_to_json, parse_learned_model_json
 from dolearn.model import DenseDistribution, SampleBatch, _spread, draw_from_cdf, random_cbn, sample_observational
 
 PROPERTY = settings.get_profile("property")
@@ -261,7 +261,7 @@ class TestDenseStore:
         # The component models hold node ids that skip x's component or the rest.
         g = random_admg(n, 2, 2, alphabet_size=a, seed=seed, identifiable_for=0)
         cbn = random_cbn(g, smoothing=0.25, seed=seed)
-        ev = build_split_evaluator(sample_observational(cbn, 300, seed=seed), g, 0, seed % a, LearnConfig(t=2))
+        ev = build_split_evaluator(sample_observational(cbn, 300, seed=seed), g, 0, seed % a, t=2)
         for row in np.random.default_rng(seed).integers(0, a, size=(20, n)):
             w = {v: int(row[v]) for v in range(1, n)}
             assert evaluate_split(ev, w) == reference_evaluate_split(ev, w)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,6 +342,23 @@ class TestGraphFile:
     def test_names_must_be_strings(self):
         text = '{\n"n": 3,\n"alphabet": 2,\n"names": [2, null, true],\n"directed": [],\n"bidirected": []\n}'
         with pytest.raises(FormatError, match=r"^<graph>:4: names must be strings, not 2$"):
+            parse_graph_json(text)
+
+    def test_edge_anchor_passes_over_a_nested_key_of_the_same_name(self):
+        payload = {"extra": {"directed": [[0, 1]]}, "n": 3, "alphabet": 2, "bidirected": [],
+                   "directed": [[0, 1], [1, 1]]}
+        # indent=2 puts extra's list on lines 3-8 and directed[1] on line 18.
+        with pytest.raises(FormatError, match=r"^<graph>:18: directed\[1\] is a self-loop on node 1$"):
+            parse_graph_json(json.dumps(payload, indent=2))
+
+    def test_field_anchor_passes_over_a_nested_key_of_the_same_name(self):
+        payload = {"extra": {"n": 1}, "n": 0, "alphabet": 2, "directed": [], "bidirected": []}
+        with pytest.raises(FormatError, match=r"^<graph>:5: n must be a positive integer$"):
+            parse_graph_json(json.dumps(payload, indent=2))
+
+    def test_repeated_key_anchored_at_the_occurrence_json_keeps(self):
+        text = '{\n"n": 3,\n"alphabet": 2,\n"n": 0,\n"directed": [],\n"bidirected": []\n}'
+        with pytest.raises(FormatError, match=r"^<graph>:4: n must be a positive integer$"):
             parse_graph_json(text)
 
     def test_non_canonical_bidirected_rejected(self):

@@ -17,7 +17,7 @@ from dolearn.intervene import (
     model_to_dense,
     sample_do,
 )
-from dolearn.learn import LearnConfig, exact_do_model, learn_do
+from dolearn.learn import exact_do_model, learn_do, practical_threshold
 from dolearn.model import (
     empirical_marginal,
     exact_interventional,
@@ -39,7 +39,7 @@ class TestEvaluateDo:
         g = Admg(3, directed_edges=[(1, 2)], bidirected_edges=[(0, 1)])
         cbn = random_cbn(g, smoothing=0.25, seed=1)
         batch = sample_observational(cbn, 4000, seed=0)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=5))
+        model = learn_do(batch, g, 0, 1, t=5)
         im = InterventionalModel(model, 0, 1)
         dense = model_to_dense(model, keep=[1, 2])
         for vals in itertools.product(range(2), repeat=2):
@@ -49,7 +49,7 @@ class TestEvaluateDo:
     def test_sums_to_one(self):
         g, cbn = instance(2)
         batch = sample_observational(cbn, 3000, seed=1)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=10))
+        model = learn_do(batch, g, 0, 1, t=10)
         im = InterventionalModel(model, 0, 1)
         total = sum(
             evaluate_do(im, dict(zip([1, 2, 3, 4], vals)))
@@ -69,7 +69,7 @@ class TestEvaluateDo:
     def test_mismatched_substitution_rejected(self):
         g, cbn = instance(4)
         batch = sample_observational(cbn, 500, seed=1)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=5))
+        model = learn_do(batch, g, 0, 1, t=5)
         with pytest.raises(ValueError):
             InterventionalModel(model, 0, 0)
 
@@ -86,20 +86,20 @@ class TestEvaluateDo:
         # for the assignment with that symbol in its place.
         g, cbn = instance(2)
         batch = sample_observational(cbn, 3000, seed=1)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=10))
+        model = learn_do(batch, g, 0, 1, t=10)
         with pytest.raises(ValueError, match=message):
             evaluate_do(InterventionalModel(model, 0, 1), w)
         with pytest.raises(ValueError, match=message):
             model.joint_probability({**w, 0: 1})
         with pytest.raises(ValueError, match=message):
-            evaluate_split(build_split_evaluator(batch, g, 0, 1, LearnConfig(t=10)), w)
+            evaluate_split(build_split_evaluator(batch, g, 0, 1, t=10), w)
 
 
 class TestSampleDo:
     def test_fixed_seed_identical(self):
         g, cbn = instance(5)
         batch = sample_observational(cbn, 2000, seed=2)
-        im = InterventionalModel(learn_do(batch, g, 0, 1, LearnConfig(t=10)), 0, 1)
+        im = InterventionalModel(learn_do(batch, g, 0, 1, t=10), 0, 1)
         a = sample_do(im, 300, seed=7)
         b = sample_do(im, 300, seed=7)
         assert np.array_equal(a.data, b.data)
@@ -108,7 +108,7 @@ class TestSampleDo:
     def test_empirical_matches_dense(self):
         g, cbn = instance(6)
         batch = sample_observational(cbn, 5000, seed=3)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=10))
+        model = learn_do(batch, g, 0, 1, t=10)
         im = InterventionalModel(model, 0, 1)
         dense = model_to_dense(model, keep=[1, 2, 3, 4])
         draws = sample_do(im, 1_000_000, seed=11)
@@ -139,7 +139,7 @@ class TestModelToDense:
     def test_normalizes(self):
         g, cbn = instance(7)
         batch = sample_observational(cbn, 2000, seed=4)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=10))
+        model = learn_do(batch, g, 0, 1, t=10)
         dense = model_to_dense(model, keep=range(5))
         assert abs(dense.mass.sum() - 1.0) <= 1e-9
 
@@ -208,7 +208,7 @@ class TestSplitEvaluator:
     def test_output_is_a_probability(self):
         g, cbn = instance(9)
         batch = sample_observational(cbn, 4000, seed=5)
-        ev = build_split_evaluator(batch, g, 0, 1, LearnConfig(t=10))
+        ev = build_split_evaluator(batch, g, 0, 1, t=10)
         for vals in itertools.product(range(2), repeat=4):
             w = dict(zip([1, 2, 3, 4], vals))
             val = evaluate_split(ev, w)
@@ -267,10 +267,9 @@ class TestLearnMarginalDo:
     def test_full_target_set_is_identity(self):
         g, cbn = instance(10)
         batch = sample_observational(cbn, 5000, seed=6)
-        cfg = LearnConfig(t=10, seed=0)
         f = [v for v in range(5) if v != 0]
-        via_reduction = learn_marginal_do(batch, g, 0, 1, f, cfg)
-        full = model_to_dense(learn_do(batch, g, 0, 1, cfg), keep=f)
+        via_reduction = learn_marginal_do(batch, g, 0, 1, f, t=10)
+        full = model_to_dense(learn_do(batch, g, 0, 1, t=10), keep=f)
         assert tv_distance(via_reduction, full) <= 1e-12
 
     def test_marginal_consistency_on_sink_pruned_family(self):
@@ -280,10 +279,9 @@ class TestLearnMarginalDo:
         g = Admg(4, directed_edges=[(0, 1), (1, 2), (2, 3)], bidirected_edges=[(0, 1)])
         cbn = random_cbn(g, smoothing=0.3, seed=19)
         batch = sample_observational(cbn, 8000, seed=7)
-        cfg = LearnConfig(t=10, seed=0)
         f = [0, 2]
-        reduced = learn_marginal_do(batch, g, 1, 1, f, cfg)
-        full = model_to_dense(learn_do(batch, g, 1, 1, cfg), keep=f)
+        reduced = learn_marginal_do(batch, g, 1, 1, f, t=10)
+        full = model_to_dense(learn_do(batch, g, 1, 1, t=10), keep=f)
         assert tv_distance(reduced, full) <= 1e-12
 
     def test_chain_reduction_hits_oracle(self):
@@ -291,8 +289,7 @@ class TestLearnMarginalDo:
         cbn = random_cbn(g, smoothing=0.3, seed=8)
         oracle = exact_interventional(cbn, 1, 1).marginal([3])
         batch = sample_observational(cbn, 60_000, seed=9)
-        cfg = LearnConfig(epsilon=0.1, t=20, seed=0)
-        reduced = learn_marginal_do(batch, g, 1, 1, [3], cfg)
+        reduced = learn_marginal_do(batch, g, 1, 1, [3], t=20)
         assert tv_distance(oracle, reduced) <= 0.1
 
     def test_two_paths_agree(self):
@@ -304,12 +301,23 @@ class TestLearnMarginalDo:
         cbn = random_cbn(g, smoothing=0.3, seed=12)
         oracle = exact_interventional(cbn, 0, 1).marginal([4])
         batch = sample_observational(cbn, 60_000, seed=13)
-        cfg = LearnConfig(epsilon=0.1, t=20, seed=0)
-        reduced = learn_marginal_do(batch, g, 0, 1, [4], cfg)
-        generated = learn_marginal_do(batch, g, 0, 1, [4], cfg, via_generator=True)
+        reduced = learn_marginal_do(batch, g, 0, 1, [4], t=20)
+        generated = learn_marginal_do(batch, g, 0, 1, [4], t=20, via_generator=True)
         assert tv_distance(oracle, reduced) <= 0.1
         assert tv_distance(oracle, generated) <= 0.1
         assert tv_distance(reduced, generated) <= 0.2
+
+    def test_default_threshold_is_that_of_the_graph_passed(self):
+        # The reduction learns on a smaller graph, whose own practical
+        # threshold (53) is below g's (86); at 400 rows the two answers differ.
+        g = random_admg(10, 2, 3, seed=2, identifiable_for=0)
+        cbn = random_cbn(g, smoothing=0.25, seed=2)
+        batch = sample_observational(cbn, 400, seed=2)
+        t = practical_threshold(g.node_count, g.alphabet_size, c_components(g).max_size, g.max_in_degree)
+        for via_generator in (False, True):
+            default = learn_marginal_do(batch, g, 0, 1, [9], via_generator=via_generator)
+            explicit = learn_marginal_do(batch, g, 0, 1, [9], t=t, via_generator=via_generator)
+            assert np.array_equal(default.mass, explicit.mass), via_generator
 
     def test_generator_count_formula(self):
         assert generator_sample_count(2, 2, 0.1) == 4000

@@ -9,7 +9,6 @@ from dolearn.identify import conditional_table, exact_dx
 from dolearn.intervene import model_to_dense
 from dolearn.learn import (
     BayesNetModel,
-    LearnConfig,
     add_one_estimator,
     amplify,
     default_parameters,
@@ -115,7 +114,7 @@ class TestLearnDo:
         g = Admg(4, directed_edges=[(1, 2), (2, 3)], bidirected_edges=[(0, 1)])
         cbn = random_cbn(g, smoothing=0.25, seed=5)
         batch = sample_observational(cbn, 5000, seed=2)
-        do_model = learn_do(batch, g, 0, 1, LearnConfig(t=1))
+        do_model = learn_do(batch, g, 0, 1, t=1)
         obs_model = learn_observational(batch, g, t=1)
         assert do_model.substituted_nodes == frozenset()
         assert do_model.conditioning_sets == obs_model.conditioning_sets
@@ -141,7 +140,7 @@ class TestLearnDo:
         eps = 0.2
         cbn = build_hard_instance(HardInstanceSpec(1, 0.3, eps, ((1,),)))
         batch = sample_observational(cbn, 200_000, seed=4)
-        model = learn_do(batch, cbn.graph, 1, 1, LearnConfig(t=10))
+        model = learn_do(batch, cbn.graph, 1, 1, t=10)
         dense = model_to_dense(model, keep=[2])
         assert dense.mass[1] == pytest.approx((1 + eps) / 2, abs=0.01)
 
@@ -161,7 +160,7 @@ class TestLearnDo:
         p = exact_observational(cbn)
         dx = exact_dx(p, g, 0, 1)
         batch = sample_observational(cbn, 20_000, seed=9)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=20))
+        model = learn_do(batch, g, 0, 1, t=20)
         learned = model_to_dense(model, keep=range(6))
         lhs = kl_distance(dx, learned)
         rhs = 0.0
@@ -187,7 +186,7 @@ class TestLearnDo:
     def test_diagnostics_count_uniform_fallbacks(self):
         g, cbn = reference_instance(7)
         batch = sample_observational(cbn, 50, seed=0)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=1000))
+        model = learn_do(batch, g, 0, 1, t=1000)
         assert model.diagnostics["below_threshold_rows"] > 0
 
 
@@ -195,7 +194,7 @@ class TestLearnComponentIntervention:
     def test_whole_vertex_set_matches_observational(self):
         g, cbn = reference_instance(8)
         batch = sample_observational(cbn, 5000, seed=5)
-        got = learn_ccomponent_intervention(batch, g, range(6), {}, LearnConfig(t=3))
+        got = learn_ccomponent_intervention(batch, g, range(6), {}, t=3)
         want = learn_observational(batch, g, t=3)
         assert set(got.cpts) == set(want.cpts)
         for key, row in got.cpts.items():
@@ -252,13 +251,13 @@ class TestLearnComponentIntervention:
         g = Admg(3, bidirected_edges=[(0, 1)])
         batch = SampleBatch((0, 1, 2), np.zeros((5, 3), dtype=int))
         with pytest.raises(ValueError, match="splits"):
-            learn_ccomponent_intervention(batch, g, {0}, {}, LearnConfig(t=1))
+            learn_ccomponent_intervention(batch, g, {0}, {}, t=1)
 
     def test_rejects_wrong_assignment_shape(self):
         g = Admg(3, directed_edges=[(0, 1)], bidirected_edges=[(1, 2)])
         batch = SampleBatch((0, 1, 2), np.zeros((5, 3), dtype=int))
         with pytest.raises(ValueError, match="outside parents"):
-            learn_ccomponent_intervention(batch, g, {1, 2}, {}, LearnConfig(t=1))
+            learn_ccomponent_intervention(batch, g, {1, 2}, {}, t=1)
 
 
 class TestAmplify:
@@ -268,7 +267,7 @@ class TestAmplify:
         holdout = sample_observational(cbn, 500, seed=8)
 
         def learner(part, seed):
-            return learn_do(part, g, 0, 1, LearnConfig(t=10))
+            return learn_do(part, g, 0, 1, t=10)
 
         direct = learner(batch, 0)
         chosen = amplify(learner, batch, 1, holdout)
@@ -286,7 +285,7 @@ class TestAmplify:
             produced = []
 
             def learner(part, seed):
-                model = learn_do(part, g, 0, 1, LearnConfig(t=10))
+                model = learn_do(part, g, 0, 1, t=10)
                 if len(produced) == 2:  # corrupt the third candidate: shuffle its rows
                     rng = np.random.default_rng(trial)
                     keys = list(model.cpts)
@@ -318,7 +317,7 @@ class TestAmplify:
         models = []
 
         def learner(part, seed):
-            model = learn_do(part, g, 0, 1, LearnConfig(t=10))
+            model = learn_do(part, g, 0, 1, t=10)
             models.append(model)
             return model
 
@@ -378,18 +377,18 @@ class TestTableRowLimit:
         rng = np.random.default_rng(0)
         batch = SampleBatch(tuple(range(n)), rng.integers(0, 10, size=(5, n)))
         with pytest.raises(StateSpaceError, match="would need"):
-            learn_do(batch, g, 0, 1, LearnConfig(t=1))
+            learn_do(batch, g, 0, 1, t=1)
         with pytest.raises(StateSpaceError, match="would need"):
             learn_observational(batch, g)
         with pytest.raises(StateSpaceError, match="would need"):
-            learn_ccomponent_intervention(batch, g, range(n), {}, LearnConfig(t=1))
+            learn_ccomponent_intervention(batch, g, range(n), {}, t=1)
 
 
 class TestLearnedModelFile:
     def test_round_trip_bit_exact(self, tmp_path):
         g, cbn = reference_instance(14)
         batch = sample_observational(cbn, 2000, seed=2)
-        model = learn_do(batch, g, 0, 1, LearnConfig(t=10))
+        model = learn_do(batch, g, 0, 1, t=10)
         path = tmp_path / "learned.json"
         save_learned_model(model, str(path))
         text = path.read_text()

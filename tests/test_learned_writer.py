@@ -13,7 +13,7 @@ from dolearn.errors import GenerationError
 from dolearn.files import dump_json
 from dolearn.graph import random_admg
 from dolearn.learn import (
-    LearnConfig, exact_do_model, learn_do, learn_observational, learned_model_to_json, parse_learned_model_json,
+    exact_do_model, learn_do, learn_observational, learned_model_to_json, parse_learned_model_json,
 )
 from dolearn.model import DenseDistribution, _decode, exact_observational, random_cbn, sample_observational
 
@@ -82,7 +82,7 @@ def learned_models(draw):
         m = draw(st.integers(1, 200))
         samples = sample_observational(cbn, m, seed=draw(st.integers(0, 2**16)))
         if source == "learn_do":
-            model = learn_do(samples, g, 0, x_val, LearnConfig(t=draw(st.integers(1, 20))))
+            model = learn_do(samples, g, 0, x_val, t=draw(st.integers(1, 20)))
         else:
             model = learn_observational(samples, g, t=draw(st.integers(1, 2 * m)))
     names = draw(st.none() | st.lists(names_text, min_size=g.node_count, max_size=g.node_count, unique=True))

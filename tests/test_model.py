@@ -8,7 +8,6 @@ from dolearn.graph import Admg, random_admg
 from dolearn.model import (
     DenseDistribution,
     GroundTruthCbn,
-    NodeCpt,
     empirical_marginal,
     exact_interventional,
     exact_observational,
@@ -90,8 +89,8 @@ class TestRandomCbn:
     def test_full_smoothing_is_uniform(self):
         g = random_admg(4, 2, 2, seed=0)
         cbn = random_cbn(g, smoothing=1.0, seed=1)
-        for cpt in cbn.cpts:
-            assert np.allclose(cpt.table, 1.0 / g.alphabet_size)
+        for table in cbn.tables:
+            assert np.allclose(table, 1.0 / g.alphabet_size)
         p = exact_observational(cbn)
         assert np.allclose(p.mass, 1.0 / p.mass.size)
 
@@ -99,16 +98,16 @@ class TestRandomCbn:
         g = random_admg(5, 2, 2, seed=3)
         a = random_cbn(g, smoothing=0.25, seed=7)
         b = random_cbn(g, smoothing=0.25, seed=7)
-        for ca, cb in zip(a.cpts, b.cpts):
-            assert np.array_equal(ca.table, cb.table)
+        for ca, cb in zip(a.tables, b.tables):
+            assert np.array_equal(ca, cb)
         c = random_cbn(g, smoothing=0.25, seed=8)
-        assert any(not np.array_equal(ca.table, cc.table) for ca, cc in zip(a.cpts, c.cpts))
+        assert any(not np.array_equal(ca, cc) for ca, cc in zip(a.tables, c.tables))
 
     def test_smoothing_floor(self):
         g = random_admg(5, 2, 2, alphabet_size=3, seed=2)
         cbn = random_cbn(g, smoothing=0.3, seed=4)
-        for cpt in cbn.cpts:
-            assert cpt.table.min() >= 0.3 / 3 - 1e-15
+        for table in cbn.tables:
+            assert table.min() >= 0.3 / 3 - 1e-15
 
 
 class TestSampling:
@@ -129,8 +128,8 @@ class TestSampling:
     def test_point_mass_rows_are_constant(self):
         g = Admg(2, directed_edges=[(0, 1)])
         cpts = (
-            NodeCpt(0, (), (), np.array([0.0, 1.0])),
-            NodeCpt(1, (0,), (), np.array([[1.0, 0.0], [0.0, 1.0]])),
+            np.array([0.0, 1.0]),
+            np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
         cbn = GroundTruthCbn(g, 2, (), cpts)
         batch = sample_observational(cbn, 200, seed=0)
@@ -149,7 +148,7 @@ class TestSampling:
 class TestExactObservational:
     def test_single_binary_node(self):
         g = Admg(1)
-        cbn = GroundTruthCbn(g, 2, (), (NodeCpt(0, (), (), np.array([0.3, 0.7])),))
+        cbn = GroundTruthCbn(g, 2, (), (np.array([0.3, 0.7]),))
         assert np.allclose(exact_observational(cbn).mass, [0.3, 0.7])
 
     def test_confounded_pair_hand_summation(self):
@@ -158,7 +157,7 @@ class TestExactObservational:
         prior = np.array([0.4, 0.6])
         ta = np.array([[0.2, 0.8], [0.9, 0.1]])  # P(A | u)
         tb = np.array([[0.7, 0.3], [0.5, 0.5]])  # P(B | u)
-        cbn = GroundTruthCbn(g, 2, (prior,), (NodeCpt(0, (), (0,), ta), NodeCpt(1, (), (0,), tb)))
+        cbn = GroundTruthCbn(g, 2, (prior,), (ta, tb))
         expected = np.zeros((2, 2))
         for u in range(2):
             for a in range(2):
@@ -233,8 +232,8 @@ class TestFileFormats:
         save_model(cbn, str(path))
         back = load_model(str(path))
         assert model_to_json(back) == model_to_json(cbn)
-        for ca, cb in zip(back.cpts, cbn.cpts):
-            assert np.array_equal(ca.table, cb.table)
+        for ca, cb in zip(back.tables, cbn.tables):
+            assert np.array_equal(ca, cb)
 
     def test_model_parse_errors(self):
         with pytest.raises(FormatError, match="missing required field"):

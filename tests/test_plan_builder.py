@@ -28,7 +28,6 @@ from dolearn.identify import conditional_table, exact_dx, tian_pearl_do
 from dolearn.intervene import model_to_dense
 from dolearn.learn import (
     BayesNetModel,
-    LearnConfig,
     _grouped_counts,
     add_one_estimator,
     exact_ccomponent_model,
@@ -68,9 +67,9 @@ def _reference_exact(order, conditioning, alphabet, tables, **kwargs):
     return BayesNetModel(order, conditioning, alphabet, values, np.ones(values.shape[0], dtype=bool), **kwargs)
 
 
-def _reference_threshold(g, cfg):
-    if cfg is not None and cfg.t is not None:
-        return cfg.t
+def _reference_threshold(g, t):
+    if t is not None:
+        return t
     return practical_threshold(g.node_count, g.alphabet_size, c_components(g).max_size, g.max_in_degree)
 
 
@@ -102,9 +101,9 @@ def reference_learn_observational(samples, g, t=1):
     return _reference_counted(order, conditioning, g.alphabet_size, counts, dict.fromkeys(order, t), {}, names=g.names)
 
 
-def reference_learn_do(samples, g, x_node, x_val, cfg=None):
+def reference_learn_do(samples, g, x_node, x_val, t=None):
     _require_identifiable(g, x_node)
-    t = _reference_threshold(g, cfg)
+    t = _reference_threshold(g, t)
     zs = effective_parents(g)
     order = tuple(topological_order(g))
     s1 = set(c_components(g).component_containing(x_node))
@@ -130,10 +129,10 @@ def reference_learn_do(samples, g, x_node, x_val, cfg=None):
     )
 
 
-def reference_learn_ccomponent_intervention(samples, g, y_set, y_bar_1, cfg=None):
+def reference_learn_ccomponent_intervention(samples, g, y_set, y_bar_1, t=None):
     y_set = frozenset(int(v) for v in y_set)
     given = _check_component_union(g, y_set, y_bar_1)
-    t = _reference_threshold(g, cfg)
+    t = _reference_threshold(g, t)
     zs = effective_parents(g)
     order = tuple(v for v in topological_order(g) if v in y_set)
     conditioning = {v: tuple(u for u in zs[v] if u in y_set) for v in order}
@@ -247,8 +246,7 @@ class TestCountedSource:
     def test_learn_do_equals_reference(self, case, m, seed, t):
         g, cbn, x, x_val = case
         batch = sample_observational(cbn, m, seed=seed)
-        cfg = LearnConfig(t=t)
-        assert_same_model(learn_do(batch, g, x, x_val, cfg), reference_learn_do(batch, g, x, x_val, cfg))
+        assert_same_model(learn_do(batch, g, x, x_val, t), reference_learn_do(batch, g, x, x_val, t))
 
     @PROPERTY
     @given(instances(), st.integers(1, 300), st.integers(0, 10_000), st.integers(1, 5))
@@ -263,10 +261,9 @@ class TestCountedSource:
         g, cbn, _, _ = case
         y_set, y_bar_1 = data.draw(component_unions(g))
         batch = sample_observational(cbn, m, seed=seed)
-        cfg = LearnConfig(t=t)
         assert_same_model(
-            learn_ccomponent_intervention(batch, g, y_set, y_bar_1, cfg),
-            reference_learn_ccomponent_intervention(batch, g, y_set, y_bar_1, cfg),
+            learn_ccomponent_intervention(batch, g, y_set, y_bar_1, t),
+            reference_learn_ccomponent_intervention(batch, g, y_set, y_bar_1, t),
         )
 
 
@@ -317,10 +314,9 @@ class TestSeveralPins:
     @pytest.mark.parametrize("a, b", [(0, 1), (2, 0), (1, 1)])
     def test_learn_ccomponent_equals_reference(self, a, b):
         batch = sample_observational(random_cbn(self.g, smoothing=0.3, seed=3), 500, seed=4)
-        cfg = LearnConfig(t=2)
         assert_same_model(
-            learn_ccomponent_intervention(batch, self.g, {2, 3}, {0: a, 1: b}, cfg),
-            reference_learn_ccomponent_intervention(batch, self.g, {2, 3}, {0: a, 1: b}, cfg),
+            learn_ccomponent_intervention(batch, self.g, {2, 3}, {0: a, 1: b}, t=2),
+            reference_learn_ccomponent_intervention(batch, self.g, {2, 3}, {0: a, 1: b}, t=2),
         )
 
 

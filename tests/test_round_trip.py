@@ -9,7 +9,7 @@ from dolearn.cli import _dense_to_json, _load_dense
 from dolearn.errors import GenerationError
 from dolearn.graph import graph_to_json, parse_graph_json, random_admg
 from dolearn.intervene import model_to_dense
-from dolearn.learn import LearnConfig, learn_do, learned_model_to_json, parse_learned_model_json
+from dolearn.learn import learn_do, learned_model_to_json, parse_learned_model_json
 from dolearn.model import exact_interventional, model_to_json, parse_model_json, random_cbn, sample_observational
 
 PROPERTY = settings.get_profile("property")
@@ -46,7 +46,7 @@ def test_graph_and_model_files_round_trip(cbn):
 def test_learned_model_and_distribution_files_round_trip(tmp_path_factory, cbn, m, t, x_val, seed):
     g = cbn.graph
     x_val %= g.alphabet_size
-    model = learn_do(sample_observational(cbn, m, seed=seed), g, 0, x_val, LearnConfig(t=t))
+    model = learn_do(sample_observational(cbn, m, seed=seed), g, 0, x_val, t=t)
     text = learned_model_to_json(model)
     assert learned_model_to_json(parse_learned_model_json(text)) == text
     keep = range(1, g.node_count)

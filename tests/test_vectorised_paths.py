@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dolearn.errors import FormatError
 from dolearn.graph import c_components, effective_parents, random_admg, topological_order
 from dolearn.intervene import InterventionalModel, sample_do
-from dolearn.learn import LearnConfig, _encode, _grouped_counts, learn_do
+from dolearn.learn import _encode, _grouped_counts, learn_do
 from dolearn.model import SampleBatch, parse_samples_csv, random_cbn, sample_observational, samples_to_csv
 
 PROPERTY = settings.get_profile("property")
@@ -86,12 +86,11 @@ def reference_sample_observational(cbn, m, seed):
     order = topological_order(g)
     values = np.zeros((m, g.node_count), dtype=np.int64)
     for node in order:
-        cpt = cbn.cpts[node]
-        flat = cpt.table.reshape(-1, g.alphabet_size)
+        flat = cbn.tables[node].reshape(-1, g.alphabet_size)
         idx = np.zeros(m, dtype=np.int64)
-        for p in cpt.obs_parents:
+        for p in g.parents(node):
             idx = idx * g.alphabet_size + values[:, p]
-        for h in cpt.hidden_parents:
+        for h in cbn.hidden_parents[node]:
             idx = idx * cbn.hidden_domain + hidden_vals[h]
         values[:, node] = reference_sample_rows(flat[idx], rng.random(m))
     return SampleBatch(tuple(order), values[:, order])
@@ -335,7 +334,7 @@ class TestAncestralSampling:
     def test_interventional_draws_equal_row_sampler(self, alphabet, seed, count):
         g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed, identifiable_for=0)
         cbn = random_cbn(g, smoothing=0.25, seed=seed + 1)
-        model = learn_do(sample_observational(cbn, 400, seed=seed + 2), g, 0, 1, LearnConfig(t=5))
+        model = learn_do(sample_observational(cbn, 400, seed=seed + 2), g, 0, 1, t=5)
         im = InterventionalModel(model, 0, 1)
         got = sample_do(im, count, seed=seed + 3)
         want = reference_sample_do(im, count, seed + 3)
