@@ -46,7 +46,6 @@ from .intervene import (
 from .learn import (
     BayesNetModel,
     add_one_estimator,
-    amplify,
     default_parameters,
     estimate_alpha,
     exact_ccomponent_model,

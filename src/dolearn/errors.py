@@ -22,7 +22,7 @@ class PositivityError(DolearnError):
 
 
 class StateSpaceError(DolearnError):
-    """An exact enumeration would exceed the configured state-space guard."""
+    """An enumeration, a draw or a sample budget would exceed its size guard."""
 
 
 class NormalizationError(DolearnError):

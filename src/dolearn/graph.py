@@ -175,7 +175,7 @@ class InducedSubgraph:
 
 @dataclass(frozen=True)
 class MarginalReduction:
-    """Result of the marginal reduction: projected graph, kept nodes, checks."""
+    """Result of the marginal reduction: projected graph, kept nodes, size report."""
 
     admg: Admg
     nodes: tuple[int, ...]
@@ -409,7 +409,9 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
     The structural guarantees of the construction are re-checked on every
     call rather than trusted: the component of x survives intact, the result
     stays identifiable, the component's parent closure is unchanged, and the
-    size bounds hold. A violation raises ReductionInvariantError.
+    size bounds hold. A violation raises ReductionInvariantError. Strong
+    positivity carries over, as its margin is over the same parent closure.
+    The report holds the in-degree and component sizes with their bounds.
     """
     f = frozenset(int(v) for v in f)
     if x in f:
@@ -447,11 +449,6 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
             f"a confounded component of size {max(other_sizes)} exceeds bound {ccomp_bound}"
         )
     report = {
-        "s1_preserved": True,
-        "identifiable": True,
-        "pa_plus_preserved": True,
-        # Strong positivity transfers because the margin is over the same set.
-        "positivity_margin_preserved": True,
         "in_degree": h.max_in_degree,
         "in_degree_bound": in_degree_bound,
         "max_other_component": max(other_sizes) if other_sizes else 0,

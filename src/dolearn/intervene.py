@@ -30,7 +30,7 @@ from .learn import (
 )
 from .model import (
     DenseDistribution, SampleBatch, _encode, _product, derived_seed, draw_from_cdf, empirical_marginal,
-    require_state_space,
+    require_draw_size, require_state_space,
 )
 
 ENUMERATION_LIMIT = 2**16
@@ -61,11 +61,10 @@ def evaluate_do(im: InterventionalModel, w: dict) -> float:
 def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch:
     """Ancestral draws from the substituted net with the intervened column
     dropped afterwards."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
     model = im.dx
-    rng = np.random.default_rng(seed)
     width = max(model.order) + 1
+    require_draw_size(width, count)
+    rng = np.random.default_rng(seed)
     values = np.zeros((width, count), dtype=np.int64)
     for node in model.order:
         idx = _encode(values.T, model.conditioning_sets[node], model.alphabet_size)
@@ -176,7 +175,10 @@ def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
 
 def generator_sample_count(alphabet_size: int, f_size: int, epsilon: float) -> int:
     """Draws needed for an empirical marginal over f at accuracy epsilon."""
-    return math.ceil(10.0 * alphabet_size**f_size / epsilon**2)
+    try:
+        return math.ceil(10.0 * alphabet_size**f_size / epsilon**2)
+    except (ZeroDivisionError, OverflowError):  # epsilon**2 underflows, or the count overflows
+        raise StateSpaceError(f"epsilon {epsilon:g} gives no finite draw count; pass a larger --epsilon") from None
 
 
 def learn_marginal_do(

@@ -14,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .graph import (
 )
 from .identify import conditional_table
 from .model import (
-    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, derived_seed, empirical_marginal,
+    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, empirical_marginal,
     first_non_distribution, strong_positivity_margin,
 )
 
@@ -43,11 +43,10 @@ def add_one_estimator(counts: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ParameterPlan:
-    """Worst-case budget (m, t) plus the headline sample count for reports."""
+    """Worst-case sample budget m and count threshold t."""
 
     m: int
     t: int
-    headline_m: int
 
 
 def default_parameters(n: int, alphabet_size: int, k: int, d: int, alpha: float, epsilon: float) -> ParameterPlan:
@@ -56,10 +55,11 @@ def default_parameters(n: int, alphabet_size: int, k: int, d: int, alpha: float,
         raise ValueError("all parameters must be positive")
     width = alphabet_size ** (k * d + k)
     log_term = math.log(n * width)
-    m = math.ceil(20.0 * n * width * alphabet_size**2 * log_term / (alpha**k * epsilon**2))
-    t = math.ceil(10.0 * log_term)
-    headline = math.ceil(alphabet_size ** (2 * k * d) * n / (alpha**k * epsilon**2))
-    return ParameterPlan(m, t, headline)
+    try:
+        m = math.ceil(20.0 * n * width * alphabet_size**2 * log_term / (alpha**k * epsilon**2))
+    except (ZeroDivisionError, OverflowError):  # alpha**k or epsilon**2 underflows, or the budget overflows
+        raise StateSpaceError(f"alpha {alpha:g}, epsilon {epsilon:g} give no finite worst-case budget; pass --m") from None
+    return ParameterPlan(m, math.ceil(10.0 * log_term))
 
 
 def practical_threshold(n: int, alphabet_size: int, k: int, d: int) -> int:
@@ -282,15 +282,6 @@ class BayesNetModel:
         # log-space sum or np.prod can change the last bits, and eval prints
         # 12 significant digits.
         return math.prod(self.factors(assignment), start=1.0)
-
-    def log_likelihood_rows(self, values_by_node: np.ndarray) -> np.ndarray:
-        """Per-row log probability for a matrix indexed by node id."""
-        m = values_by_node.shape[0]
-        out = np.zeros(m)
-        for node in self.order:
-            idx = _encode(values_by_node, self.conditioning_sets[node], self.alphabet_size)
-            out += np.log(self.tables[node][idx, values_by_node[:, node]])
-        return out
 
 
 def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:
@@ -528,44 +519,6 @@ def estimate_alpha(samples: SampleBatch, g: Admg, x_node: int) -> float:
     _, pa_plus, _ = parent_sets(g, c_components(g).component_containing(x_node))
     emp = empirical_marginal(samples, sorted(pa_plus), g.alphabet_size)
     return strong_positivity_margin(emp, pa_plus)
-
-
-def amplify(
-    learner: Callable[[SampleBatch, int], BayesNetModel],
-    samples: SampleBatch,
-    reps: int,
-    holdout: SampleBatch,
-    seed: int = 0,
-) -> BayesNetModel:
-    """Train on disjoint slices and keep the candidate with the best holdout
-    score.
-
-    The score is a median-of-means log-loss: holdout rows are split into five
-    fixed blocks by row index, each block contributes its mean negative log
-    probability, and the median block decides. Add-1 and uniform rows keep
-    every probability positive, so the loss is always finite. Ties go to the
-    earliest candidate, which makes selection invariant to duplicates.
-    """
-    if reps < 1 or reps % 2 == 0:
-        raise ValueError("reps must be a positive odd count")
-    slice_len = samples.size // reps
-    if slice_len < 1:
-        raise ValueError(f"cannot slice {samples.size} rows into {reps} learners")
-    candidates = []
-    for r in range(reps):
-        part = SampleBatch(samples.columns, samples.data[r * slice_len : (r + 1) * slice_len])
-        candidates.append(learner(part, derived_seed(seed, r)))
-    hold_vals = holdout.by_node()
-    blocks = min(5, holdout.size)
-    block_of = np.arange(holdout.size) % blocks
-    best_idx = 0
-    best_score = None
-    for idx, cand in enumerate(candidates):
-        nll = -cand.log_likelihood_rows(hold_vals)
-        score = float(np.median([nll[block_of == b].mean() for b in range(blocks)]))
-        if best_score is None or score < best_score:
-            best_idx, best_score = idx, score
-    return candidates[best_idx]
 
 
 # ---------------------------------------------------------------------------

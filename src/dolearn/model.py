@@ -21,6 +21,7 @@ from .files import decode_json, dump_json, read_text, write_text
 from .graph import Admg, graph_from_payload, graph_payload, is_integer, topological_order
 
 STATE_SPACE_LIMIT = 2**24
+DRAW_CELL_LIMIT = 2**26  # int64 cells of one draw array: 512 MiB
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,9 +222,8 @@ def draw_from_cdf(cdf: np.ndarray, idx, u: np.ndarray) -> np.ndarray:
 
 def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBatch:
     """m ancestral draws; hidden columns are discarded."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
     g = cbn.graph
+    require_draw_size(g.node_count, m)
     rng = np.random.default_rng(seed)
     hidden_vals = []
     for prior in cbn.hidden_priors:
@@ -237,6 +237,15 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
         cdf = np.cumsum(cbn.tables[node].reshape(-1, g.alphabet_size), axis=1)
         values[node] = draw_from_cdf(cdf, idx, rng.random(m))
     return SampleBatch(tuple(order), values[order].T)
+
+
+def require_draw_size(width: int, count: int) -> None:
+    """Refuses, before anything is allocated, count draws of width variables
+    when count is below 1 or the draws hold more than DRAW_CELL_LIMIT cells."""
+    if count < 1:
+        raise ValueError("the draw count must be at least 1")
+    if width * count > DRAW_CELL_LIMIT:
+        raise StateSpaceError(f"{count} draws of {width} variables exceed the {DRAW_CELL_LIMIT}-cell guard")
 
 
 def derived_seed(*parts: int) -> int:

@@ -78,6 +78,8 @@ def base(tmp_path_factory) -> Path:
         (base / name).write_text(text)
     (base / "latin1.json").write_bytes(b'{"n": "\xe9"}')
     (base / "dir").mkdir()
+    (base / "convergence.json").write_text(json.dumps({"kind": "convergence", "model": str(base / "m.json"),
+                                                       "x_var": "v0", "x_val": 1, "m_grid": [10**13], "trials": 1}))
     (base / "out").mkdir()
     return base
 
@@ -149,3 +151,32 @@ def test_argument_out_of_range_is_usage_error(base, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert dispatch(argv) == 2, err.getvalue()
     assert err.getvalue().startswith("usage error: ")
+
+
+# Sizes that reached the exit-5 funnel as MemoryError, ZeroDivisionError or
+# OverflowError: draws beyond the draw-cell guard (sample, sample-do, the
+# generator route of marginal, a convergence grid), and worst-case budgets
+# that are no finite number (on G, k = 2: alpha**2 underflows to 0 at 1e-200,
+# and the budget to inf at 1e-160; epsilon**2 underflows at 1e-200). Each is
+# refused as a contract violation before anything is allocated.
+TOO_LARGE = [
+    ["sample", "--model", "m.json", "--m", "10000000000000"],
+    ["sample-do", "--learned", "l.json", "--m", "10000000000000"],
+    ["marginal", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1", "--targets", "v1",
+     "--via-generator", "--epsilon", "1e-8"],
+    ["experiment", "--spec", "convergence.json"],
+    ["learn-do", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1", "--alpha", "1e-200"],
+    ["learn-do", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1", "--alpha", "1e-160"],
+    ["marginal", "--graph", "g.json", "--samples", "s.csv", "--x-var", "v0", "--x-val", "1", "--targets", "v1",
+     "--m", "50", "--via-generator", "--epsilon", "1e-200"],
+]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_size_beyond_guard_is_contract_violation(base, argv):
+    argv = [str(base / a) if a in INPUTS or a == "convergence.json" else a for a in argv]
+    argv += ["--out", str(base / "out" / "o")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert dispatch(argv) == 4, err.getvalue()
+    assert "contract violation: " in err.getvalue()

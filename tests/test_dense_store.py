@@ -84,16 +84,6 @@ class ReferenceModel:
             p *= float(self.row(node, key)[assignment[node]])
         return p
 
-    def log_likelihood_rows(self, values_by_node):
-        m = values_by_node.shape[0]
-        out = np.zeros(m)
-        for node in self.order:
-            idx = np.zeros(m, dtype=np.int64)
-            for u in self.conditioning_sets[node]:
-                idx = idx * self.alphabet_size + values_by_node[:, u]
-            out += np.log(self.table(node)[idx, values_by_node[:, node]])
-        return out
-
 
 def reference_evaluate_do(model, x_node, w):
     total = 0.0
@@ -265,14 +255,6 @@ class TestDenseStore:
         for row in np.random.default_rng(seed).integers(0, a, size=(20, n)):
             w = {v: int(row[v]) for v in range(1, n)}
             assert evaluate_split(ev, w) == reference_evaluate_split(ev, w)
-
-    @PROPERTY
-    @given(sparse_models(), st.integers(0, 2**32 - 1))
-    def test_log_likelihood_rows_bit_equal(self, case, seed):
-        new, ref = both(case)
-        values = full_assignments(new, np.random.default_rng(seed), 30)
-        with np.errstate(divide="ignore"):  # zero entries give -inf on both sides
-            assert np.array_equal(new.log_likelihood_rows(values), ref.log_likelihood_rows(values))
 
     @PROPERTY
     @given(sparse_models(), st.integers(0, 2**32 - 1), st.integers(1, 200))

@@ -10,7 +10,6 @@ from dolearn.intervene import model_to_dense
 from dolearn.learn import (
     BayesNetModel,
     add_one_estimator,
-    amplify,
     default_parameters,
     estimate_alpha,
     exact_ccomponent_model,
@@ -68,9 +67,16 @@ class TestDefaultParameters:
             b = default_parameters(6, 2, k, 2, 0.1, 0.1).m
             assert b / a == pytest.approx(2**k, rel=1e-6)
 
-    def test_headline_reported(self):
-        plan = default_parameters(6, 2, 2, 2, 0.1, 0.1)
-        assert plan.headline_m == math.ceil(2**8 * 6 / (0.1**2 * 0.1**2))
+    def test_budget_is_the_formula_bit_for_bit(self):
+        width = 2**6
+        want = math.ceil(20.0 * 6 * width * 2**2 * math.log(6 * width) / (0.1**2 * 0.1**2))
+        assert default_parameters(6, 2, 2, 2, 0.1, 0.1).m == want
+
+    @pytest.mark.parametrize("alpha, epsilon", [(1e-200, 0.1), (1e-160, 0.1), (0.5, 1e-200)])
+    def test_budget_that_is_no_finite_number_is_refused(self, alpha, epsilon):
+        # alpha**2 or epsilon**2 underflows to 0, or the quotient overflows to inf.
+        with pytest.raises(StateSpaceError, match="pass --m"):
+            default_parameters(4, 2, 2, 2, alpha, epsilon)
 
 
 def reference_instance(seed, smoothing=0.25, n=6):
@@ -258,99 +264,6 @@ class TestLearnComponentIntervention:
         batch = SampleBatch((0, 1, 2), np.zeros((5, 3), dtype=int))
         with pytest.raises(ValueError, match="outside parents"):
             learn_ccomponent_intervention(batch, g, {1, 2}, {}, t=1)
-
-
-class TestAmplify:
-    def test_single_rep_is_identity(self):
-        g, cbn = reference_instance(9)
-        batch = sample_observational(cbn, 3000, seed=7)
-        holdout = sample_observational(cbn, 500, seed=8)
-
-        def learner(part, seed):
-            return learn_do(part, g, 0, 1, t=10)
-
-        direct = learner(batch, 0)
-        chosen = amplify(learner, batch, 1, holdout)
-        assert learned_model_to_json(chosen) == learned_model_to_json(direct)
-
-    def test_corrupted_candidate_never_selected(self):
-        from dolearn.model import exact_interventional
-
-        g, cbn = reference_instance(10)
-        oracle = exact_interventional(cbn, 0, 1)
-        keep = [v for v in range(6) if v != 0]
-        for trial in range(50):
-            batch = sample_observational(cbn, 10_000, seed=100 + trial)
-            holdout = sample_observational(cbn, 2_000, seed=900 + trial)
-            produced = []
-
-            def learner(part, seed):
-                model = learn_do(part, g, 0, 1, t=10)
-                if len(produced) == 2:  # corrupt the third candidate: shuffle its rows
-                    rng = np.random.default_rng(trial)
-                    keys = list(model.cpts)
-                    rows = [model.cpts[k] for k in keys]
-                    perm = rng.permutation(len(rows))
-                    model = BayesNetModel.from_rows(
-                        model.order,
-                        model.conditioning_sets,
-                        model.alphabet_size,
-                        {k: rows[p] for k, p in zip(keys, perm)},
-                        x_substitution=model.x_substitution,
-                        substituted_nodes=model.substituted_nodes,
-                        names=model.names,
-                    )
-                produced.append(model)
-                return model
-
-            chosen = amplify(learner, batch, 5, holdout, seed=trial)
-            # Ranking by the exact metric confirms the corruption is the worst
-            # candidate, and selection must never pick it.
-            tvs = [tv_distance(oracle, model_to_dense(m, keep)) for m in produced]
-            assert np.argmax(tvs) == 2
-            assert chosen is not produced[2]
-
-    def test_selection_invariant_to_duplicates(self):
-        g, cbn = reference_instance(11)
-        batch = sample_observational(cbn, 3000, seed=12)
-        holdout = sample_observational(cbn, 600, seed=13)
-        models = []
-
-        def learner(part, seed):
-            model = learn_do(part, g, 0, 1, t=10)
-            models.append(model)
-            return model
-
-        chosen = amplify(learner, batch, 3, holdout)
-        idx = next(i for i, m in enumerate(models) if m is chosen)
-
-        # Re-run with candidate list [c0, c1, c2, winner, winner]: still the winner.
-        seq = models + [models[idx], models[idx]]
-        calls = {"i": 0}
-
-        def learner_five(part, seed):
-            m = seq[calls["i"]]
-            calls["i"] += 1
-            return m
-
-        chosen5 = amplify(learner_five, batch, 5, holdout)
-        assert learned_model_to_json(chosen5) == learned_model_to_json(models[idx])
-
-    def test_insufficient_samples(self):
-        g, cbn = reference_instance(12)
-        batch = sample_observational(cbn, 2, seed=1)
-
-        def learner(part, seed):
-            return learn_do(part, g, 0, 1)
-
-        with pytest.raises(ValueError, match="slice"):
-            amplify(learner, batch, 5, batch)
-
-    def test_even_reps_rejected(self):
-        g, cbn = reference_instance(12)
-        batch = sample_observational(cbn, 100, seed=1)
-        with pytest.raises(ValueError, match="odd"):
-            amplify(lambda b, s: None, batch, 4, batch)
 
 
 class TestEstimateAlpha:

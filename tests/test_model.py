@@ -6,6 +6,7 @@ import pytest
 from dolearn.errors import FormatError, StateSpaceError
 from dolearn.graph import Admg, random_admg
 from dolearn.model import (
+    DRAW_CELL_LIMIT,
     DenseDistribution,
     GroundTruthCbn,
     empirical_marginal,
@@ -18,6 +19,7 @@ from dolearn.model import (
     parse_model_json,
     parse_samples_csv,
     random_cbn,
+    require_draw_size,
     sample_observational,
     save_model,
     save_samples,
@@ -134,6 +136,17 @@ class TestSampling:
         cbn = GroundTruthCbn(g, 2, (), cpts)
         batch = sample_observational(cbn, 200, seed=0)
         assert np.all(batch.by_node() == 1)
+
+    def test_draw_guard_refuses_before_allocating(self):
+        cbn = random_cbn(random_admg(5, 2, 2, seed=1), smoothing=0.25, seed=0)
+        with pytest.raises(StateSpaceError, match="cell guard"):
+            sample_observational(cbn, 10**13)
+        with pytest.raises(StateSpaceError):
+            require_draw_size(1, DRAW_CELL_LIMIT + 1)
+        # The bound admits 20 variables at 10**6 draws and the largest bench
+        # workload, 14 variables at 2 * 10**5 rows.
+        for width, count in [(1, DRAW_CELL_LIMIT), (20, 10**6), (14, 2 * 10**5)]:
+            require_draw_size(width, count)
 
     def test_sampler_matches_exact_distribution(self):
         # Normalization plus sampler correctness in one sweep.
