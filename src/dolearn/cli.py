@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import experiments as exp
-from .errors import DolearnError, FormatError
+from .errors import DolearnError, FormatError, UnderflowError
 from .files import decode_json, dump_json, read_text, write_text
 from .graph import Admg, c_components, is_integer, load_graph, random_admg, save_graph
 from .intervene import (
@@ -251,8 +251,14 @@ def _cmd_eval(args) -> int:
     im = _load_intervention(args.learned)
     w_nodes = [v for v in im.dx.order if v != im.x_node]
     w_names = [im.dx.names[v] for v in w_nodes]
-    vals = parse_assignment(args.assignment, w_names, im.dx.alphabet_size)
-    p = evaluate_do(im, dict(zip(w_nodes, vals)))
+    w = dict(zip(w_nodes, parse_assignment(args.assignment, w_names, im.dx.alphabet_size)))
+    p = evaluate_do(im, w)
+    # The float64 product carries no exponent: below the normal range the value
+    # has underflowed, unless every term of the sum over x has a zero factor.
+    terms = (im.dx.factors({**w, im.x_node: x}) for x in range(im.dx.alphabet_size))
+    if p < sys.float_info.min and any(min(factors) > 0 for factors in terms):
+        raise UnderflowError(f"the probability underflows float64: a term of the sum over {im.dx.names[im.x_node]} "
+                             f"has only positive factors, but the sum is {p!r}, below {sys.float_info.min!r}")
     print(format_significant(p, 12))
     return 0
 
@@ -342,90 +348,64 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_learner(sub, name: str, help: str, func, own: dict) -> None:
-    """Add a command that learns from --samples over --graph under do(--x-var =
-    --x-val); own maps its further flags to add_argument options. They come
-    before --out, as usage errors list the missing flags in declared order."""
-    p = sub.add_parser(name, help=help)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--x-var", required=True)
-    p.add_argument("--x-val", type=int, required=True)
-    p.add_argument("--epsilon", type=_epsilon, default=0.1)
-    p.add_argument("--alpha", type=_alpha, default=None)
-    p.add_argument("--m", type=_count, default=None)
-    p.add_argument("--t", type=_count, default=None)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    for flag, options in own.items():
-        p.add_argument(flag, **options)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=func)
+# A flag is its option string and add_argument options. The commands that learn
+# from --samples over --graph under do(--x-var = --x-val) share these; their own
+# flags come next, before --out, as usage errors name missing flags in order.
+_REQUIRED = dict(required=True)
+_SEED = dict(type=_nonnegative, default=0)
+_LEARNER = {
+    "--graph": _REQUIRED, "--samples": _REQUIRED, "--x-var": _REQUIRED, "--x-val": dict(type=int, required=True),
+    "--epsilon": dict(type=_epsilon, default=0.1), "--alpha": dict(type=_alpha), "--m": dict(type=_count),
+    "--t": dict(type=_count), "--seed": _SEED,
+}
+
+# Each command's name, help, handler name and flags in declared order. The
+# handler is looked up when a parser is built, so a replaced one is called.
+COMMANDS = (
+    ("gen-graph", "random identifiable ADMG", "_cmd_gen_graph", {
+        "--nodes": dict(type=_count, required=True), "--in-degree": dict(type=_nonnegative, required=True),
+        "--ccomp-size": dict(type=_count, required=True), "--alphabet": dict(type=_domain, default=2),
+        "--x-var": dict(type=_nonnegative, default=0, help="node whose interventions must be identifiable"),
+        "--seed": _SEED, "--out": _REQUIRED,
+    }),
+    ("gen-model", "random ground-truth model on a graph", "_cmd_gen_model", {
+        "--graph": _REQUIRED, "--lambda": dict(dest="smoothing", type=_smoothing, default=0.0),
+        "--hidden-domain": dict(type=_domain), "--seed": _SEED, "--out": _REQUIRED,
+    }),
+    ("sample", "draw observational samples", "_cmd_sample",
+     {"--model": _REQUIRED, "--m": dict(type=_count, required=True), "--seed": _SEED, "--out": _REQUIRED}),
+    ("learn-do", "learn the interventional distribution", "_cmd_learn_do",
+     {**_LEARNER, "--truth-model": dict(help="optional oracle for the report's exact TV"), "--out": _REQUIRED}),
+    ("eval", "probability of one assignment under the learned model", "_cmd_eval",
+     {"--learned": _REQUIRED, "--assignment": _REQUIRED}),
+    ("sample-do", "draw from the learned interventional model", "_cmd_sample_do",
+     {"--learned": _REQUIRED, "--m": dict(type=_count, required=True), "--seed": _SEED, "--out": _REQUIRED}),
+    ("marginal", "marginal interventional distribution over targets", "_cmd_marginal", {
+        **_LEARNER, "--targets": dict(required=True, help="comma-separated variable names"),
+        "--via-generator": dict(action="store_true"), "--out": _REQUIRED,
+    }),
+    ("tv", "total variation between two stored distributions", "_cmd_tv",
+     {"--dense-a": _REQUIRED, "--dense-b": _REQUIRED}),
+    ("experiment", "run a scripted experiment", "_cmd_experiment", {"--spec": _REQUIRED, "--out": _REQUIRED}),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of command alone, or of every command when command names
+    none: a call builds only what it parses with."""
     parser = _Parser(prog="dolearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-graph", help="random identifiable ADMG")
-    p.add_argument("--nodes", type=_count, required=True)
-    p.add_argument("--in-degree", type=_nonnegative, required=True)
-    p.add_argument("--ccomp-size", type=_count, required=True)
-    p.add_argument("--alphabet", type=_domain, default=2)
-    p.add_argument("--x-var", type=_nonnegative, default=0, help="node whose interventions must be identifiable")
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_graph)
-
-    p = sub.add_parser("gen-model", help="random ground-truth model on a graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--lambda", dest="smoothing", type=_smoothing, default=0.0)
-    p.add_argument("--hidden-domain", type=_domain, default=None)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_model)
-
-    p = sub.add_parser("sample", help="draw observational samples")
-    p.add_argument("--model", required=True)
-    p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    _add_learner(sub, "learn-do", "learn the interventional distribution", _cmd_learn_do,
-                 {"--truth-model": dict(default=None, help="optional oracle for the report's exact TV")})
-
-    p = sub.add_parser("eval", help="probability of one assignment under the learned model")
-    p.add_argument("--learned", required=True)
-    p.add_argument("--assignment", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sample-do", help="draw from the learned interventional model")
-    p.add_argument("--learned", required=True)
-    p.add_argument("--m", type=_count, required=True)
-    p.add_argument("--seed", type=_nonnegative, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample_do)
-
-    _add_learner(sub, "marginal", "marginal interventional distribution over targets", _cmd_marginal, {
-        "--targets": dict(required=True, help="comma-separated variable names"),
-        "--via-generator": dict(action="store_true"),
-    })
-
-    p = sub.add_parser("tv", help="total variation between two stored distributions")
-    p.add_argument("--dense-a", required=True)
-    p.add_argument("--dense-b", required=True)
-    p.set_defaults(func=_cmd_tv)
-
-    p = sub.add_parser("experiment", help="run a scripted experiment")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_experiment)
+    for name, help, handler, flags in [c for c in COMMANDS if c[0] == command] or COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
 def dispatch(argv: Sequence[str]) -> int:
     try:
-        args = build_parser().parse_args(list(argv))
+        args = build_parser(argv[0] if argv else None).parse_args(list(argv))
         return args.func(args) or 0
     except SystemExit as e:  # help text path
         return int(e.code or 0)

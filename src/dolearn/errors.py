@@ -33,6 +33,10 @@ class ReductionInvariantError(DolearnError):
     """A runtime-checked structural guarantee of the reduction did not hold."""
 
 
+class UnderflowError(DolearnError):
+    """A probability fell below the normal float64 range without being zero."""
+
+
 class FormatError(DolearnError):
     """An input file is malformed; message carries file and line anchors."""
 

@@ -31,6 +31,16 @@ def is_integer(v) -> bool:
     return type(v) is int or isinstance(v, np.integer)
 
 
+def require_names(names: Iterable[str]) -> None:
+    """Refuse a name that the command line cannot address: assignments and
+    target lists are split at commas and equals signs, and each part is
+    stripped of whitespace."""
+    bad = next((s for s in names if not s or s != s.strip() or "," in s or "=" in s), None)
+    if bad is not None:
+        raise ValueError(f"name {bad!r} cannot be addressed: names must be nonempty, hold no ',' or '=' "
+                         "and have no leading or trailing whitespace")
+
+
 @dataclass(frozen=True)
 class Admg:
     """Mixed graph over observable variables sharing one finite alphabet.
@@ -57,6 +67,7 @@ class Admg:
         names = tuple(str(s) for s in names)
         if len(names) != n or len(set(names)) != n:
             raise ValueError("names must be %d distinct identifiers" % n)
+        require_names(names)
         if int(alphabet_size) < 2:
             raise ValueError("alphabet_size must be at least 2")
         directed = frozenset((int(i), int(j)) for i, j in directed_edges)
@@ -575,6 +586,10 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
         fail("names", f"names must list exactly {n} identifiers")
     if names is not None and not all(isinstance(s, str) for s in names):
         fail("names", f"names must be strings, not {next(s for s in names if not isinstance(s, str))!r}")
+    try:
+        require_names(names or ())
+    except ValueError as e:
+        fail("names", str(e))
     alphabet = raw["alphabet"]
     if not is_integer(alphabet) or alphabet < 2:
         fail("alphabet", "alphabet must be an integer >= 2")

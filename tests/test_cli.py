@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from dolearn.cli import UsageError, dispatch, format_significant, parse_assignment
 from dolearn.errors import FormatError
+from dolearn.learn import BayesNetModel, save_learned_model
 from dolearn.model import parse_samples_csv
 
 
@@ -265,6 +267,14 @@ class TestExitCodes:
         assert f"input error: {graph}:4: names must be strings" in err
         assert not model.exists()
 
+    def test_graph_name_with_a_comma_is_input_error(self, tmp_path, capsys):
+        # eval --assignment "a,b=0" could never address it.
+        graph = tmp_path / "g.json"
+        graph.write_text('{\n"n": 2,\n"alphabet": 2,\n"names": ["a,b", "c"],\n"directed": [],\n"bidirected": []\n}')
+        code, _, err = run(capsys, "gen-model", "--graph", str(graph), "--out", str(tmp_path / "m.json"))
+        assert code == 3
+        assert err.startswith(f"input error: {graph}:4: name 'a,b' cannot be addressed")
+
     def test_x_val_outside_alphabet_is_usage_error(self, pipeline, tmp_path, capsys):
         graph, model, samples = pipeline
         code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
@@ -454,6 +464,35 @@ class TestExitCodes:
         code, out, err = run(capsys, "sample", "--model", str(model), "--m", "5", "--out", str(tmp_path / "s.csv"))
         assert code == 3
         assert f"input error: {model}:1: " in err and message in err and out == ""
+
+
+class TestEvalUnderflow:
+    """eval of a hand-built model: x (v0) uniform and k more nodes, each with
+    the row [q, 1 - q], so that P(v1..vk = 0 | do(v0 = 1)) = q^k."""
+
+    def _eval(self, tmp_path, capsys, k, q):
+        cpts = {(0, ()): [0.5, 0.5], **{(v, ()): [q, 1.0 - q] for v in range(1, k + 1)}}
+        model = BayesNetModel.from_rows(tuple(range(k + 1)), dict.fromkeys(range(k + 1), ()), 2, cpts,
+                                        x_substitution=(0, 1), names=tuple(f"v{v}" for v in range(k + 1)))
+        learned = tmp_path / "learned.json"
+        save_learned_model(model, str(learned))
+        return run(capsys, "eval", "--learned", str(learned),
+                   "--assignment", ",".join(f"v{v}=0" for v in range(1, k + 1)))
+
+    @pytest.mark.parametrize("k, zero", [(40, True), (31, False)], ids=["zero", "subnormal"])
+    def test_value_below_the_normal_range_is_contract_error(self, tmp_path, capsys, k, zero):
+        code, out, err = self._eval(tmp_path, capsys, k, 1e-10)
+        assert (code, out) == (4, "")
+        found = re.fullmatch(r"contract violation: the probability underflows float64: a term of the sum over v0 "
+                             r"has only positive factors, but the sum is (\S+), below 2\.2250738585072014e-308\n", err)
+        assert found and (float(found[1]) == 0.0) == zero
+
+    def test_smallest_values_of_the_normal_range_still_print(self, tmp_path, capsys):
+        assert self._eval(tmp_path, capsys, 30, 1e-10) == (0, format_significant(1e-10**30) + "\n", "")
+
+    def test_exact_zero_still_prints_zero(self, tmp_path, capsys):
+        # Every term of the sum over v0 has v1's zero factor.
+        assert self._eval(tmp_path, capsys, 1, 0.0) == (0, "0.00000000000\n", "")
 
 
 class TestExperimentCommand:

@@ -136,3 +136,75 @@ def test_package_errors_exit_4_but_format_errors_exit_3(monkeypatch, capsys, cls
 ], ids=["FileNotFoundError", "OSError", "UsageError", "RuntimeError"])
 def test_other_errors_exit_by_class(monkeypatch, capsys, error, code, prefix):
     assert _exit(monkeypatch, capsys, error) == (code, f"{prefix}{error}\n")
+
+
+# dispatch builds the parser of the command named by argv[0] alone, and the
+# full parser when argv[0] names no command. The tests below check that the
+# one-command parser reads and reports exactly as the full one does. The
+# handler is looked up when dispatch runs: the exit-code tests above replace
+# cli._cmd_tv after import.
+
+
+def _dispatched(monkeypatch, capsys, argv, full=False) -> tuple[list, int, str, str]:
+    """The parsers dispatch builds for argv (or the full parser, if full), its
+    exit code, stdout and stderr."""
+    build, built = cli.build_parser, []
+
+    def record(command=None):
+        built.append(build(None if full else command))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", record)
+        code = cli.dispatch(argv)
+    out = capsys.readouterr()
+    return built, code, out.out, out.err
+
+
+def _choices(parser) -> dict:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _surface(parser) -> list:
+    return [(a.option_strings, a.dest, a.required, a.default, a.type, type(a), a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_the_dispatched_parser_holds_the_command_alone(monkeypatch, capsys, command):
+    (parser,), _, _, _ = _dispatched(monkeypatch, capsys, [command, "--help"])
+    assert list(_choices(parser)) == [command]
+    assert _surface(_choices(parser)[command]) == _surface(_subparsers()[command])
+    assert _choices(parser)[command].get_default("func") is _subparsers()[command].get_default("func")
+
+
+@pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"], ["extra"]], ids=["help", "no-flags", "unknown-flag",
+                                                                                 "extra"])
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_the_dispatched_parser_prints_what_the_full_one_prints(monkeypatch, capsys, command, tail):
+    _, *one = _dispatched(monkeypatch, capsys, [command, *tail])
+    _, *full = _dispatched(monkeypatch, capsys, [command, *tail], full=True)
+    assert one == full and one[0] in (0, 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["samp", "--m", "1"]],
+                         ids=["none", "help", "unknown", "prefix"])
+def test_without_a_command_all_nine_are_built_and_listed(monkeypatch, capsys, argv):
+    (parser,), code, out, err = _dispatched(monkeypatch, capsys, argv)
+    assert list(_choices(parser)) == [name for name, *_ in cli.COMMANDS] and sorted(_choices(parser)) == sorted(SURFACE)
+    if argv:
+        assert all(name in out + err for name in SURFACE)
+    assert (code, out, err) == tuple(_dispatched(monkeypatch, capsys, argv, full=True)[1:])
+
+
+@pytest.mark.parametrize("command", sorted(SURFACE))
+def test_a_valid_command_builds_one_subparser(monkeypatch, capsys, command):
+    add_parser, names = argparse._SubParsersAction.add_parser, []
+
+    def count(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", count)
+    assert cli.dispatch([command, "--help"]) == 0
+    assert names == [command]
+

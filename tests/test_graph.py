@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,18 @@ class TestGraphFile:
         text = '{\n"n": 3,\n"alphabet": 2,\n"names": [2, null, true],\n"directed": [],\n"bidirected": []\n}'
         with pytest.raises(FormatError, match=r"^<graph>:4: names must be strings, not 2$"):
             parse_graph_json(text)
+
+    @pytest.mark.parametrize("name", ["a,b", "a=b", "", " a", "a ", "a\t"])
+    def test_names_the_command_line_cannot_address_are_refused(self, name):
+        # Assignments and target lists split at , and = and strip each part.
+        with pytest.raises(ValueError, match=f"^name {re.escape(repr(name))} cannot be addressed"):
+            Admg(2, names=[name, "c"])
+        text = '{\n"n": 2,\n"alphabet": 2,\n"names": ' + json.dumps([name, "c"]) + ',\n"directed": [],\n"bidirected": []\n}'
+        with pytest.raises(FormatError, match=f"^<graph>:4: name {re.escape(repr(name))} cannot be addressed"):
+            parse_graph_json(text)
+
+    def test_inner_whitespace_is_a_valid_name(self):
+        assert Admg(2, names=["a b", "c"]).node_index("a b") == 0
 
     def test_edge_anchor_passes_over_a_nested_key_of_the_same_name(self):
         payload = {"extra": {"directed": [[0, 1]]}, "n": 3, "alphabet": 2, "bidirected": [],
