@@ -223,7 +223,7 @@ def learn_marginal_do(
     to_h = {v: i for i, v in enumerate(orig_w)}
 
     # The reduced graph's node i is orig_w[i], so its columns come in node order.
-    batch = SampleBatch(tuple(range(len(orig_w))), samples.by_node()[:, list(orig_w)])
+    batch = SampleBatch(tuple(range(len(orig_w))), samples.data[:, samples.positions(orig_w)])
     model = learn_do(batch, reduction.admg, to_h[x_node], x_val, t)
     dense = model_to_dense(model, keep=[to_h[v] for v in f])
     return dense.relabel({to_h[v]: v for v in f})

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import FormatError, StateSpaceError
 from .files import decode_json, dump_json, read_text, write_text
 from .graph import (
-    Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, topological_order
+    Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, require_names,
+    topological_order,
 )
 from .identify import conditional_table
 from .model import (
@@ -337,15 +338,6 @@ def require_table_rows(conditioning: dict[int, tuple[int, ...]], alphabet: int) 
         raise StateSpaceError(f"the tables would hold {entries} entries, above the {STATE_SPACE_LIMIT} guard")
 
 
-def _grouped_counts(values_by_node: np.ndarray, cols: Sequence[int], child: int, alphabet: int):
-    """Dense (|alphabet|^|cols|, |alphabet|) child counts per conditioning
-    key, with their row totals; callers bound the key space with
-    require_table_rows."""
-    joint = np.bincount(_encode(values_by_node, (*cols, child), alphabet), minlength=alphabet ** (len(cols) + 1))
-    joint = joint.reshape(-1, alphabet)
-    return joint, joint.sum(axis=1)
-
-
 @dataclass(eq=False)
 class _Plan:
     """A substituted factorization whose rows are still to be filled in: the
@@ -417,26 +409,34 @@ def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
 def _counted_model(plan: _Plan, samples: SampleBatch, t: int, **diagnostics) -> BayesNetModel:
     """The plan with add-1 rows wherever a conditioning assignment was seen at
     least t times (once for exempt nodes) among the sample rows that match
-    the node's pins, and uniform rows elsewhere."""
+    the node's pins, and uniform rows elsewhere. Each node's keys are encoded
+    from the batch's columns where they lie, and the rows that match its pins
+    are picked from the keys; refuses symbols outside the alphabet."""
     a = plan.graph.alphabet_size
-    vals = samples.by_node()
-    matching = {(): vals}  # pins -> the sample rows that match them
-    joints, totals, thresholds = [], [], []
+    data = samples.data
+    at = samples.positions(range(plan.graph.node_count))
+    samples.require_symbols(a)
+    matching = {}  # pins -> indices of the sample rows that match them
+    joints, thresholds = [], []
     for v in plan.order:
+        z = plan.conditioning[v]
+        key = _encode(data, [at[u] for u in (*z, v)], a)
         pins = plan.pins[v]
-        if pins not in matching:
-            mask = np.ones(vals.shape[0], dtype=bool)
-            for u, val in pins:
-                mask &= vals[:, u] == val
-            matching[pins] = vals[mask]
-        joint, total = _grouped_counts(matching[pins], plan.conditioning[v], v, a)
-        joints.append(joint)
-        totals.append(total)
+        if pins:
+            if pins not in matching:
+                mask = np.ones(samples.size, dtype=bool)
+                for u, val in pins:
+                    mask &= data[:, at[u]] == val
+                matching[pins] = np.flatnonzero(mask)  # taking by index is faster than a boolean mask
+            key = key.take(matching[pins])
+        # require_table_rows bounds the key space when the plan is built.
+        joints.append(np.bincount(key, minlength=a ** (len(z) + 1)).reshape(-1, a))
         thresholds.append(1 if v in plan.exempt else t)
-    counts = _stack(totals, ())
+    joint = _stack(joints, (a,))
+    counts = joint.sum(axis=1)
     seen = counts > 0
-    fitted = seen & (counts >= np.repeat(thresholds, [block.size for block in totals]))
-    values = np.where(fitted[:, None], add_one_estimator(_stack(joints, (a,))), 1.0 / a)
+    fitted = seen & (counts >= np.repeat(thresholds, [block.shape[0] for block in joints]))
+    values = np.where(fitted[:, None], add_one_estimator(joint), 1.0 / a)
     return plan.model(
         values, fitted, **diagnostics, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum())
     )
@@ -564,7 +564,7 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
     try:
         # Later entries for the same row replace earlier ones.
         cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
-        return BayesNetModel.from_rows(
+        model = BayesNetModel.from_rows(
             order=tuple(raw["order"]),
             conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
             alphabet_size=raw["alphabet"],
@@ -573,6 +573,9 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
             substituted_nodes=frozenset(raw.get("substituted_nodes", [])),
             names=tuple(raw["names"]) if raw.get("names") else None,
         )
+        if model.names is not None:  # checked once they are known to be strings
+            require_names(model.names)
+        return model
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid learned model: {e}") from None
 

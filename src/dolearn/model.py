@@ -94,32 +94,45 @@ def kl_distance(p: DenseDistribution, q: DenseDistribution) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Rows of integer symbols; columns are node ids in topological order."""
+    """Rows of integer symbols; column j of data holds the symbols of node
+    columns[j]. The integer array given is kept as it is, in its dtype and
+    memory layout: the digit-grid parser hands over column-major uint8 and
+    the samplers column-major int64, so a node's symbols lie contiguous."""
 
     columns: tuple[int, ...]
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.int64)
-        if data.ndim != 2 or data.shape[1] != len(self.columns):
+        data = np.asarray(self.data)
+        if data.dtype.kind not in "iu":  # a float or bool array would be truncated into symbols
+            raise ValueError(f"symbols must be integers, not {data.dtype}")
+        columns = tuple(int(c) for c in self.columns)
+        if data.ndim != 2 or data.shape[1] != len(columns):
             raise ValueError("data shape does not match columns")
+        if len(set(columns)) != len(columns):
+            raise ValueError("columns name a node twice")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "columns", tuple(int(c) for c in self.columns))
+        object.__setattr__(self, "columns", columns)
 
     @property
     def size(self) -> int:
         return self.data.shape[0]
 
-    def by_node(self) -> np.ndarray:
-        """Data rearranged so column j holds node j's symbols; requires the
-        columns to cover exactly 0..n-1."""
-        n = len(self.columns)
-        if sorted(self.columns) != list(range(n)):
-            raise ValueError("columns do not cover a full variable range")
-        inv = np.empty(n, dtype=np.int64)
-        for pos, node in enumerate(self.columns):
-            inv[node] = pos
-        return self.data[:, inv]
+    def positions(self, nodes: Iterable[int]) -> list[int]:
+        """The column position of each of nodes; refuses a node without a column."""
+        at = {v: i for i, v in enumerate(self.columns)}
+        try:
+            return [at[v] for v in nodes]
+        except KeyError as e:
+            raise ValueError(f"the samples have no column for node {e.args[0]}") from None
+
+    def require_symbols(self, alphabet: int) -> None:
+        """Refuses a symbol outside [0, alphabet), naming its column's node:
+        counted, it would alias into another row's key."""
+        data = self.data
+        if data.size and (data.min() < 0 or data.max() >= alphabet):
+            v = self.columns[int(np.argmax(((data < 0) | (data >= alphabet)).any(axis=0)))]
+            raise ValueError(f"the samples column of node {v} holds a symbol outside the alphabet [0, {alphabet})")
 
     def head(self, m: int) -> "SampleBatch":
         return SampleBatch(self.columns, self.data[:m])
@@ -272,11 +285,13 @@ def first_non_distribution(rows: np.ndarray, atol: float, floor: float = 0.0) ->
     return int(np.argmin(good))
 
 
-def _encode(values_by_node: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
-    """Big-endian row key of each row of values_by_node over the columns cols."""
-    key = np.zeros(values_by_node.shape[0], dtype=np.int64)
+def _encode(values: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
+    """Big-endian int64 row key of each row of values over the column
+    positions cols, built in place from the columns where they lie."""
+    key = np.zeros(values.shape[0], dtype=np.int64)
     for c in cols:
-        key = key * alphabet + values_by_node[:, c]
+        key *= alphabet
+        key += values[:, c]
     return key
 
 
@@ -455,7 +470,8 @@ def _digit_grid(body: str, width: int, alphabet_size: int) -> Optional[np.ndarra
     separators[-1] = ord("\n")
     if not (grid[:, 1::2] == separators).all():
         return None
-    digits = grid[:, 0::2] - np.uint8(_ZERO)
+    # Column-major, so that each node's symbols lie contiguous for the learners.
+    digits = np.subtract(grid[:, 0::2], np.uint8(_ZERO), order="F")
     if digits.max() >= alphabet_size:
         return None
     return digits
@@ -530,6 +546,7 @@ def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int
     """Empirical distribution of the kept columns."""
     keep = tuple(sorted(int(v) for v in keep))
     total = require_state_space([domain_size] * len(keep))
-    key = _encode(batch.data, [batch.columns.index(v) for v in keep], domain_size)
+    batch.require_symbols(domain_size)
+    key = _encode(batch.data, batch.positions(keep), domain_size)
     counts = np.bincount(key, minlength=total).astype(float)
     return DenseDistribution(keep, (domain_size,) * len(keep), counts / batch.size)

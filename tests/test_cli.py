@@ -379,6 +379,25 @@ class TestExitCodes:
         assert code == 3
         assert f"input error: {learned}:1: invalid learned model: node True" in err and out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "sample-do"])
+    def test_unaddressable_learned_name_is_input_error(self, pipeline, tmp_path, capsys, command):
+        # Loaded, the name "a,b" would only fail later, as a malformed
+        # assignment term (exit 2).
+        graph, model, samples = pipeline
+        learned = tmp_path / "learned.json"
+        run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+            "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
+        raw = json.loads(learned.read_text())
+        raw["names"][1] = "a,b"
+        learned.write_text(json.dumps(raw))
+        if command == "eval":
+            argv = ["eval", "--learned", str(learned), "--assignment", "a,b=0,v2=1,v3=0,v4=1"]
+        else:
+            argv = ["sample-do", "--learned", str(learned), "--m", "5", "--out", str(tmp_path / "do.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert f"input error: {learned}:1: invalid learned model: name 'a,b' cannot be addressed" in err and out == ""
+
     def test_tv_over_different_variables_is_input_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path, var in ((a, 1), (b, 2)):

@@ -6,7 +6,7 @@ import pytest
 from dolearn.errors import StateSpaceError
 from dolearn.graph import Admg, c_components, parent_sets, random_admg
 from dolearn.identify import conditional_table, exact_dx
-from dolearn.intervene import model_to_dense
+from dolearn.intervene import learn_marginal_do, model_to_dense
 from dolearn.learn import (
     BayesNetModel,
     add_one_estimator,
@@ -113,6 +113,40 @@ class TestLearnObservational:
         dense = model_to_dense(model, keep=range(6))
         uniform = DenseDistribution(tuple(range(6)), (2,) * 6, np.full(64, 1 / 64))
         assert tv_distance(dense, uniform) <= 0.05
+
+
+class TestOutOfAlphabetSymbols:
+    # Binary 0 -> 1, with symbol 2 put in v1 on 30 of 100 rows: the keys of
+    # v1's counts would alias into v0 = 1's row and fit both rows wrongly.
+    g = Admg(2, directed_edges=[(0, 1)])
+
+    def _batch(self, bad):
+        data = sample_observational(random_cbn(self.g, smoothing=0.25, seed=1), 100, seed=2).data.copy()
+        data[:30, data.shape[1] - 1] = bad
+        return SampleBatch((0, 1), data)
+
+    @pytest.mark.parametrize("bad", [2, 7, -1])
+    def test_every_learner_refuses_and_names_the_column(self, bad):
+        batch = self._batch(bad)
+        learners = [
+            lambda: learn_observational(batch, self.g),
+            lambda: learn_do(batch, self.g, 0, 1, t=1),
+            lambda: learn_ccomponent_intervention(batch, self.g, {1}, {0: 0}, t=1),
+            lambda: learn_marginal_do(batch, self.g, 0, 1, [1], t=1),
+            lambda: learn_marginal_do(batch, self.g, 0, 1, [1], t=1, via_generator=True),
+            lambda: estimate_alpha(batch, self.g, 1),
+        ]
+        for learner in learners:
+            with pytest.raises(ValueError, match=r"column of node 1 holds a symbol outside the alphabet \[0, 2\)"):
+                learner()
+
+    def test_in_alphabet_rows_still_learn(self):
+        assert learn_observational(self._batch(1), self.g).diagnostics["fitted_rows"] == 3
+
+    def test_missing_column_is_refused(self):
+        batch = SampleBatch((0,), np.zeros((5, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="no column for node 1"):
+            learn_observational(batch, self.g)
 
 
 class TestLearnDo:

@@ -9,6 +9,7 @@ from dolearn.model import (
     DRAW_CELL_LIMIT,
     DenseDistribution,
     GroundTruthCbn,
+    SampleBatch,
     empirical_marginal,
     exact_interventional,
     exact_observational,
@@ -112,12 +113,49 @@ class TestRandomCbn:
             assert table.min() >= 0.3 / 3 - 1e-15
 
 
+class TestSampleBatch:
+    @pytest.mark.parametrize("data", [
+        np.zeros((4, 3), dtype=np.int64),
+        np.asfortranarray(np.zeros((4, 3), dtype=np.uint8)),
+        np.zeros((3, 4), dtype=np.int16).T,
+    ])
+    def test_keeps_the_integer_array_given(self, data):
+        assert SampleBatch((2, 0, 1), data).data is data
+
+    def test_python_ints_are_read_as_int64(self):
+        batch = SampleBatch((0, 1), [[1, 0], [0, 2]])
+        assert batch.data.dtype == np.int64
+        assert batch.data.tolist() == [[1, 0], [0, 2]]
+
+    @pytest.mark.parametrize("data", [
+        [[1.7, 0.2, 0.9]],
+        np.ones((2, 3)),
+        np.ones((2, 3), dtype=np.float32),
+        np.ones((2, 3), dtype=bool),
+        [[True, False, True]],
+    ])
+    def test_refuses_float_and_bool_symbols(self, data):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            SampleBatch((0, 1, 2), data)
+
+    def test_refuses_a_column_named_twice(self):
+        with pytest.raises(ValueError, match="twice"):
+            SampleBatch((0, 1, 0), np.zeros((2, 3), dtype=np.int64))
+
+    def test_positions(self):
+        batch = SampleBatch((2, 0, 1), np.zeros((2, 3), dtype=np.int64))
+        assert batch.positions([0, 1, 2]) == [1, 2, 0]
+        with pytest.raises(ValueError, match="no column for node 3"):
+            batch.positions([1, 3])
+
+
 class TestSampling:
     def test_uniform_model_frequencies(self):
         g = random_admg(5, 2, 2, seed=1)
         cbn = random_cbn(g, smoothing=1.0, seed=0)
         batch = sample_observational(cbn, 100_000, seed=5)
-        freqs = batch.by_node().mean(axis=0)
+        assert sorted(batch.columns) == list(range(5))
+        freqs = batch.data.mean(axis=0)
         assert np.all(np.abs(freqs - 0.5) < 0.02)
 
     def test_fixed_seed_identical(self):
@@ -135,7 +173,8 @@ class TestSampling:
         )
         cbn = GroundTruthCbn(g, 2, (), cpts)
         batch = sample_observational(cbn, 200, seed=0)
-        assert np.all(batch.by_node() == 1)
+        assert sorted(batch.columns) == [0, 1]
+        assert np.all(batch.data == 1)
 
     def test_draw_guard_refuses_before_allocating(self):
         cbn = random_cbn(random_admg(5, 2, 2, seed=1), smoothing=0.25, seed=0)
@@ -261,6 +300,14 @@ class TestFileFormats:
         back = load_samples(str(path), g.names, g.alphabet_size)
         assert back.columns == batch.columns
         assert np.array_equal(back.data, batch.data)
+
+    def test_digit_grid_is_column_major_uint8(self):
+        batch = parse_samples_csv("v1,v0\n1,0\n0,0\n1,1\n", ("v0", "v1"), 2)
+        assert batch.columns == (1, 0)
+        assert batch.data.dtype == np.uint8 and batch.data.flags.f_contiguous
+        assert batch.data.tolist() == [[1, 0], [0, 0], [1, 1]]
+        rows = parse_samples_csv("v1,v0\r\n1,0\r\n0,0\r\n1,1\r\n", ("v0", "v1"), 2)
+        assert rows.data.dtype == np.int64 and rows.data.tolist() == batch.data.tolist()
 
     def test_samples_bad_symbol(self):
         text = "v0,v1\n0,1\n0,7\n"

@@ -28,7 +28,6 @@ from dolearn.identify import conditional_table, exact_dx, tian_pearl_do
 from dolearn.intervene import model_to_dense
 from dolearn.learn import (
     BayesNetModel,
-    _grouped_counts,
     add_one_estimator,
     exact_ccomponent_model,
     exact_do_model,
@@ -45,6 +44,23 @@ PROPERTY = settings.get_profile("property")
 
 # ---------------------------------------------------------------------------
 # Reference: one per-node loop per builder.
+
+
+def _by_node(samples):
+    """The batch's symbols with node v's in column v, read from its data and
+    columns, which must cover the nodes 0..n-1."""
+    assert sorted(samples.columns) == list(range(len(samples.columns)))
+    return samples.data[:, np.argsort(samples.columns)]
+
+
+def _grouped_counts(vals, cols, child, alphabet):
+    """Dense (|alphabet|^|cols|, |alphabet|) child counts per big-endian key
+    over cols, with their row totals."""
+    key = np.zeros(vals.shape[0], dtype=np.int64)
+    for c in (*cols, child):
+        key = key * alphabet + vals[:, c]
+    joint = np.bincount(key, minlength=alphabet ** (len(cols) + 1)).reshape(-1, alphabet)
+    return joint, joint.sum(axis=1)
 
 
 def _stack(blocks, row_shape):
@@ -96,7 +112,7 @@ def reference_learn_observational(samples, g, t=1):
     order = tuple(topological_order(g))
     conditioning = {v: zs[v] for v in order}
     require_table_rows(conditioning, g.alphabet_size)
-    vals = samples.by_node()
+    vals = _by_node(samples)
     counts = {v: _grouped_counts(vals, conditioning[v], v, g.alphabet_size) for v in order}
     return _reference_counted(order, conditioning, g.alphabet_size, counts, dict.fromkeys(order, t), {}, names=g.names)
 
@@ -116,7 +132,7 @@ def reference_learn_do(samples, g, x_node, x_val, t=None):
             substituted.add(node)
         conditioning[node] = z
     require_table_rows(conditioning, g.alphabet_size)
-    vals = samples.by_node()
+    vals = _by_node(samples)
     x_rows = vals[vals[:, x_node] == x_val]
     counts = {
         v: _grouped_counts(x_rows if v in substituted else vals, conditioning[v], v, g.alphabet_size)
@@ -137,7 +153,7 @@ def reference_learn_ccomponent_intervention(samples, g, y_set, y_bar_1, t=None):
     order = tuple(v for v in topological_order(g) if v in y_set)
     conditioning = {v: tuple(u for u in zs[v] if u in y_set) for v in order}
     require_table_rows(conditioning, g.alphabet_size)
-    vals = samples.by_node()
+    vals = _by_node(samples)
     counts = {}
     for node in order:
         mask = np.ones(vals.shape[0], dtype=bool)

@@ -3,6 +3,8 @@
 Each reference below is the per-row implementation the package used before
 its row-bound paths became whole-array numpy; the properties require equal
 output (bytes, arrays, draws, error messages) on random and mutated inputs.
+The learners count from the batch's columns where they lie, so the same rows
+must learn bit-equal models whatever the layout and dtype of the batch.
 """
 
 import csv
@@ -14,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dolearn.errors import FormatError
-from dolearn.graph import c_components, effective_parents, random_admg, topological_order
-from dolearn.intervene import InterventionalModel, sample_do
-from dolearn.learn import _encode, _grouped_counts, learn_do
+from dolearn.graph import Admg, c_components, effective_parents, parent_sets, random_admg, topological_order
+from dolearn.intervene import InterventionalModel, learn_marginal_do, sample_do
+from dolearn.learn import (
+    _counted_model, _encode, _Plan, add_one_estimator, learn_ccomponent_intervention, learn_do,
+)
 from dolearn.model import SampleBatch, parse_samples_csv, random_cbn, sample_observational, samples_to_csv
 
 PROPERTY = settings.get_profile("property")
@@ -304,18 +308,85 @@ class TestGroupedCounts:
         st.integers(0, 3),
     )
     def test_equals_sorted_unique_counts(self, alphabet, m, seed, width):
+        # Node 4 conditions on cols; the batch holds the nodes' columns in a
+        # drawn order, as column-major uint8, so the counts are read from the
+        # columns where they lie.
         rng = np.random.default_rng(seed)
         values = rng.integers(0, alphabet, size=(m, 5))
         cols = tuple(int(c) for c in rng.permutation(4)[:width])
-        joint, totals = _grouped_counts(values, cols, 4, alphabet)
-        uniq, want_joint, want_totals = reference_grouped_counts(values, cols, 4, alphabet)
-        # The dense counts hold the observed keys' counts at those keys and
-        # zeros everywhere else.
-        assert joint.shape == (alphabet**width, alphabet)
-        assert np.array_equal(np.flatnonzero(totals), uniq)
-        assert np.array_equal(joint[uniq], want_joint)
-        assert np.array_equal(totals[uniq], want_totals)
-        assert np.array_equal(totals, joint.sum(axis=1))
+        at = rng.permutation(5)
+        batch = SampleBatch(tuple(int(v) for v in at), np.asfortranarray(values[:, at].astype(np.uint8)))
+        plan = _Plan(Admg(5, alphabet_size=alphabet), tuple(range(5)), ((),) * 4 + (cols,), dict.fromkeys(range(5), ()))
+        model = _counted_model(plan, batch, 1)
+        uniq, want_joint, _ = reference_grouped_counts(values, cols, 4, alphabet)
+        # At t = 1 the fitted rows are the observed keys, each the add-1 row
+        # of its counts; the model holds every other row uniform.
+        idx, rows = model.fitted_rows(4)
+        assert model.table(4).shape == (alphabet**width, alphabet)
+        assert np.array_equal(idx, uniq)
+        assert np.array_equal(rows, add_one_estimator(want_joint))
+
+
+@st.composite
+def learner_cases(draw):
+    """(g, rows, x, x_val, y_set, y_bar_1, f): a drawn identifiable ADMG with
+    |alphabet| in {2, 3}, observational rows of it in node order, an
+    intervention, a union of confounded components with an assignment to its
+    outside parents, and a marginal target set."""
+    alphabet = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 6))
+    x = draw(st.integers(0, n - 1))
+    g = random_admg(
+        n, draw(st.integers(0, 2)), draw(st.integers(1, 3)), alphabet_size=alphabet,
+        seed=draw(st.integers(0, 10_000)), identifiable_for=x,
+    )
+    cbn = random_cbn(g, smoothing=0.25, seed=draw(st.integers(0, 10_000)))
+    batch = sample_observational(cbn, draw(st.integers(1, 300)), seed=draw(st.integers(0, 10_000)))
+    rows = batch.data[:, np.argsort(batch.columns)]
+    comps = c_components(g).components
+    chosen = draw(st.lists(st.sampled_from(comps), min_size=1, max_size=len(comps), unique=True))
+    y_set = frozenset(v for comp in chosen for v in comp)
+    pa_minus = sorted(parent_sets(g, y_set)[2])
+    y_bar_1 = {v: draw(st.integers(0, alphabet - 1)) for v in pa_minus}
+    f = draw(st.lists(st.sampled_from([v for v in range(n) if v != x]), min_size=1, max_size=2, unique=True))
+    return g, rows, x, draw(st.integers(0, alphabet - 1)), y_set, y_bar_1, f
+
+
+class TestBatchLayouts:
+    @PROPERTY
+    @given(learner_cases(), st.randoms(use_true_random=False))
+    def test_learners_agree_on_grid_row_reader_and_int64_batches(self, case, random):
+        """The same rows as a digit-grid CSV with a permuted header (column-major
+        uint8), a CRLF CSV (row reader, int64) and an int64 row-major batch
+        give bit-equal learned models and marginals."""
+        g, rows, x, x_val, y_set, y_bar_1, f = case
+        header = list(range(g.node_count))
+        random.shuffle(header)
+        text = samples_to_csv(SampleBatch(tuple(header), rows[:, header]), g.names)
+        grid = parse_samples_csv(text, g.names, g.alphabet_size)
+        crlf = parse_samples_csv(text.replace("\n", "\r\n"), g.names, g.alphabet_size)
+        plain = SampleBatch(tuple(range(g.node_count)), np.ascontiguousarray(rows, dtype=np.int64))
+        assert grid.data.dtype == np.uint8 and grid.data.flags.f_contiguous and grid.columns == tuple(header)
+        assert crlf.data.dtype == np.int64 and crlf.columns == tuple(header)
+        t = random.choice([None, 1, 3])
+
+        def learned(batch):
+            out = [learn_do(batch, g, x, x_val, t), learn_ccomponent_intervention(batch, g, y_set, y_bar_1, t)]
+            return [(m.values, m.fitted, m.diagnostics) for m in out]
+
+        want = learned(plain)
+        for batch in (grid, crlf):
+            for (values, fitted, diagnostics), (want_values, want_fitted, want_diagnostics) in zip(
+                learned(batch), want
+            ):
+                assert np.array_equal(values, want_values)
+                assert np.array_equal(fitted, want_fitted)
+                assert diagnostics == want_diagnostics
+        want_marginal = learn_marginal_do(plain, g, x, x_val, f, t)
+        for batch in (grid, crlf):
+            got = learn_marginal_do(batch, g, x, x_val, f, t)
+            assert got.variable_ids == want_marginal.variable_ids
+            assert np.array_equal(got.mass, want_marginal.mass)
 
 
 class TestAncestralSampling:
