@@ -29,7 +29,7 @@ from .learn import (
     learn_do,
 )
 from .model import (
-    DenseDistribution, SampleBatch, _encode, _product, derived_seed, draw_from_cdf, empirical_marginal,
+    DenseDistribution, SampleBatch, _draw_ancestral, _product, derived_seed, empirical_marginal,
     require_draw_size, require_state_space,
 )
 
@@ -59,19 +59,18 @@ def evaluate_do(im: InterventionalModel, w: dict) -> float:
 
 
 def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch:
-    """Ancestral draws from the substituted net with the intervened column
-    dropped afterwards."""
+    """Ancestral draws from the substituted net in its order; the intervened
+    column is drawn into the last row and dropped."""
     model = im.dx
-    width = max(model.order) + 1
-    require_draw_size(width, count)
-    rng = np.random.default_rng(seed)
-    values = np.zeros((width, count), dtype=np.int64)
-    for node in model.order:
-        idx = _encode(values.T, model.conditioning_sets[node], model.alphabet_size)
-        cdf = np.cumsum(model.tables[node], axis=1)
-        values[node] = draw_from_cdf(cdf, idx, rng.random(count))
+    require_draw_size(len(model.order), count)
     keep = [v for v in model.order if v != im.x_node]
-    return SampleBatch(tuple(keep), values[keep].T)
+    rows = np.empty((len(model.order), count), dtype=np.int64)
+    row_of = dict(zip(keep + [im.x_node], rows))
+    bases = itertools.accumulate((len(model.tables[v]) for v in model.order), initial=0)
+    steps = [(row_of[v], base, tuple((row_of[u], model.alphabet_size) for u in model.conditioning_sets[v]))
+             for v, base in zip(model.order, bases)]
+    _draw_ancestral([(model.values, steps)], count, seed)
+    return SampleBatch(tuple(keep), rows[:-1].T)
 
 
 def model_to_dense(model: BayesNetModel, keep: Iterable[int]) -> DenseDistribution:

@@ -223,33 +223,44 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
     return GroundTruthCbn(g, hidden_domain, priors, tuple(draw_rows(shape) for shape in shapes))
 
 
-def draw_from_cdf(cdf: np.ndarray, idx, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per uniform: draw i reads row idx[i] (or row idx, when
-    idx is one index for all draws) of the cumulative table cdf (rows, D) and
-    counts the entries below u[i]."""
-    vals = np.zeros(u.size, dtype=np.int64)
-    for column in cdf.T:
-        vals += u > column[idx]
-    return np.minimum(vals, cdf.shape[1] - 1)
+def _draw_ancestral(parts, m: int, seed: int) -> None:
+    """Inverse-CDF draws into int64 rows given by the caller. parts pairs
+    stacked tables (R, D) of nonnegative rows with steps (out, base, reads);
+    draw i of out reads table row base + key[i], whose big-endian digits are
+    the (row, radix) pairs of reads, against the next rng.random(m) of seed."""
+    rng = np.random.default_rng(seed)
+    u = np.empty(m)
+    for tables, steps in parts:
+        # CDF rows of nonnegative entries never decrease: a uniform above the last
+        # entry is above all D, so counting D - 1 equals counting D capped at D - 1.
+        cdf = np.cumsum(tables, axis=1)[:, :-1].T.copy()
+        for out, base, reads in steps:
+            key = 0
+            for row, radix in reads:
+                key = key * radix + row
+            rng.random(out=u)
+            np.greater(u, cdf[0, base:][key], out=out, casting="unsafe")
+            for column in cdf[1:]:
+                out += u > column[base:][key]
 
 
 def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBatch:
-    """m ancestral draws; hidden columns are discarded."""
+    """m ancestral draws, hidden roots first; hidden columns are discarded."""
     g = cbn.graph
-    require_draw_size(g.node_count, m)
-    rng = np.random.default_rng(seed)
-    hidden_vals = []
-    for prior in cbn.hidden_priors:
-        hidden_vals.append(draw_from_cdf(np.cumsum(prior)[None, :], 0, rng.random(m)))
+    require_draw_size(g.node_count + cbn.hidden_count, m)
     order = topological_order(g)
-    values = np.zeros((g.node_count, m), dtype=np.int64)
-    for node in order:
-        idx = _encode(values.T, g.parents(node), g.alphabet_size)
-        for h in cbn.hidden_parents[node]:
-            idx = idx * cbn.hidden_domain + hidden_vals[h]
-        cdf = np.cumsum(cbn.tables[node].reshape(-1, g.alphabet_size), axis=1)
-        values[node] = draw_from_cdf(cdf, idx, rng.random(m))
-    return SampleBatch(tuple(order), values[order].T)
+    hidden = np.empty((cbn.hidden_count, m), dtype=np.int64)
+    rows = np.empty((g.node_count, m), dtype=np.int64)
+    row_of = dict(zip(order, rows))
+    steps, base = [], 0
+    for v in order:
+        read = [row_of[p] for p in g.parents(v)] + [hidden[e] for e in cbn.hidden_parents[v]]
+        steps.append((row_of[v], base, tuple(zip(read, cbn.tables[v].shape[:-1]))))
+        base += cbn.tables[v].size // g.alphabet_size
+    priors = np.reshape(cbn.hidden_priors, (-1, cbn.hidden_domain))
+    tables = np.concatenate([cbn.tables[v].reshape(-1, g.alphabet_size) for v in order])
+    _draw_ancestral([(priors, [(row, e, ()) for e, row in enumerate(hidden)]), (tables, steps)], m, seed)
+    return SampleBatch(tuple(order), rows.T)
 
 
 def require_draw_size(width: int, count: int) -> None:

@@ -21,7 +21,7 @@ from dolearn.intervene import (
     InterventionalModel, build_split_evaluator, evaluate_do, evaluate_split, model_to_dense, sample_do
 )
 from dolearn.learn import BayesNetModel, learned_model_to_json, parse_learned_model_json
-from dolearn.model import DenseDistribution, SampleBatch, _spread, draw_from_cdf, random_cbn, sample_observational
+from dolearn.model import DenseDistribution, SampleBatch, _spread, random_cbn, sample_observational
 
 PROPERTY = settings.get_profile("property")
 
@@ -114,6 +114,15 @@ def reference_evaluate_split(ev, w):
         assignment[ev.x_node] = x_prime
         head_val += per_node_product(head, assignment)
     return head_val * per_node_product(tail, w)
+
+
+def draw_from_cdf(cdf, idx, u):
+    """Inverse-CDF draw per uniform: draw i reads row idx[i] of the cumulative
+    table cdf (rows, D) and counts the entries below u[i], capped at D - 1."""
+    vals = np.zeros(u.size, dtype=np.int64)
+    for column in cdf.T:
+        vals += u > column[idx]
+    return np.minimum(vals, cdf.shape[1] - 1)
 
 
 def reference_sample_do(model, x_node, count, seed):

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dolearn.errors import FormatError, StateSpaceError
 from dolearn.graph import Admg, random_admg
+from dolearn.intervene import InterventionalModel, sample_do
+from dolearn.learn import learn_do
 from dolearn.model import (
     DRAW_CELL_LIMIT,
     DenseDistribution,
@@ -186,6 +189,46 @@ class TestSampling:
         # workload, 14 variables at 2 * 10**5 rows.
         for width, count in [(1, DRAW_CELL_LIMIT), (20, 10**6), (14, 2 * 10**5)]:
             require_draw_size(width, count)
+
+    def test_draw_guard_counts_hidden_rows(self):
+        # Two observables and one hidden root: 2 * m cells fit the guard, but
+        # the sampler holds 3 * m.
+        cbn = random_cbn(Admg(2, bidirected_edges=[(0, 1)]), smoothing=0.25, seed=0)
+        assert cbn.hidden_count == 1
+        m = DRAW_CELL_LIMIT // 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateSpaceError, match="3 variables"):
+                sample_observational(cbn, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("nodes", [20, 200])
+    def test_samplers_hold_few_rows_beyond_their_draws(self, nodes):
+        # Above the draws they return, both samplers may hold the hidden rows,
+        # a few m-length buffers and copies of the stacked tables; nothing
+        # that grows with the node count by a row per node.
+        g = random_admg(nodes, 2, 2, seed=3, identifiable_for=0)
+        cbn = random_cbn(g, smoothing=0.25, seed=4)
+        im = InterventionalModel(learn_do(sample_observational(cbn, 2000, seed=5), g, 0, 1, t=5), 0, 1)
+        m = 50_000
+        row = 8 * m
+        runs = [
+            (lambda: sample_observational(cbn, m, seed=6), cbn.hidden_count,
+             sum(t.nbytes for t in cbn.tables) + 8 * cbn.hidden_domain * cbn.hidden_count),
+            (lambda: sample_do(im, m, seed=7), 0, im.dx.values.nbytes),
+        ]
+        for draw, hidden, tables in runs:
+            tracemalloc.start()
+            try:
+                batch = draw()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert batch.data.nbytes == row * len(batch.columns)
+            assert peak - batch.data.nbytes <= (hidden + 8) * row + 4 * tables
 
     def test_sampler_matches_exact_distribution(self):
         # Normalization plus sampler correctness in one sweep.

@@ -8,6 +8,7 @@ must learn bit-equal models whatever the layout and dtype of the batch.
 """
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -19,9 +20,12 @@ from dolearn.errors import FormatError
 from dolearn.graph import Admg, c_components, effective_parents, parent_sets, random_admg, topological_order
 from dolearn.intervene import InterventionalModel, learn_marginal_do, sample_do
 from dolearn.learn import (
-    _counted_model, _encode, _Plan, add_one_estimator, learn_ccomponent_intervention, learn_do,
+    _counted_model, _encode, _Plan, add_one_estimator, exact_do_model, learn_ccomponent_intervention, learn_do,
 )
-from dolearn.model import SampleBatch, parse_samples_csv, random_cbn, sample_observational, samples_to_csv
+from dolearn.model import (
+    GroundTruthCbn, SampleBatch, exact_observational, parse_samples_csv, random_cbn, sample_observational,
+    samples_to_csv,
+)
 
 PROPERTY = settings.get_profile("property")
 
@@ -389,28 +393,80 @@ class TestBatchLayouts:
             assert np.array_equal(got.mass, want_marginal.mass)
 
 
+def with_point_masses(rows, seed):
+    """Copy of the distributions rows (..., D) in which about a third of the
+    rows become point masses and a third lose one entry to an exact zero."""
+    rng = np.random.default_rng(seed)
+    flat = np.array(rows, dtype=float).reshape(-1, rows.shape[-1])
+    kind = rng.integers(0, 3, size=len(flat))
+    symbol = rng.integers(0, flat.shape[1], size=len(flat))
+    for i in np.flatnonzero(kind == 1):
+        flat[i] = 0.0
+        flat[i, symbol[i]] = 1.0
+    for i in np.flatnonzero(kind == 2):
+        flat[i, symbol[i]] = 0.0
+        flat[i] /= flat[i].sum()
+    return flat.reshape(np.shape(rows))
+
+
 class TestAncestralSampling:
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3, 10]), st.integers(0, 10_000), st.integers(1, 300))
-    def test_observational_draws_equal_row_sampler(self, alphabet, seed, m):
-        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed)
-        cbn = random_cbn(g, hidden_domain=2 + seed % 3, smoothing=0.1, seed=seed + 1)
-        got = sample_observational(cbn, m, seed=seed + 2)
-        want = reference_sample_observational(cbn, m, seed + 2)
+    def assert_observational_equal(self, cbn, m, seed):
+        got = sample_observational(cbn, m, seed=seed)
+        want = reference_sample_observational(cbn, m, seed)
+        assert got.columns == want.columns
+        assert np.array_equal(got.data, want.data)
+
+    def assert_interventional_equal(self, model, count, seed):
+        im = InterventionalModel(model, *model.x_substitution)
+        got = sample_do(im, count, seed=seed)
+        want = reference_sample_do(im, count, seed)
         assert got.columns == want.columns
         assert np.array_equal(got.data, want.data)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(0, 10_000), st.integers(1, 300))
+    @given(st.sampled_from([2, 3, 10]), st.integers(2, 4), st.integers(0, 10_000), st.integers(1, 300))
+    def test_observational_draws_equal_row_sampler(self, alphabet, hidden_domain, seed, m):
+        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed)
+        cbn = random_cbn(g, hidden_domain=hidden_domain, smoothing=0.1, seed=seed + 1)
+        self.assert_observational_equal(cbn, m, seed + 2)
+
+    @pytest.mark.parametrize("alphabet, hidden_domain", [(2, 3), (2, 5), (3, 2), (3, 4)])
+    def test_hidden_domain_apart_from_alphabet(self, alphabet, hidden_domain):
+        for seed in range(4):
+            g = random_admg(6, 2, 3, alphabet_size=alphabet, seed=seed)
+            cbn = random_cbn(g, hidden_domain=hidden_domain, smoothing=0.1, seed=seed + 1)
+            assert cbn.hidden_count > 0
+            self.assert_observational_equal(cbn, 500, seed + 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 10]), st.integers(2, 4), st.integers(0, 10_000), st.integers(1, 300))
+    def test_point_masses_and_zeros_equal_row_sampler(self, alphabet, hidden_domain, seed, m):
+        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed)
+        cbn = random_cbn(g, hidden_domain=hidden_domain, seed=seed + 1)
+        cbn = GroundTruthCbn(
+            g, hidden_domain,
+            tuple(with_point_masses(prior, seed + 2) for prior in cbn.hidden_priors),
+            tuple(with_point_masses(table, seed + 3 + v) for v, table in enumerate(cbn.tables)),
+        )
+        self.assert_observational_equal(cbn, m, seed + 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 10]), st.integers(0, 10_000), st.integers(1, 300))
     def test_interventional_draws_equal_row_sampler(self, alphabet, seed, count):
         g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed, identifiable_for=0)
         cbn = random_cbn(g, smoothing=0.25, seed=seed + 1)
         model = learn_do(sample_observational(cbn, 400, seed=seed + 2), g, 0, 1, t=5)
-        im = InterventionalModel(model, 0, 1)
-        got = sample_do(im, count, seed=seed + 3)
-        want = reference_sample_do(im, count, seed + 3)
-        assert got.columns == want.columns
-        assert np.array_equal(got.data, want.data)
+        self.assert_interventional_equal(model, count, seed + 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 10_000), st.integers(1, 300))
+    def test_exact_rows_point_masses_and_zeros_equal_row_sampler(self, alphabet, seed, count):
+        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed, identifiable_for=0)
+        cbn = random_cbn(g, hidden_domain=2, seed=seed + 1)
+        model = exact_do_model(exact_observational(cbn), g, 0, seed % alphabet)
+        self.assert_interventional_equal(model, count, seed + 2)
+        pointed = dataclasses.replace(model, values=with_point_masses(model.values, seed + 3))
+        self.assert_interventional_equal(pointed, count, seed + 4)
 
 
 class TestEffectiveParents:
