@@ -66,9 +66,9 @@ def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch
     keep = [v for v in model.order if v != im.x_node]
     rows = np.empty((len(model.order), count), dtype=np.int64)
     row_of = dict(zip(keep + [im.x_node], rows))
-    bases = itertools.accumulate((len(model.tables[v]) for v in model.order), initial=0)
-    steps = [(row_of[v], base, tuple((row_of[u], model.alphabet_size) for u in model.conditioning_sets[v]))
-             for v, base in zip(model.order, bases)]
+    a = model.alphabet_size
+    steps = [(row_of[v], model._blocks[v].start, tuple((row_of[u], a) for u in model.conditioning_sets[v]))
+             for v in model.order]
     _draw_ancestral([(model.values, steps)], count, seed)
     return SampleBatch(tuple(keep), rows[:-1].T)
 

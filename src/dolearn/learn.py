@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -85,10 +84,11 @@ class BayesNetModel:
     per node, in order, where z is the node's conditioning set and row i of a
     table is the distribution given the assignment to z whose big-endian
     digits are i. fitted marks the rows that were fitted; every other row is
-    uniform. Both arrays, and the per-node views tables[node] and
-    table(node), are read-only. cpts is the sparse view of the fitted rows;
-    from_rows builds a model from such rows. When x_substitution is set, the
-    substituted nodes condition on the constant instead of the variable.
+    uniform. Node v's rows are the slice _blocks[v] of both arrays, the one
+    index every reader uses. The arrays, and the view table(v), are
+    read-only. cpts is the sparse view of the fitted rows; from_rows builds a
+    model from such rows. When x_substitution is set, the substituted nodes
+    condition on the constant instead of the variable.
     """
 
     order: tuple[int, ...]
@@ -143,8 +143,7 @@ class BayesNetModel:
             raise ValueError("rows that were not fitted must be uniform")
         self.values.flags.writeable = False
         self.fitted.flags.writeable = False
-        self.tables = MappingProxyType({v: self.values[blocks[v]] for v in self.order})
-        self._masks = {v: self.fitted[blocks[v]] for v in self.order}
+        self._blocks = blocks
         # Step pos reads node v's factor as one cell of the flat store:
         # base + w[v] plus stride * w[u] over v's conditioning set. The view
         # copies nothing; a list copy would cost 32+ bytes per entry.
@@ -164,39 +163,25 @@ class BayesNetModel:
         length and hold integer symbols of the alphabet."""
         a = alphabet_size
         blocks, total = _table_blocks(order, conditioning_sets, a)
-        values = np.full((total, a), 1.0 / a)
-        fitted = np.zeros(total, dtype=bool)
-        # Rows are grouped by assignment width, so each group's symbols are
-        # checked and encoded as one array.
-        groups: dict[int, tuple[list, list, list]] = {}
-        for (node, assignment), row in cpts.items():
+        # One pass in entry order checks each key and finds its row of the
+        # store; the rows are then stacked and set through one index.
+        idx = []
+        for node, assignment in cpts:
             width = len(conditioning_sets[node])
             if not is_integer(node):  # true and 1.0 find node 1's conditioning set
                 raise ValueError(f"node {node!r} of an entry must be a node index")
             if len(assignment) != width:
                 raise ValueError(f"assignment arity mismatch for node {node}")
-            starts, keys, rows = groups.setdefault(width, ([], [], []))
-            starts.append(blocks[node].start)
-            keys.append((node, assignment))
-            rows.append(row)
-        for width, (starts, keys, rows) in groups.items():
-            symbols = np.array([assignment for _, assignment in keys])
-            # The types are scanned, as numpy reads true and false mixed with
-            # integers as integers.
-            if width and not (
-                symbols.shape == (len(keys), width)
-                and all(map(is_integer, chain.from_iterable(assignment for _, assignment in keys)))
-                and symbols.min() >= 0
-                and symbols.max() < a
-            ):
-                node, assignment = next(
-                    (k for k in keys if not all(_is_symbol(s, a) for s in k[1])), keys[0]
-                )
-                raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
-            idx = np.asarray(starts, dtype=np.int64)
-            if width:
-                idx += _encode(symbols.astype(np.int64), range(width), a)
-            values[idx] = _stack_rows(rows, keys, a)
+            i = 0
+            for s in assignment:
+                if not _is_symbol(s, a):
+                    raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+                i = i * a + s
+            idx.append(blocks[node].start + i)
+        values = np.full((total, a), 1.0 / a)
+        fitted = np.zeros(total, dtype=bool)
+        if idx:
+            values[idx] = _stack_rows(list(cpts.values()), list(cpts), a)
             fitted[idx] = True
         return cls(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
 
@@ -205,31 +190,25 @@ class BayesNetModel:
         """Read-only (node, assignment) -> row mapping of the fitted rows, in
         node order and then by assignment; built anew on each read."""
         rows = {}
+        # The store is sliced here, not read through table(): perfbench's
+        # tracer wraps table() and reads len(cpts) after each call, so a call
+        # to table() here would recurse.
         for node in self.order:
             sizes = (self.alphabet_size,) * len(self.conditioning_sets[node])
-            table = self.tables[node]
+            table = self.values[self._blocks[node]]
             for idx in self.fitted_rows(node)[0].tolist():
                 rows[node, _decode(idx, sizes)] = table[idx]
         return MappingProxyType(rows)
 
     def fitted_rows(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending indices of node's fitted rows, and those rows."""
-        mask = self._masks[node]
-        return np.flatnonzero(mask), self.tables[node][mask]
-
-    def row(self, node: int, assignment: Sequence[int]) -> np.ndarray:
-        """Stored row, uniform when the assignment was never fitted."""
-        a = self.alphabet_size
-        if len(assignment) != len(self.conditioning_sets[node]) or not all(_is_symbol(s, a) for s in assignment):
-            raise ValueError(f"assignment {tuple(assignment)} does not fit the conditioning set of {node}")
-        idx = 0
-        for s in assignment:
-            idx = idx * a + s
-        return self.tables[node][idx]
+        block = self._blocks[node]
+        mask = self.fitted[block]
+        return np.flatnonzero(mask), self.values[block][mask]
 
     def table(self, node: int) -> np.ndarray:
         """Read-only dense (rows, alphabet) conditional table of node."""
-        return self.tables[node]
+        return self.values[self._blocks[node]]
 
     def factors(self, assignment: Mapping) -> list[float]:
         """The factors of the joint at a full assignment, in node order: each

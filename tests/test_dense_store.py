@@ -298,7 +298,17 @@ class TestDenseStore:
         assert dict(back.cpts.items()).keys() == ref.cpts.keys()
         for key, row in ref.cpts.items():
             assert np.array_equal(back.cpts[key], row)
-            assert np.array_equal(back.row(*key), row)
+        for node in back.order:
+            assert np.array_equal(back.table(node), ref.table(node))
+
+    @PROPERTY
+    @given(sparse_models(), st.data())
+    def test_shuffled_entries_load_to_the_same_bytes(self, case, data):
+        # Shuffling interleaves entries of different widths and nodes.
+        text = learned_model_to_json(both(case)[0])
+        raw = json.loads(text)
+        raw["cpts"] = data.draw(st.permutations(raw["cpts"]))
+        assert learned_model_to_json(parse_learned_model_json(json.dumps(raw))) == text
 
     @PROPERTY
     @given(sparse_models())
@@ -315,7 +325,8 @@ class TestDenseStore:
 
 CORRUPTIONS = (
     "nan", "inf", "minus_inf", "negative", "sum_off_2e-12", "sum_off_5e-13", "outside_alphabet",
-    "negative_symbol", "float_symbol", "arity", "bad_row_then_good_duplicate", "short_row",
+    "negative_symbol", "float_symbol", "arity", "bad_row_then_good_duplicate", "good_row_then_bad_duplicate",
+    "short_row",
 )
 
 
@@ -345,6 +356,10 @@ def corrupt(raw, entry, how):
         # An earlier entry for the same row is replaced, so its bad row is never checked.
         at = raw["cpts"].index(entry)
         raw["cpts"].insert(at, dict(entry, row=[float("nan")] * len(row)))
+    elif how == "good_row_then_bad_duplicate":
+        # A later entry for the same row replaces the earlier one, so its bad row is checked.
+        at = raw["cpts"].index(entry)
+        raw["cpts"].insert(at + 1, dict(entry, row=[float("nan")] * len(row)))
     elif how == "short_row":
         del row[-1]
 

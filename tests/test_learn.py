@@ -211,13 +211,7 @@ class TestLearnDo:
             flat_w = np.atleast_1d(weights.reshape(-1))
             flat_rows = true_rows.reshape(-1, model.alphabet_size)
             for idx in range(flat_rows.shape[0]):
-                assignment = []
-                rem = idx
-                for _ in z:
-                    assignment.append(rem % model.alphabet_size)
-                    rem //= model.alphabet_size
-                assignment = tuple(reversed(assignment))
-                learned_row = model.row(node, assignment)
+                learned_row = model.table(node)[idx]
                 tr = flat_rows[idx]
                 mask = tr > 0
                 rhs += flat_w[idx] * float(np.sum(tr[mask] * np.log(tr[mask] / learned_row[mask])))

@@ -340,9 +340,18 @@ class TestFileFormats:
         batch = sample_observational(cbn, 50, seed=1)
         path = tmp_path / "samples.csv"
         save_samples(batch, g.names, str(path))
-        back = load_samples(str(path), g.names, g.alphabet_size)
-        assert back.columns == batch.columns
-        assert np.array_equal(back.data, batch.data)
+        # The same rows with LF, CRLF, and LF plus a trailing blank line. Files
+        # are read with universal newlines, so CRLF rows arrive as LF text and
+        # take the digit grid, while the blank line sends them to the row reader.
+        text = path.read_bytes()
+        for body, grid in ((text, True), (text.replace(b"\n", b"\r\n"), True), (text + b"\n", False)):
+            path.write_bytes(body)
+            got = load_samples(str(path), g.names, g.alphabet_size)
+            assert got.columns == batch.columns and np.array_equal(got.data, batch.data)
+            if grid:
+                assert got.data.dtype == np.uint8 and got.data.flags.f_contiguous
+            else:
+                assert got.data.dtype == np.int64
 
     def test_digit_grid_is_column_major_uint8(self):
         batch = parse_samples_csv("v1,v0\n1,0\n0,0\n1,1\n", ("v0", "v1"), 2)
