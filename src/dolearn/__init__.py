@@ -17,9 +17,7 @@ from .graph import (
     CComponentPartition,
     IdentifiabilityResult,
     InducedSubgraph,
-    LatentGraph,
     MarginalReduction,
-    admg_to_latent,
     c_components,
     check_identifiability,
     effective_parents,

@@ -202,13 +202,15 @@ def _cmd_sample(args) -> int:
 def _cmd_learn_do(args) -> int:
     start = time.perf_counter()
     g, samples, x_node = _learner_inputs(args)
+    cbn = load_model(args.truth_model) if args.truth_model else None
+    if cbn is not None and cbn.graph != g:
+        raise FormatError(f"{args.truth_model}:1: truth model is over another graph than {args.graph}")
     m_requested, m_used, t, alpha_est, floored = _resolve_budget(args, g, samples, x_node)
     model = learn_do(samples.head(m_used), g, x_node, args.x_val, t)
     save_learned_model(model, args.out)
 
     tv_exact = None
-    if args.truth_model:
-        cbn = load_model(args.truth_model)
+    if cbn is not None:
         oracle = exact_interventional(cbn, x_node, args.x_val)
         keep = [v for v in range(g.node_count) if v != x_node]
         tv_exact = tv_distance(oracle, model_to_dense(model, keep))

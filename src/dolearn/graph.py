@@ -144,28 +144,6 @@ class CComponentPartition:
 
 
 @dataclass(frozen=True)
-class LatentGraph:
-    """A DAG in which some nodes are flagged hidden; input to latent projection."""
-
-    node_count: int
-    observable_flags: tuple[bool, ...]
-    directed_edges: frozenset[tuple[int, int]]
-    alphabet_size: int = 2
-    names: Optional[tuple[str, ...]] = None
-
-    def __post_init__(self):
-        n = self.node_count
-        if len(self.observable_flags) != n:
-            raise ValueError("observable_flags length mismatch")
-        if not any(self.observable_flags):
-            raise ValueError("at least one node must be observable")
-        for i, j in self.directed_edges:
-            if i == j or not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-        _kahn_order(n, self.directed_edges)  # raises on cycles
-
-
-@dataclass(frozen=True)
 class IdentifiabilityResult:
     """Outcome of the no-confounded-child check; witness is a violating child."""
 
@@ -312,77 +290,35 @@ def require_identifiable(g: Admg, x: int, x_val: Optional[int] = None) -> None:
         raise ValueError(f"x_val {x_val} outside alphabet")
 
 
-def latent_project(g: LatentGraph) -> Admg:
-    """Project a DAG with hidden nodes onto its observables.
+def latent_project(g: Admg, keep: Iterable[int]) -> Admg:
+    """Latent projection of g onto the nodes keep, renumbered in ascending
+    order with their names.
 
-    Directed edge i -> j iff some directed path from i to j has an all-hidden
-    interior (a direct edge counts); bidirected {i, j} iff some hidden node
-    reaches both i and j by directed paths through hidden nodes only.
+    The hidden variables are the dropped nodes and the confounder behind each
+    bidirected edge. Directed i -> j iff some directed path from i to j has a
+    dropped interior (a direct edge counts); bidirected {i, j} iff one hidden
+    variable reaches both i and j by directed paths through dropped nodes only.
     """
-    n = g.node_count
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, j in g.directed_edges:
-        children[i].append(j)
-    observable = [v for v in range(n) if g.observable_flags[v]]
-    hidden = [v for v in range(n) if not g.observable_flags[v]]
-
-    def reachable_observables(start_children: list[int]) -> set[int]:
-        # Walk forward, traversing hidden nodes only; collect observables hit.
-        seen_hidden = set()
-        found = set()
-        stack = list(start_children)
-        while stack:
-            u = stack.pop()
-            if g.observable_flags[u]:
-                found.add(u)
-            elif u not in seen_hidden:
-                seen_hidden.add(u)
-                stack.extend(children[u])
-        return found
-
-    directed_out = set()
-    for v in observable:
-        for w in reachable_observables(children[v]):
-            directed_out.add((v, w))
-    bidirected_out = set()
-    for u in hidden:
-        targets = sorted(reachable_observables(children[u]))
-        for a_idx in range(len(targets)):
-            for b_idx in range(a_idx + 1, len(targets)):
-                bidirected_out.add((targets[a_idx], targets[b_idx]))
-
-    index_of = {v: i for i, v in enumerate(observable)}
-    names = None
-    if g.names is not None:
-        names = tuple(g.names[v] for v in observable)
+    kept = sorted(set(int(v) for v in keep))
+    require_nodes(g, kept)
+    index_of = {v: i for i, v in enumerate(kept)}
+    # reach[v]: the kept node v itself, or the kept nodes a dropped v reaches
+    # through dropped nodes; children come before parents in reverse order.
+    reach: list[frozenset[int]] = [frozenset()] * g.node_count
+    for v in reversed(g._topo):
+        if v in index_of:
+            reach[v] = frozenset((index_of[v],))
+        else:
+            reach[v] = frozenset().union(*(reach[c] for c in g._children[v]))
+    directed = [(index_of[i], j) for i in kept for c in g._children[i] for j in reach[c]]
+    groups = [reach[v] for v in range(g.node_count) if v not in index_of]
+    groups += [reach[i] | reach[j] for i, j in g.bidirected_edges]
     return Admg(
-        node_count=len(observable),
-        names=names,
+        node_count=len(kept),
+        names=tuple(g.names[v] for v in kept),
         alphabet_size=g.alphabet_size,
-        directed_edges=[(index_of[i], index_of[j]) for i, j in directed_out],
-        bidirected_edges=[(index_of[i], index_of[j]) for i, j in bidirected_out],
-    )
-
-
-def admg_to_latent(g: Admg, observable: Iterable[int]) -> LatentGraph:
-    """Expand an ADMG into a plain DAG: one hidden root per bidirected edge,
-    plus any requested nodes marked hidden."""
-    obs = set(int(v) for v in observable)
-    edge_list = sorted(g.bidirected_edges)
-    n_total = g.node_count + len(edge_list)
-    flags = [v in obs for v in range(g.node_count)] + [False] * len(edge_list)
-    edges = set(g.directed_edges)
-    for e_idx, (i, j) in enumerate(edge_list):
-        u = g.node_count + e_idx
-        edges.add((u, i))
-        edges.add((u, j))
-    names = tuple(g.names) + tuple(f"u{e}" for e in range(len(edge_list)))
-    return LatentGraph(
-        node_count=n_total,
-        observable_flags=tuple(flags),
-        directed_edges=frozenset(edges),
-        alphabet_size=g.alphabet_size,
-        names=names,
+        directed_edges=directed,
+        bidirected_edges={(i, j) for s in groups for i in s for j in s if i < j},
     )
 
 
@@ -432,7 +368,7 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
     s1 = g._partition.component_containing(x)
     _, pa_plus, _ = parent_sets(g, s1)
     w_nodes = tuple(sorted(f | pa_plus))
-    h = latent_project(admg_to_latent(g, observable=w_nodes))
+    h = latent_project(g, w_nodes)
     index_of = {v: i for i, v in enumerate(w_nodes)}
 
     s1_mapped = tuple(sorted(index_of[v] for v in s1))

@@ -166,18 +166,24 @@ class BayesNetModel:
         # One pass in entry order checks each key and finds its row of the
         # store; the rows are then stacked and set through one index.
         idx = []
-        for node, assignment in cpts:
-            width = len(conditioning_sets[node])
-            if not is_integer(node):  # true and 1.0 find node 1's conditioning set
-                raise ValueError(f"node {node!r} of an entry must be a node index")
-            if len(assignment) != width:
-                raise ValueError(f"assignment arity mismatch for node {node}")
-            i = 0
-            for s in assignment:
-                if not _is_symbol(s, a):
-                    raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
-                i = i * a + s
-            idx.append(blocks[node].start + i)
+        try:
+            for node, assignment in cpts:
+                width = len(conditioning_sets[node])
+                if not is_integer(node):  # true and 1.0 find node 1's conditioning set
+                    raise ValueError(f"node {node!r} of an entry must be a node index")
+                if len(assignment) != width:
+                    raise ValueError(f"assignment arity mismatch for node {node}")
+                i = 0
+                for s in assignment:
+                    if not _is_symbol(s, a):
+                        raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+                    i = i * a + s
+                idx.append(blocks[node].start + i)
+        except (KeyError, ValueError):
+            # The first fault in entry order is named: a bad row of an
+            # earlier entry before this entry's bad key.
+            _stack_rows(list(cpts.values())[: len(idx)], list(cpts), a)
+            raise
         values = np.full((total, a), 1.0 / a)
         fitted = np.zeros(total, dtype=bool)
         if idx:
@@ -266,16 +272,20 @@ class BayesNetModel:
 
 def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:
     """Rows as one (len(rows), alphabet) float array; the error names the
-    first row that is not a vector of alphabet entries."""
+    first row, in the order of keys, that is not a distribution over the
+    alphabet."""
     try:
         out = np.array(rows, dtype=float)
     except ValueError:
         out = None
-    if out is None or out.shape != (len(rows), alphabet):
-        for (node, assignment), row in zip(keys, rows):
-            if np.asarray(row, dtype=float).shape != (alphabet,):
-                raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
-        raise ValueError("stored rows do not stack into one table")
+    end = len(rows)
+    if out is None or out.shape != (end, alphabet):  # rows from the first misshapen one on are cut
+        end = next((k for k, row in enumerate(rows) if np.asarray(row, dtype=float).shape != (alphabet,)), end)
+        out = np.array(rows[:end], dtype=float).reshape(end, alphabet)
+    bad = first_non_distribution(out, 1e-12)
+    if bad is not None or end < len(rows):
+        node, assignment = keys[end if bad is None else bad]
+        raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
     return out
 
 

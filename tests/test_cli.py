@@ -275,6 +275,27 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith(f"input error: {graph}:4: name 'a,b' cannot be addressed")
 
+    @pytest.mark.parametrize("nodes, seed", [(5, 3), (6, 8)])
+    def test_truth_model_over_another_graph_is_input_error(self, tmp_path, capsys, nodes, seed):
+        # The truth model's graph has 5 nodes, or 6 nodes and other edges.
+        graph, other, model, samples = (tmp_path / f for f in ("g.json", "h.json", "m.json", "s.csv"))
+        for argv in (["gen-graph", "--nodes", "6", "--in-degree", "2", "--ccomp-size", "2", "--seed", "3",
+                      "--out", str(graph)],
+                     ["gen-graph", "--nodes", str(nodes), "--in-degree", "2", "--ccomp-size", "2",
+                      "--seed", str(seed), "--out", str(other)],
+                     ["gen-model", "--graph", str(graph), "--seed", "4", "--out", str(samples) + ".m"],
+                     ["sample", "--model", str(samples) + ".m", "--m", "200", "--seed", "5", "--out", str(samples)],
+                     ["gen-model", "--graph", str(other), "--seed", "4", "--out", str(model)]):
+            assert dispatch(argv) == 0
+        assert json.loads(graph.read_text()) != json.loads(other.read_text())
+        learned = tmp_path / "l.json"
+        code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                           "--x-var", "0", "--x-val", "1", "--m", "200", "--truth-model", str(model),
+                           "--out", str(learned))
+        assert code == 3
+        assert err.startswith(f"input error: {model}:1: truth model is over another graph than {graph}")
+        assert not learned.exists()
+
     def test_x_val_outside_alphabet_is_usage_error(self, pipeline, tmp_path, capsys):
         graph, model, samples = pipeline
         code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),

@@ -385,6 +385,25 @@ class TestLoaderChecks:
         text = json.dumps(raw)
         assert _outcome(parse_learned_model_json, text) == _outcome(reference_parse, text)
 
+    @pytest.mark.parametrize("row_first", [True, False])
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=sparse_models(), data=st.data())
+    def test_two_faults_name_the_first_in_file_order(self, case, data, row_first):
+        # A bad row in one entry and a symbol outside the alphabet in another.
+        kwargs, cpts = case
+        raw = json.loads(learned_model_to_json(BayesNetModel.from_rows(cpts=cpts, **kwargs)))
+        if len(raw["cpts"]) < 2:
+            return
+        first, second = sorted(data.draw(st.lists(st.sampled_from(range(len(raw["cpts"]))), min_size=2,
+                                                  max_size=2, unique=True)))
+        row_at, symbol_at = (first, second) if row_first else (second, first)
+        if not raw["cpts"][symbol_at]["assignment"]:
+            return
+        corrupt(raw, raw["cpts"][row_at], "nan")
+        corrupt(raw, raw["cpts"][symbol_at], "outside_alphabet")
+        text = json.dumps(raw)
+        assert _outcome(parse_learned_model_json, text) == _outcome(reference_parse, text)
+
     def test_oversized_table_refused_at_load(self, tmp_path, capsys):
         # Node 21 conditions on 21 binary nodes: 2^21 rows, above TABLE_ROW_LIMIT.
         n = 22

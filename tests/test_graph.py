@@ -10,8 +10,6 @@ from dolearn.errors import FormatError, GraphCycleError, IdentifiabilityError
 from dolearn.files import dump_json
 from dolearn.graph import (
     Admg,
-    LatentGraph,
-    admg_to_latent,
     c_components,
     check_identifiability,
     effective_parents,
@@ -167,53 +165,79 @@ class TestIdentifiability:
 
 class TestLatentProject:
     def test_hidden_common_cause(self):
-        lg = LatentGraph(3, observable_flags=(True, True, False), directed_edges=frozenset({(2, 0), (2, 1)}))
-        h = latent_project(lg)
+        h = latent_project(Admg(3, directed_edges=[(2, 0), (2, 1)]), {0, 1})
         assert h.directed_edges == frozenset()
         assert h.bidirected_edges == {(0, 1)}
 
     def test_hidden_chain_collapses(self):
-        lg = LatentGraph(3, observable_flags=(True, False, True), directed_edges=frozenset({(0, 1), (1, 2)}))
-        h = latent_project(lg)
-        assert h.directed_edges == {(0, 1)}  # renumbered: observables 0, 2 -> 0, 1
+        h = latent_project(Admg(3, names=("a", "b", "c"), directed_edges=[(0, 1), (1, 2)]), {0, 2})
+        assert h.directed_edges == {(0, 1)}  # renumbered: kept 0, 2 -> 0, 1
         assert h.bidirected_edges == frozenset()
+        assert h.names == ("a", "c")
+
+    def test_confounder_reaches_through_a_dropped_node(self):
+        h = latent_project(Admg(3, directed_edges=[(1, 2)], bidirected_edges=[(0, 1)]), {0, 2})
+        assert h.directed_edges == frozenset()
+        assert h.bidirected_edges == {(0, 1)}
+
+    def test_keep_is_checked(self):
+        with pytest.raises(ValueError, match="out of range"):
+            latent_project(chain(3), {0, 3})
+        with pytest.raises(ValueError, match="node_count must be positive"):
+            latent_project(chain(3), ())
 
     def test_identity_on_all_observable(self):
         g = random_admg(6, 2, 2, seed=3)
-        h = latent_project(admg_to_latent(g, observable=range(6)))
+        h = latent_project(g, range(6))
         assert h.directed_edges == g.directed_edges
         assert h.bidirected_edges == g.bidirected_edges
 
     def test_idempotent_on_fully_observable(self):
         for seed in range(10):
             g = random_admg(5, 2, 2, seed=seed)
-            once = latent_project(admg_to_latent(g, observable=range(5)))
-            twice = latent_project(admg_to_latent(once, observable=range(5)))
+            once = latent_project(g, range(5))
+            twice = latent_project(once, range(5))
             assert once.directed_edges == twice.directed_edges
             assert once.bidirected_edges == twice.bidirected_edges
 
+    def test_projecting_in_two_steps_equals_projecting_once(self):
+        rng = np.random.default_rng(7)
+        for seed in range(40):
+            n = int(rng.integers(1, 12))
+            g = random_admg(n, 3, 3, seed=seed)
+            first = sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            then = [int(i) for i in rng.choice(len(first), size=int(rng.integers(1, len(first) + 1)), replace=False)]
+            two = latent_project(latent_project(g, first), then)
+            assert two == latent_project(g, [first[i] for i in then]), seed
+
     def test_matches_matrix_closure_oracle(self):
-        # Independent construction via boolean transitive closure of the
-        # hidden-hidden adjacency.
+        # Independent construction: each bidirected edge becomes a hidden root
+        # with both endpoints as children, and the projection of that DAG is
+        # read off the boolean transitive closure of its hidden-hidden
+        # adjacency.
         rng = np.random.default_rng(12)
-        for trial in range(40):
+        for trial in range(60):
             n = int(rng.integers(3, 9))
             edges = set()
             for j in range(1, n):
                 for p in rng.choice(j, size=int(rng.integers(0, min(3, j) + 1)), replace=False):
                     edges.add((int(p), j))
-            flags = tuple(bool(b) for b in rng.integers(0, 2, size=n))
+            pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2}
+            flags = [bool(b) for b in rng.integers(0, 2, size=n)]
             if not any(flags):
-                flags = (True,) + flags[1:]
-            lg = LatentGraph(n, flags, frozenset(edges))
+                flags[0] = True
+            g = Admg(n, directed_edges=edges, bidirected_edges=pairs)
 
-            adj = np.zeros((n, n), dtype=bool)
+            total = n + len(pairs)
+            adj = np.zeros((total, total), dtype=bool)
             for i, j in edges:
                 adj[i, j] = True
-            hidden = np.array([not f for f in flags])
+            for u, (i, j) in enumerate(sorted(pairs), start=n):
+                adj[u, i] = adj[u, j] = True
+            hidden = np.array([not f for f in flags] + [True] * len(pairs))
             hh = adj & hidden[:, None] & hidden[None, :]
-            closure = np.eye(n, dtype=bool)
-            for _ in range(n):
+            closure = np.eye(total, dtype=bool)
+            for _ in range(total):
                 closure = closure | (closure @ hh)
             # reach[i, j]: j observable, reachable from i via hidden interior
             reach = (adj | ((adj & hidden[None, :]) @ closure @ adj)) & ~hidden[None, :]
@@ -222,12 +246,12 @@ class TestLatentProject:
                 (obs.index(i), obs.index(j)) for i in obs for j in obs if i != j and reach[i, j]
             }
             want_bidirected = set()
-            for u in range(n):
-                if flags[u]:
+            for u in range(total):
+                if not hidden[u]:
                     continue
                 hit = [obs.index(j) for j in obs if reach[u, j]]
                 want_bidirected |= {(a, b) for a in hit for b in hit if a < b}
-            h = latent_project(lg)
+            h = latent_project(g, obs)
             assert h.directed_edges == want_directed, trial
             assert h.bidirected_edges == want_bidirected, trial
 
@@ -246,7 +270,7 @@ class TestPruneToAncestors:
         sub = prune_to_ancestors(g, {1})
         assert sub.nodes == (0, 1)
 
-    def test_idempotent(self):
+    def test_idempotent_on_fully_observable(self):
         for seed in range(10):
             g = random_admg(7, 2, 2, seed=seed)
             f = {1, 4}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dolearn.graph import (
     Admg,
     CComponentPartition,
-    admg_to_latent,
     c_components,
     effective_parents,
     induced_subgraph,
@@ -142,7 +141,7 @@ def test_index_matches_edge_scans(n, d, k, seed):
     assert_index_matches(induced_subgraph(g, nodes), rng)
     assert_index_matches(prune_to_ancestors(g, rng.sample(range(n), rng.randint(1, n))).admg, rng)
     observable = rng.sample(range(n), rng.randint(1, n))
-    assert_index_matches(latent_project(admg_to_latent(g, observable)), rng)
+    assert_index_matches(latent_project(g, observable), rng)
 
 
 @PROPERTY
