@@ -270,7 +270,7 @@ class TestPruneToAncestors:
         sub = prune_to_ancestors(g, {1})
         assert sub.nodes == (0, 1)
 
-    def test_idempotent_on_fully_observable(self):
+    def test_idempotent(self):
         for seed in range(10):
             g = random_admg(7, 2, 2, seed=seed)
             f = {1, 4}
