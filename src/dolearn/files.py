@@ -6,19 +6,26 @@ import json
 from .errors import FormatError
 
 
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def read_text(path: str) -> str:
-    """The text of a file, with universal newlines; bytes that are not UTF-8
-    are a FormatError at the line of the first bad one."""
+    """The text of a file, as decode_text reads its bytes."""
+    return decode_text(read_bytes(path), path)
+
+
+def decode_text(raw: bytes, source: str) -> str:
+    """raw as UTF-8 text with universal newlines: CRLF and lone CR become LF.
+    Bytes that are not UTF-8 are a FormatError at the line of the first bad one."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        # read() decodes the whole file in one call, so e.start is the bad
-        # byte's offset; the bytes are read only now, to count lines before it.
-        with open(path, "rb") as fh:
-            head = fh.read()[: e.start]
+        head = raw[: e.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+        raise FormatError(f"{source}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def write_text(path: str, text: str) -> None:

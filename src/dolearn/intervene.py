@@ -30,7 +30,7 @@ from .learn import (
 )
 from .model import (
     DenseDistribution, SampleBatch, _draw_ancestral, _product, derived_seed, empirical_marginal,
-    require_draw_size, require_state_space,
+    require_draw_size, require_state_space, symbol_dtype,
 )
 
 ENUMERATION_LIMIT = 2**16
@@ -64,9 +64,9 @@ def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch
     model = im.dx
     require_draw_size(len(model.order), count)
     keep = [v for v in model.order if v != im.x_node]
-    rows = np.empty((len(model.order), count), dtype=np.int64)
-    row_of = dict(zip(keep + [im.x_node], rows))
     a = model.alphabet_size
+    rows = np.empty((len(model.order), count), dtype=symbol_dtype(a))
+    row_of = dict(zip(keep + [im.x_node], rows))
     steps = [(row_of[v], model._blocks[v].start, tuple((row_of[u], a) for u in model.conditioning_sets[v]))
              for v in model.order]
     _draw_ancestral([(model.values, steps)], count, seed)

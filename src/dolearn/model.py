@@ -12,16 +12,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import BinaryIO, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import FormatError, StateSpaceError
-from .files import decode_json, dump_json, read_text, write_text
+from .files import decode_json, decode_text, dump_json, read_bytes, read_text, write_text
 from .graph import Admg, graph_from_payload, graph_payload, is_integer, topological_order
 
 STATE_SPACE_LIMIT = 2**24
-DRAW_CELL_LIMIT = 2**26  # int64 cells of one draw array: 512 MiB
+DRAW_CELL_LIMIT = 2**26  # cells of one draw array: 64 MiB at one byte per symbol
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +96,9 @@ def kl_distance(p: DenseDistribution, q: DenseDistribution) -> float:
 class SampleBatch:
     """Rows of integer symbols; column j of data holds the symbols of node
     columns[j]. The integer array given is kept as it is, in its dtype and
-    memory layout: the digit-grid parser hands over column-major uint8 and
-    the samplers column-major int64, so a node's symbols lie contiguous."""
+    memory layout: the samplers and the digit-grid parser hand over
+    column-major arrays of symbol_dtype(alphabet), so a node's symbols lie
+    contiguous, and the row reader row-major ones of that dtype."""
 
     columns: tuple[int, ...]
     data: np.ndarray
@@ -223,11 +224,19 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
     return GroundTruthCbn(g, hidden_domain, priors, tuple(draw_rows(shape) for shape in shapes))
 
 
+def symbol_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds the symbols 0 .. size - 1,
+    uint64 at most: an alphabet beyond it is for the learners' guards to refuse."""
+    return np.min_scalar_type(min(size, 2**64) - 1)
+
+
 def _draw_ancestral(parts, m: int, seed: int) -> None:
-    """Inverse-CDF draws into int64 rows given by the caller. parts pairs
-    stacked tables (R, D) of nonnegative rows with steps (out, base, reads);
-    draw i of out reads table row base + key[i], whose big-endian digits are
-    the (row, radix) pairs of reads, against the next rng.random(m) of seed."""
+    """Inverse-CDF draws into unsigned integer rows given by the caller. parts
+    pairs stacked tables (R, D) of nonnegative rows with steps (out, base,
+    reads); draw i of out reads table row base + key[i], whose big-endian
+    digits are the (row, radix) pairs of reads, against the next
+    rng.random(m) of seed. The key is built in np.intp, whatever the rows'
+    dtype, so a product of narrow rows never wraps."""
     rng = np.random.default_rng(seed)
     u = np.empty(m)
     for tables, steps in parts:
@@ -235,9 +244,10 @@ def _draw_ancestral(parts, m: int, seed: int) -> None:
         # entry is above all D, so counting D - 1 equals counting D capped at D - 1.
         cdf = np.cumsum(tables, axis=1)[:, :-1].T.copy()
         for out, base, reads in steps:
-            key = 0
-            for row, radix in reads:
-                key = key * radix + row
+            key = reads[0][0].astype(np.intp) if reads else 0
+            for row, radix in reads[1:]:
+                key *= radix
+                key += row
             rng.random(out=u)
             np.greater(u, cdf[0, base:][key], out=out, casting="unsafe")
             for column in cdf[1:]:
@@ -249,8 +259,8 @@ def sample_observational(cbn: GroundTruthCbn, m: int, seed: int = 0) -> SampleBa
     g = cbn.graph
     require_draw_size(g.node_count + cbn.hidden_count, m)
     order = topological_order(g)
-    hidden = np.empty((cbn.hidden_count, m), dtype=np.int64)
-    rows = np.empty((g.node_count, m), dtype=np.int64)
+    hidden = np.empty((cbn.hidden_count, m), dtype=symbol_dtype(cbn.hidden_domain))
+    rows = np.empty((g.node_count, m), dtype=symbol_dtype(g.alphabet_size))
     row_of = dict(zip(order, rows))
     steps, base = [], 0
     for v in order:
@@ -456,27 +466,47 @@ def save_model(cbn: GroundTruthCbn, path: str) -> None:
 _ZERO = ord("0")
 
 
-def samples_to_csv(batch: SampleBatch, names: Sequence[str]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def samples_to_csv(batch: SampleBatch, names: Sequence[str], out: Optional[BinaryIO] = None) -> Optional[str]:
+    """The sample CSV of batch as text; given a binary file out, the CSV is
+    written to out as UTF-8 instead, a digit grid straight from its buffer."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     writer.writerow([names[c] for c in batch.columns])
     data = batch.data
+    grid = None
     if data.size == 0 or data.min() < 0 or data.max() > 9:
         writer.writerows(data.tolist())
-        return out.getvalue()
-    grid = np.empty((data.shape[0], 2 * data.shape[1]), dtype=np.uint8)
-    np.add(data, _ZERO, out=grid[:, 0::2], casting="unsafe")
-    grid[:, 1::2] = ord(",")
-    grid[:, -1] = ord("\n")
-    return out.getvalue() + grid.tobytes().decode("ascii")
+    else:
+        grid = np.empty((data.shape[0], 2 * data.shape[1]), dtype=np.uint8)
+        np.add(data, _ZERO, out=grid[:, 0::2], casting="unsafe")
+        grid[:, 1::2] = ord(",")
+        grid[:, -1] = ord("\n")
+    if out is None:
+        return text.getvalue() + ("" if grid is None else str(memoryview(grid), "ascii"))
+    out.write(text.getvalue().encode("utf-8"))
+    if grid is not None:
+        out.write(memoryview(grid))
+    return None
 
 
-def _digit_grid(body: str, width: int, alphabet_size: int) -> Optional[np.ndarray]:
-    """Symbols of a body in the exact single-digit grid form, or None when
-    the body has any other shape."""
-    if alphabet_size > 10 or not body or len(body) % (2 * width) or not body.isascii():
+def _digit_grid(raw: bytes, names: Sequence[str], alphabet_size: int) -> Optional[SampleBatch]:
+    """The batch of a sample file's bytes in the exact single-digit grid form,
+    under a UTF-8 header line free of quotes and CR, or None when they have
+    any other shape. A body byte that is no digit wraps below '0' or lies
+    above '9', so the alphabet check refuses it."""
+    end = raw.find(b"\n")
+    if end < 1 or alphabet_size > 10:
         return None
-    grid = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, 2 * width)
+    try:
+        header_line = raw[:end].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    header = header_line.split(",")
+    body = memoryview(raw)[end + 1:]
+    width = len(header)
+    if any(c in header_line for c in '"\r') or sorted(header) != sorted(names) or not body or len(body) % (2 * width):
+        return None
+    grid = np.frombuffer(body, dtype=np.uint8).reshape(-1, 2 * width)
     separators = np.full(width, ord(","), dtype=np.uint8)
     separators[-1] = ord("\n")
     if not (grid[:, 1::2] == separators).all():
@@ -485,22 +515,28 @@ def _digit_grid(body: str, width: int, alphabet_size: int) -> Optional[np.ndarra
     digits = np.subtract(grid[:, 0::2], np.uint8(_ZERO), order="F")
     if digits.max() >= alphabet_size:
         return None
-    return digits
+    return SampleBatch(_header_columns(header, names), digits)
 
 
-def parse_samples_csv(text: str, names: Sequence[str], alphabet_size: int, source: str = "<samples>") -> SampleBatch:
-    """Parse a sample CSV. The common single-digit form is decoded as one
-    array; any other text (blank lines, CRLF, quoting, spaces, signs, ragged
-    rows, bad symbols) goes through the row reader, which accepts every valid
-    variant and anchors each error at its line."""
-    header_line, newline, body = text.partition("\n")
-    if newline and header_line and not any(c in header_line for c in '"\r'):
-        header = header_line.split(",")
-        if sorted(header) == sorted(names):
-            data = _digit_grid(body, len(header), alphabet_size)
-            if data is not None:
-                return SampleBatch(_header_columns(header, names), data)
-    return _parse_samples_rows(text, names, alphabet_size, source)
+def parse_samples_csv(
+    text: bytes | str, names: Sequence[str], alphabet_size: int, source: str = "<samples>"
+) -> SampleBatch:
+    """Parse a sample CSV, given as its text or as the bytes of its file. The
+    common single-digit form is decoded as one array, straight from the bytes
+    when given. Other bytes are decoded as a file is read (UTF-8, universal
+    newlines), so CRLF and CR files then take the digit grid too. Any other
+    text (blank lines, quoting, spaces, signs, ragged rows, bad symbols) goes
+    through the row reader, which accepts every valid variant and anchors
+    each error at its line."""
+    if isinstance(text, bytes):
+        batch = _digit_grid(text, names, alphabet_size)
+        if batch is not None:
+            return batch
+        text = decode_text(text, source)
+    # Text from a caller may hold lone surrogates: surrogatepass encodes them,
+    # and the grid check turns them down, in the header or in the body.
+    batch = _digit_grid(text.encode("utf-8", "surrogatepass"), names, alphabet_size)
+    return batch if batch is not None else _parse_samples_rows(text, names, alphabet_size, source)
 
 
 def _header_columns(header: Sequence[str], names: Sequence[str]) -> tuple[int, ...]:
@@ -542,15 +578,16 @@ def _read_rows(reader, names: Sequence[str], alphabet_size: int, source: str) ->
         rows.append(vals)
     if not rows:
         raise FormatError(f"{source}:1: sample file has no rows")
-    return SampleBatch(columns, np.asarray(rows, dtype=np.int64))
+    return SampleBatch(columns, np.asarray(rows, dtype=symbol_dtype(alphabet_size)))
 
 
 def load_samples(path: str, names: Sequence[str], alphabet_size: int) -> SampleBatch:
-    return parse_samples_csv(read_text(path), names, alphabet_size, source=path)
+    return parse_samples_csv(read_bytes(path), names, alphabet_size, source=path)
 
 
 def save_samples(batch: SampleBatch, names: Sequence[str], path: str) -> None:
-    write_text(path, samples_to_csv(batch, names))
+    with open(path, "wb") as fh:
+        samples_to_csv(batch, names, fh)
 
 
 def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int) -> DenseDistribution:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dolearn.cli import dispatch
 from dolearn.errors import FormatError
+from dolearn.files import read_text
 from dolearn.graph import graph_to_json, random_admg
 from dolearn.learn import learn_do, learned_model_to_json
 from dolearn.model import (
@@ -158,6 +159,58 @@ def test_cr_line_ends_read_as_universal_newlines(tmp_path, newline, body):
 
     want = outcome(lambda: parse_samples_csv(text, G.names, G.alphabet_size, source=str(path)))
     assert outcome(lambda: load_samples(str(path), G.names, G.alphabet_size)) == want
+
+
+_HEADER = ",".join(G.names).encode()
+_BODY = b"0,1,0,1\n1,1,0,0\n0,0,1,1\n"
+
+
+@pytest.mark.parametrize("data", [
+    _HEADER + b"\n" + _BODY,
+    _HEADER + b"\r\n" + _BODY.replace(b"\n", b"\r\n"),
+    _HEADER + b"\r" + _BODY.replace(b"\n", b"\r"),
+    _HEADER + b"\n" + _BODY + b"\n",
+    b"\xef\xbb\xbf" + _HEADER + b"\n" + _BODY,
+    b'"v0",v1,v2,v3\n' + _BODY,
+    b"v0\r,v1,v2,v3\n" + _BODY,
+    b"v0,v1,v2,v3\r\n" + _BODY,
+    b"v0,v1,v2,v\xff3\n" + _BODY,
+    _HEADER + b"\n0,1,0,1\n1,1,\xff,0\n0,0,1,1\n",
+    b"",
+    _HEADER + b"\n",
+], ids=[
+    "lf", "crlf", "lone-cr", "trailing-blank", "bom", "quoted-header", "cr-in-header", "crlf-header-line",
+    "non-utf8-header", "non-utf8-body", "empty", "header-only",
+])
+def test_bytes_reader_equals_text_reader(tmp_path, data):
+    # load_samples reads bytes and tries the digit grid on them; whatever it
+    # turns down must come out as the text read would give it: the same
+    # columns and symbols, or the same error at the same line.
+    path = tmp_path / "s.csv"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            batch = read()
+        except FormatError as e:
+            return str(e)
+        return batch.columns, batch.data.dtype, batch.data.tolist()
+
+    want = outcome(lambda: parse_samples_csv(read_text(str(path)), G.names, G.alphabet_size, source=str(path)))
+    assert outcome(lambda: load_samples(str(path), G.names, G.alphabet_size)) == want
+
+
+@pytest.mark.parametrize("symbol", [12, 2**63 + 1])
+def test_alphabet_beyond_uint64_reaches_the_learner_guard(tmp_path, symbol):
+    # The row reader holds symbols in uint64 at most; the learners refuse
+    # such an alphabet (exit 4), whatever symbol the file holds below it.
+    graph = {"n": 2, "names": ["v0", "v1"], "alphabet": 2**65, "directed": [[0, 1]], "bidirected": []}
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.csv").write_text(f"v0,v1\n0,1\n1,{symbol}\n")
+    code, err = _run(["learn-do", "--graph", str(tmp_path / "g.json"), "--samples", str(tmp_path / "s.csv"),
+                      "--x-var", "v0", "--x-val", "1", "--m", "2", "--t", "1", "--out", str(tmp_path / "l.json")])
+    assert code == 4, err
+    assert "above the 16777216 guard" in err
 
 
 JSON_KINDS = sorted(kind for kind, (name, _, _) in INPUTS.items() if name.endswith(".json"))

@@ -121,7 +121,8 @@ class TestOutOfAlphabetSymbols:
     g = Admg(2, directed_edges=[(0, 1)])
 
     def _batch(self, bad):
-        data = sample_observational(random_cbn(self.g, smoothing=0.25, seed=1), 100, seed=2).data.copy()
+        # Widened, so that -1 fits: the sampler draws uint8.
+        data = sample_observational(random_cbn(self.g, smoothing=0.25, seed=1), 100, seed=2).data.astype(np.int64)
         data[:30, data.shape[1] - 1] = bad
         return SampleBatch((0, 1), data)
 

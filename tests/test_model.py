@@ -28,6 +28,7 @@ from dolearn.model import (
     save_model,
     save_samples,
     strong_positivity_margin,
+    symbol_dtype,
     tv_distance,
 )
 
@@ -214,9 +215,9 @@ class TestSampling:
         cbn = random_cbn(g, smoothing=0.25, seed=4)
         im = InterventionalModel(learn_do(sample_observational(cbn, 2000, seed=5), g, 0, 1, t=5), 0, 1)
         m = 50_000
-        row = 8 * m
+        buffer = 8 * m  # one float64 or np.intp array of m entries
         runs = [
-            (lambda: sample_observational(cbn, m, seed=6), cbn.hidden_count,
+            (lambda: sample_observational(cbn, m, seed=6), cbn.hidden_count * m,
              sum(t.nbytes for t in cbn.tables) + 8 * cbn.hidden_domain * cbn.hidden_count),
             (lambda: sample_do(im, m, seed=7), 0, im.dx.values.nbytes),
         ]
@@ -227,8 +228,11 @@ class TestSampling:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            # One byte per symbol: the draws and the hidden rows are uint8.
+            row = batch.data.itemsize * m
+            assert batch.data.dtype == symbol_dtype(g.alphabet_size) == np.uint8
             assert batch.data.nbytes == row * len(batch.columns)
-            assert peak - batch.data.nbytes <= (hidden + 8) * row + 4 * tables
+            assert peak - batch.data.nbytes <= hidden + 8 * buffer + 4 * tables
 
     def test_sampler_matches_exact_distribution(self):
         # Normalization plus sampler correctness in one sweep.
@@ -340,18 +344,17 @@ class TestFileFormats:
         batch = sample_observational(cbn, 50, seed=1)
         path = tmp_path / "samples.csv"
         save_samples(batch, g.names, str(path))
-        # The same rows with LF, CRLF, and LF plus a trailing blank line. Files
-        # are read with universal newlines, so CRLF rows arrive as LF text and
-        # take the digit grid, while the blank line sends them to the row reader.
+        # The same rows with LF, CRLF, and LF plus a trailing blank line. The
+        # LF bytes take the digit grid; CRLF rows fail it as bytes, arrive as
+        # LF text under universal newlines and take it then, while the blank
+        # line sends them to the row reader, which gives row-major uint8.
         text = path.read_bytes()
         for body, grid in ((text, True), (text.replace(b"\n", b"\r\n"), True), (text + b"\n", False)):
             path.write_bytes(body)
             got = load_samples(str(path), g.names, g.alphabet_size)
             assert got.columns == batch.columns and np.array_equal(got.data, batch.data)
-            if grid:
-                assert got.data.dtype == np.uint8 and got.data.flags.f_contiguous
-            else:
-                assert got.data.dtype == np.int64
+            assert got.data.dtype == np.uint8
+            assert got.data.flags.f_contiguous if grid else got.data.flags.c_contiguous
 
     def test_digit_grid_is_column_major_uint8(self):
         batch = parse_samples_csv("v1,v0\n1,0\n0,0\n1,1\n", ("v0", "v1"), 2)
@@ -359,7 +362,7 @@ class TestFileFormats:
         assert batch.data.dtype == np.uint8 and batch.data.flags.f_contiguous
         assert batch.data.tolist() == [[1, 0], [0, 0], [1, 1]]
         rows = parse_samples_csv("v1,v0\r\n1,0\r\n0,0\r\n1,1\r\n", ("v0", "v1"), 2)
-        assert rows.data.dtype == np.int64 and rows.data.tolist() == batch.data.tolist()
+        assert rows.data.dtype == np.uint8 and rows.data.tolist() == batch.data.tolist()
 
     def test_samples_bad_symbol(self):
         text = "v0,v1\n0,1\n0,7\n"

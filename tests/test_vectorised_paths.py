@@ -24,7 +24,7 @@ from dolearn.learn import (
 )
 from dolearn.model import (
     GroundTruthCbn, SampleBatch, exact_observational, parse_samples_csv, random_cbn, sample_observational,
-    samples_to_csv,
+    samples_to_csv, symbol_dtype,
 )
 
 PROPERTY = settings.get_profile("property")
@@ -361,7 +361,7 @@ class TestBatchLayouts:
     @given(learner_cases(), st.randoms(use_true_random=False))
     def test_learners_agree_on_grid_row_reader_and_int64_batches(self, case, random):
         """The same rows as a digit-grid CSV with a permuted header (column-major
-        uint8), a CRLF CSV (row reader, int64) and an int64 row-major batch
+        uint8), a CRLF CSV (row reader, row-major uint8) and an int64 row-major batch
         give bit-equal learned models and marginals."""
         g, rows, x, x_val, y_set, y_bar_1, f = case
         header = list(range(g.node_count))
@@ -371,7 +371,7 @@ class TestBatchLayouts:
         crlf = parse_samples_csv(text.replace("\n", "\r\n"), g.names, g.alphabet_size)
         plain = SampleBatch(tuple(range(g.node_count)), np.ascontiguousarray(rows, dtype=np.int64))
         assert grid.data.dtype == np.uint8 and grid.data.flags.f_contiguous and grid.columns == tuple(header)
-        assert crlf.data.dtype == np.int64 and crlf.columns == tuple(header)
+        assert crlf.data.dtype == np.uint8 and crlf.columns == tuple(header)
         t = random.choice([None, 1, 3])
 
         def learned(batch):
@@ -415,6 +415,7 @@ class TestAncestralSampling:
         want = reference_sample_observational(cbn, m, seed)
         assert got.columns == want.columns
         assert np.array_equal(got.data, want.data)
+        return got
 
     def assert_interventional_equal(self, model, count, seed):
         im = InterventionalModel(model, *model.x_substitution)
@@ -422,6 +423,29 @@ class TestAncestralSampling:
         want = reference_sample_do(im, count, seed)
         assert got.columns == want.columns
         assert np.array_equal(got.data, want.data)
+        return got
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 10]), st.sampled_from([2, 300]), st.integers(0, 10_000), st.integers(1, 300))
+    def test_narrow_draws_equal_int64_kernel(self, alphabet, hidden_domain, seed, m):
+        """Both samplers draw one byte per symbol, whatever the hidden domain:
+        a hidden domain of 300 draws its hidden rows as uint16, and the keys
+        they build are widened, so every value equals the int64 kernel's."""
+        g = random_admg(5, 2, 2, alphabet_size=alphabet, seed=seed, identifiable_for=0)
+        cbn = random_cbn(g, hidden_domain=hidden_domain, smoothing=0.1, seed=seed + 1)
+        batch = self.assert_observational_equal(cbn, m, seed + 2)
+        model = learn_do(batch, g, 0, 1, t=2)
+        draws = self.assert_interventional_equal(model, m, seed + 3)
+        assert batch.data.dtype == draws.data.dtype == symbol_dtype(alphabet) == np.uint8
+
+    def test_alphabet_above_a_byte_draws_uint16(self):
+        # 300 symbols: node 1 keys on node 0 and a hidden root, node 2 on node 1.
+        g = Admg(3, alphabet_size=300, directed_edges=[(0, 1), (1, 2)], bidirected_edges=[(0, 1)])
+        cbn = random_cbn(g, hidden_domain=2, smoothing=0.1, seed=1)
+        batch = self.assert_observational_equal(cbn, 5000, 2)
+        draws = self.assert_interventional_equal(learn_do(batch, g, 2, 299, t=1), 5000, 3)
+        assert batch.data.dtype == draws.data.dtype == symbol_dtype(300) == np.uint16
+        assert batch.data.max() > 255 and draws.data.max() > 255
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([2, 3, 10]), st.integers(2, 4), st.integers(0, 10_000), st.integers(1, 300))
