@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import experiments as exp
-from .errors import DolearnError, FormatError, UnderflowError
+from .errors import DolearnError, FormatError
 from .files import decode_json, dump_json, read_text, write_text
 from .graph import Admg, c_components, is_integer, load_graph, random_admg, save_graph
 from .intervene import (
@@ -254,14 +254,7 @@ def _cmd_eval(args) -> int:
     w_nodes = [v for v in im.dx.order if v != im.x_node]
     w_names = [im.dx.names[v] for v in w_nodes]
     w = dict(zip(w_nodes, parse_assignment(args.assignment, w_names, im.dx.alphabet_size)))
-    p = evaluate_do(im, w)
-    # The float64 product carries no exponent: below the normal range the value
-    # has underflowed, unless every term of the sum over x has a zero factor.
-    terms = (im.dx.factors({**w, im.x_node: x}) for x in range(im.dx.alphabet_size))
-    if p < sys.float_info.min and any(min(factors) > 0 for factors in terms):
-        raise UnderflowError(f"the probability underflows float64: a term of the sum over {im.dx.names[im.x_node]} "
-                             f"has only positive factors, but the sum is {p!r}, below {sys.float_info.min!r}")
-    print(format_significant(p, 12))
+    print(format_significant(evaluate_do(im, w), 12))
     return 0
 
 

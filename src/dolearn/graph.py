@@ -33,11 +33,12 @@ def is_integer(v) -> bool:
 
 def require_names(names: Iterable[str]) -> None:
     """Refuse a name that the command line cannot address: assignments and
-    target lists are split at commas and equals signs, and each part is
-    stripped of whitespace."""
-    bad = next((s for s in names if not s or s != s.strip() or "," in s or "=" in s), None)
+    target lists are split at commas and equals signs, each part is stripped
+    of whitespace, and a lone surrogate, such as JSON's "\\ud800", has no UTF-8."""
+    bad = next((s for s in names if not s or s != s.strip() or "," in s or "=" in s
+                or not s.isascii() and s.encode("utf-8", "ignore").decode("utf-8") != s), None)
     if bad is not None:
-        raise ValueError(f"name {bad!r} cannot be addressed: names must be nonempty, hold no ',' or '=' "
+        raise ValueError(f"name {bad!r} cannot be addressed: names must be nonempty UTF-8, hold no ',' or '=' "
                          "and have no leading or trailing whitespace")
 
 

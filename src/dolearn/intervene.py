@@ -27,6 +27,7 @@ from .learn import (
     exact_ccomponent_model,
     learn_ccomponent_intervention,
     learn_do,
+    require_normal,
 )
 from .model import (
     DenseDistribution, SampleBatch, _draw_ancestral, _product, derived_seed, empirical_marginal,
@@ -47,15 +48,14 @@ class InterventionalModel:
     def __post_init__(self):
         if self.dx.x_substitution != (self.x_node, self.x_val):
             raise ValueError("model's substitution does not match the declared intervention")
-        object.__setattr__(self, "_x_steps", self.dx.steps_reading(self.x_node))
 
 
 def evaluate_do(im: InterventionalModel, w: dict) -> float:
     """Probability of a full assignment to the non-intervened variables: the
     substituted joint summed over x, in O(n + |alphabet| * |factors reading x|).
     Raises ValueError when w misses a non-intervened variable or holds a value
-    outside the alphabet."""
-    return im.dx.joint_summed_over(w, im.x_node, im._x_steps)
+    outside the alphabet, and UnderflowError when the sum has underflowed."""
+    return im.dx.joint_probability(w, over=im.x_node)
 
 
 def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch:
@@ -159,7 +159,8 @@ def build_split_evaluator_exact(p: DenseDistribution, g: Admg, x_node: int, x_va
 
 def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
     """Head table summed over the intervened coordinate times the tail table.
-    Raises ValueError for the assignments evaluate_do refuses."""
+    Raises ValueError for the assignments evaluate_do refuses, and
+    UnderflowError when the head, the tail or their product has underflowed."""
     for v in ev.head_vars + ev.border_vars + ev.tail_vars:
         if v not in w:
             raise ValueError(f"the assignment gives no value to variable {v}")
@@ -167,9 +168,9 @@ def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
             raise ValueError(f"value {w[v]!r} of variable {v} lies outside the alphabet of size {ev.alphabet_size}")
     head = {v: w[v] for v in ev.head_vars}
     head_model = ev.head_tables[tuple(w[v] for v in ev.border_vars)]
-    head_val = head_model.joint_summed_over(head, ev.x_node, head_model.steps_reading(ev.x_node))
+    head_val = head_model.joint_probability(head, over=ev.x_node)
     tail_val = ev.tail_tables[tuple(head.values())].joint_probability({v: w[v] for v in ev.border_vars + ev.tail_vars})
-    return head_val * tail_val
+    return require_normal(head_val * tail_val, [(head_val, tail_val)], head_model.names, ev.x_node)
 
 
 def generator_sample_count(alphabet_size: int, f_size: int, epsilon: float) -> int:

@@ -10,6 +10,7 @@ learner total and failure-free.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -17,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FormatError, StateSpaceError
+from .errors import FormatError, StateSpaceError, UnderflowError
 from .files import decode_json, dump_json, read_text, write_text
 from .graph import (
     Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, require_names,
@@ -153,6 +154,10 @@ class BayesNetModel:
             (pos, v, blocks[v].start * a, tuple((u, a ** (len(z_of[v]) - j)) for j, u in enumerate(z_of[v])))
             for pos, v in enumerate(self.order)
         )
+        self._reading = {v: [] for v in self.order}  # per node, its own step and those of nodes conditioning on it
+        for step in self._steps:
+            for u in (step[1], *z_of[step[1]]):
+                self._reading[u].append(step)
         self._symbols = frozenset(range(a))
 
     @classmethod
@@ -216,21 +221,35 @@ class BayesNetModel:
         """Read-only dense (rows, alphabet) conditional table of node."""
         return self.values[self._blocks[node]]
 
-    def factors(self, assignment: Mapping) -> list[float]:
-        """The factors of the joint at a full assignment, in node order: each
-        node's stored probability of its value given its conditioning set's.
-        Raises ValueError when the assignment misses a variable of the model
-        or holds a value outside the alphabet."""
+    def joint_probability(self, assignment: Mapping, over: Optional[int] = None) -> float:
+        """Probability of a full assignment over this model's variables or,
+        given the node over, the joint summed over its values, refilling only
+        the factors that read over after the first. Terms multiply in node
+        order through math.prod, as a running product does: np.prod or logs
+        would move the last bits. Raises ValueError when the assignment misses
+        a variable or holds a value outside the alphabet, and UnderflowError."""
+        if over is not None:
+            assignment = dict(assignment)  # a faster copy than {**assignment, over: 0}
+            assignment[over] = 0
         if not self._symbols.issuperset(assignment.values()):
-            var, s = next((v, s) for v, s in assignment.items() if s not in self._symbols)
+            symbols = self._symbols  # read by the generator instead of self, which as a cell would slow every call
+            var, s = next((v, s) for v, s in assignment.items() if s not in symbols)
             raise ValueError(f"value {s!r} of variable {var} lies outside the alphabet of size {self.alphabet_size}")
-        out = [0.0] * len(self._steps)
-        self._fill(out, assignment, self._steps)
-        return out
+        factors = self._fill([0.0] * len(self._steps), assignment, self._steps)
+        total = math.prod(factors, start=1.0)
+        for value in range(1, self.alphabet_size) if over is not None else ():
+            assignment[over] = value
+            total += math.prod(self._fill(factors, assignment, self._reading[over]), start=1.0)
+        if total < sys.float_info.min:  # each term is filled again, to tell underflow from zero
+            terms = [factors] if over is None else []
+            for value in range(self.alphabet_size) if over is not None else ():
+                assignment[over] = value
+                terms.append(self._fill([0.0] * len(self._steps), assignment, self._steps))
+            require_normal(total, terms, self.names, over)
+        return total
 
-    def _fill(self, factors: list, assignment: Mapping, steps) -> None:
-        """Write the factor of each given step at an assignment of in-alphabet
-        values into its position of factors."""
+    def _fill(self, factors: list, assignment: Mapping, steps) -> list:
+        """factors, with each given step's factor at an in-alphabet assignment written in."""
         cells = self._cells
         try:
             for pos, node, base, terms in steps:
@@ -243,31 +262,18 @@ class BayesNetModel:
         except TypeError:  # a value such as 1.0 equals a symbol but cannot index the store
             var, s = next((v, s) for v, s in assignment.items() if not isinstance(s, (int, np.integer)))
             raise ValueError(f"value {s!r} of variable {var} is not an integer symbol") from None
+        return factors
 
-    def steps_reading(self, node: int) -> tuple:
-        """Steps of the factors that read node: its own and those of the nodes conditioning on it."""
-        return tuple(step for step in self._steps if step[1] == node or node in self.conditioning_sets[step[1]])
 
-    def joint_summed_over(self, assignment: Mapping, node: int, steps: tuple) -> float:
-        """The joint at assignment summed over node's values, refilling only the
-        factors of steps, steps_reading(node), for each further value."""
-        assignment = dict(assignment)
-        assignment[node] = 0
-        factors = self.factors(assignment)
-        total = 0.0
-        for value in range(self.alphabet_size):
-            if value:
-                assignment[node] = value
-                self._fill(factors, assignment, steps)
-            total += math.prod(factors, start=1.0)
-        return total
-
-    def joint_probability(self, assignment: Mapping) -> float:
-        """Probability of a full assignment over this model's variables."""
-        # math.prod multiplies in list order, as a running product would: a
-        # log-space sum or np.prod can change the last bits, and eval prints
-        # 12 significant digits.
-        return math.prod(self.factors(assignment), start=1.0)
+def require_normal(p: float, terms: Iterable, names: Optional[Sequence[str]], over: Optional[int]) -> float:
+    """p, the sum over the values of node over (one term when over is None) of
+    the products of terms' factor lists. Below the normal float64 range it has
+    underflowed unless each term has a zero factor (terms is read only then)."""
+    if p < sys.float_info.min and any(min(factors, default=1.0) > 0 for factors in terms):
+        found = (f"every factor is positive, but the product is {p!r}" if over is None else f"a term of the sum over "
+                 f"{names[over] if names else f'variable {over}'} has only positive factors, but the sum is {p!r}")
+        raise UnderflowError(f"the probability underflows float64: {found}, below {sys.float_info.min!r}")
+    return p
 
 
 def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:

@@ -536,7 +536,7 @@ def parse_samples_csv(
     # Text from a caller may hold lone surrogates: surrogatepass encodes them,
     # and the grid check turns them down, in the header or in the body.
     batch = _digit_grid(text.encode("utf-8", "surrogatepass"), names, alphabet_size)
-    return batch if batch is not None else _parse_samples_rows(text, names, alphabet_size, source)
+    return batch if batch is not None else _read_rows(text, names, alphabet_size, source)
 
 
 def _header_columns(header: Sequence[str], names: Sequence[str]) -> tuple[int, ...]:
@@ -544,38 +544,36 @@ def _header_columns(header: Sequence[str], names: Sequence[str]) -> tuple[int, .
     return tuple(name_to_id[h] for h in header)
 
 
-def _parse_samples_rows(text: str, names: Sequence[str], alphabet_size: int, source: str) -> SampleBatch:
+def _read_rows(text: str, names: Sequence[str], alphabet_size: int, source: str) -> SampleBatch:
+    """The batch of a sample CSV's text read by the csv module, each error at
+    its line; rows are row-major symbol_dtype(alphabet_size), uint64 at most."""
     reader = csv.reader(io.StringIO(text))
+    top, span = (alphabet_size, "alphabet") if alphabet_size <= 2**64 else (2**64, "64-bit symbols")
+    rows = []
     try:
-        return _read_rows(reader, names, alphabet_size, source)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{source}:1: empty sample file")
+        if sorted(header) != sorted(names):
+            raise FormatError(f"{source}:1: header does not match the graph's variable names")
+        columns = _header_columns(header, names)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(columns):
+                raise FormatError(f"{source}:{lineno}: expected {len(columns)} cells, found {len(row)}")
+            try:
+                vals = [int(v) for v in row]
+            except ValueError:
+                raise FormatError(f"{source}:{lineno}: non-integer cell") from None
+            for v in vals:
+                if not 0 <= v < top:
+                    raise FormatError(f"{source}:{lineno}: symbol {v} outside {span} [0, {top})")
+            rows.append(vals)
     except csv.Error as e:
         # The csv module refuses some text outright, such as a CR in an
         # unquoted field or a cell above its field size limit.
         raise FormatError(f"{source}:{reader.line_num}: unreadable CSV: {e}") from None
-
-
-def _read_rows(reader, names: Sequence[str], alphabet_size: int, source: str) -> SampleBatch:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{source}:1: empty sample file") from None
-    if sorted(header) != sorted(names):
-        raise FormatError(f"{source}:1: header does not match the graph's variable names")
-    columns = _header_columns(header, names)
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise FormatError(f"{source}:{lineno}: expected {len(columns)} cells, found {len(row)}")
-        try:
-            vals = [int(v) for v in row]
-        except ValueError:
-            raise FormatError(f"{source}:{lineno}: non-integer cell") from None
-        for v in vals:
-            if not 0 <= v < alphabet_size:
-                raise FormatError(f"{source}:{lineno}: symbol {v} outside alphabet [0, {alphabet_size})")
-        rows.append(vals)
     if not rows:
         raise FormatError(f"{source}:1: sample file has no rows")
     return SampleBatch(columns, np.asarray(rows, dtype=symbol_dtype(alphabet_size)))

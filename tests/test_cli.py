@@ -275,6 +275,17 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith(f"input error: {graph}:4: name 'a,b' cannot be addressed")
 
+    def test_graph_name_utf8_cannot_encode_is_input_error(self, tmp_path, capsys):
+        # JSON's "\ud800" is a lone surrogate: taken as a name, the model was
+        # written and sample then failed on its CSV header with exit 5.
+        graph, model = tmp_path / "g.json", tmp_path / "m.json"
+        graph.write_text('{\n"n": 2,\n"alphabet": 2,\n"names": ["a", "\\ud800"],\n"directed": [],\n"bidirected": []\n}')
+        code, _, err = run(capsys, "gen-model", "--graph", str(graph), "--out", str(model))
+        if code == 0:
+            code, _, err = run(capsys, "sample", "--model", str(model), "--m", "10", "--out", str(tmp_path / "s.csv"))
+        assert code == 3, err
+        assert err.startswith(f"input error: {graph}:4: name '\\ud800' cannot be addressed")
+
     @pytest.mark.parametrize("nodes, seed", [(5, 3), (6, 8)])
     def test_truth_model_over_another_graph_is_input_error(self, tmp_path, capsys, nodes, seed):
         # The truth model's graph has 5 nodes, or 6 nodes and other edges.

@@ -369,9 +369,10 @@ class TestGraphFile:
         with pytest.raises(FormatError, match=r"^<graph>:4: names must be strings, not 2$"):
             parse_graph_json(text)
 
-    @pytest.mark.parametrize("name", ["a,b", "a=b", "", " a", "a ", "a\t"])
+    @pytest.mark.parametrize("name", ["a,b", "a=b", "", " a", "a ", "a\t", "\ud800"])
     def test_names_the_command_line_cannot_address_are_refused(self, name):
-        # Assignments and target lists split at , and = and strip each part.
+        # Assignments and target lists split at , and = and strip each part;
+        # a lone surrogate, which JSON's "\ud800" decodes to, has no UTF-8.
         with pytest.raises(ValueError, match=f"^name {re.escape(repr(name))} cannot be addressed"):
             Admg(2, names=[name, "c"])
         text = '{\n"n": 2,\n"alphabet": 2,\n"names": ' + json.dumps([name, "c"]) + ',\n"directed": [],\n"bidirected": []\n}'

@@ -213,6 +213,19 @@ def test_alphabet_beyond_uint64_reaches_the_learner_guard(tmp_path, symbol):
     assert "above the 16777216 guard" in err
 
 
+def test_symbol_beyond_uint64_is_format_error_at_its_line(tmp_path):
+    # In the alphabet 2^65 but beyond the uint64 rows the row reader builds:
+    # np.asarray raised OverflowError, exit 5.
+    graph = {"n": 2, "names": ["v0", "v1"], "alphabet": 2**65, "directed": [[0, 1]], "bidirected": []}
+    (tmp_path / "g.json").write_text(json.dumps(graph))
+    (tmp_path / "s.csv").write_text("v0,v1\n0,1\n1,36893488147419103231\n")
+    code, err = _run(["learn-do", "--graph", str(tmp_path / "g.json"), "--samples", str(tmp_path / "s.csv"),
+                      "--x-var", "v0", "--x-val", "1", "--m", "2", "--t", "1", "--out", str(tmp_path / "l.json")])
+    assert code == 3, err
+    assert err == (f"input error: {tmp_path / 's.csv'}:3: symbol 36893488147419103231 outside 64-bit symbols "
+                   f"[0, 18446744073709551616)\n")
+
+
 JSON_KINDS = sorted(kind for kind, (name, _, _) in INPUTS.items() if name.endswith(".json"))
 
 

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from dolearn.errors import StateSpaceError
+from dolearn.errors import StateSpaceError, UnderflowError
 from dolearn.graph import Admg, c_components, parent_sets, random_admg
 from dolearn.identify import tian_pearl_do
 from dolearn.intervene import (
     InterventionalModel,
+    SplitDoEvaluator,
     build_split_evaluator,
     build_split_evaluator_exact,
     evaluate_do,
@@ -17,7 +18,7 @@ from dolearn.intervene import (
     model_to_dense,
     sample_do,
 )
-from dolearn.learn import exact_do_model, learn_do, practical_threshold
+from dolearn.learn import BayesNetModel, exact_do_model, learn_do, practical_threshold
 from dolearn.model import (
     empirical_marginal,
     exact_interventional,
@@ -93,6 +94,58 @@ class TestEvaluateDo:
             model.joint_probability({**w, 0: 1})
         with pytest.raises(ValueError, match=message):
             evaluate_split(build_split_evaluator(batch, g, 0, 1, t=10), w)
+
+
+class TestUnderflow:
+    """The hand-built models of the CLI's eval underflow tests: x (v0) uniform
+    and k more nodes, each with the row [q, 1 - q], so that the sum over x at
+    v1..vk = 0 is q^k, and each of its two terms q^k / 2."""
+
+    @staticmethod
+    def qk_model(k, q):
+        cpts = {(0, ()): [0.5, 0.5], **{(v, ()): [q, 1.0 - q] for v in range(1, k + 1)}}
+        return BayesNetModel.from_rows(tuple(range(k + 1)), dict.fromkeys(range(k + 1), ()), 2, cpts,
+                                       x_substitution=(0, 1), names=tuple(f"v{v}" for v in range(k + 1)))
+
+    @pytest.mark.parametrize("k", [31, 40])
+    def test_a_sum_below_the_normal_range_is_refused(self, k):
+        model = self.qk_model(k, 1e-10)
+        w = dict.fromkeys(range(1, k + 1), 0)
+        sum_message = r"^the probability underflows float64: a term of the sum over v0 has only positive factors"
+        with pytest.raises(UnderflowError, match=sum_message):
+            evaluate_do(InterventionalModel(model, 0, 1), w)
+        with pytest.raises(UnderflowError, match=sum_message):
+            model.joint_probability(w, over=0)
+        with pytest.raises(UnderflowError, match=r"^the probability underflows float64: every factor is positive"):
+            model.joint_probability({**w, 0: 1})
+
+    def test_smallest_values_of_the_normal_range_are_exact(self):
+        model = self.qk_model(30, 1e-10)
+        w = dict.fromkeys(range(1, 31), 0)
+        term = 1.0
+        for factor in [0.5] + [1e-10] * 30:  # a running product in node order
+            term *= factor
+        assert evaluate_do(InterventionalModel(model, 0, 1), w) == model.joint_probability(w, over=0) == term + term
+        assert model.joint_probability({**w, 0: 1}) == term
+        assert term + term == pytest.approx(1e-300)
+
+    def test_exact_zero_is_returned(self):
+        # Every term of the sum over v0 has v1's zero factor.
+        model = self.qk_model(1, 0.0)
+        assert evaluate_do(InterventionalModel(model, 0, 1), {1: 0}) == 0.0
+        assert model.joint_probability({0: 1, 1: 0}) == 0.0
+
+    def test_split_product_below_the_normal_range_is_refused(self):
+        # Head and tail are each 1e-200 and normal; their product is not.
+        head = self.qk_model(1, 1e-200)
+        tail = BayesNetModel.from_rows((2,), {2: ()}, 2, {(2, ()): [1e-200, 1.0 - 1e-200]}, names=("v0", "v1", "v2"))
+        ev = SplitDoEvaluator(0, 1, 2, head_vars=(1,), border_vars=(), tail_vars=(2,), head_tables={(): head},
+                              tail_tables={(0,): tail, (1,): tail})
+        w = {1: 0, 2: 0}
+        assert head.joint_probability({1: 0}, over=0) == tail.joint_probability({2: 0}) == 1e-200
+        with pytest.raises(UnderflowError, match=r"a term of the sum over v0 has only positive factors, but the sum "
+                                                 r"is 0\.0, below 2\.2250738585072014e-308$"):
+            evaluate_split(ev, w)
 
 
 class TestSampleDo:
