@@ -161,15 +161,17 @@ def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
     """Head table summed over the intervened coordinate times the tail table.
     Raises ValueError for the assignments evaluate_do refuses, and
     UnderflowError when the head, the tail or their product has underflowed."""
-    for v in ev.head_vars + ev.border_vars + ev.tail_vars:
+    for v in ev.border_vars:  # the head table is looked up by these values; joint_probability checks the rest
         if v not in w:
             raise ValueError(f"the assignment gives no value to variable {v}")
         if w[v] not in range(ev.alphabet_size):
             raise ValueError(f"value {w[v]!r} of variable {v} lies outside the alphabet of size {ev.alphabet_size}")
-    head = {v: w[v] for v in ev.head_vars}
+    head = {v: w[v] for v in ev.head_vars if v in w}
     head_model = ev.head_tables[tuple(w[v] for v in ev.border_vars)]
     head_val = head_model.joint_probability(head, over=ev.x_node)
-    tail_val = ev.tail_tables[tuple(head.values())].joint_probability({v: w[v] for v in ev.border_vars + ev.tail_vars})
+    # The head's values index the tail tables once the head model has taken them.
+    tail = {v: w[v] for v in ev.border_vars + ev.tail_vars if v in w}
+    tail_val = ev.tail_tables[tuple(head.values())].joint_probability(tail)
     return require_normal(head_val * tail_val, [(head_val, tail_val)], head_model.names, ev.x_node)
 
 

@@ -13,6 +13,8 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -87,9 +89,9 @@ class BayesNetModel:
     digits are i. fitted marks the rows that were fitted; every other row is
     uniform. Node v's rows are the slice _blocks[v] of both arrays, the one
     index every reader uses. The arrays, and the view table(v), are
-    read-only. cpts is the sparse view of the fitted rows; from_rows builds a
-    model from such rows. When x_substitution is set, the substituted nodes
-    condition on the constant instead of the variable.
+    read-only. cpts is the sparse view of the fitted rows; from_rows and
+    from_entries build a model from such rows. When x_substitution is set,
+    the substituted nodes condition on the constant instead of the variable.
     """
 
     order: tuple[int, ...]
@@ -161,11 +163,52 @@ class BayesNetModel:
         self._symbols = frozenset(range(a))
 
     @classmethod
+    def from_entries(
+        cls, order, conditioning_sets, alphabet_size, nodes, assignments, rows, **kwargs
+    ) -> "BayesNetModel":
+        """from_rows of entries given as columns and checked in bulk: entry i
+        gives node nodes[i] the row rows[i] at assignments[i], and a later
+        entry for a row replaces an earlier one. The constructor checks each
+        fitted row, once. An entry that from_rows would refuse raises a
+        ValueError that does not name it; from_rows of the same entries, in
+        order, names the first."""
+        a = alphabet_size
+        blocks, total = _table_blocks(order, conditioning_sets, a)
+        symbols = list(chain.from_iterable(assignments))
+        if not (_integers(nodes) and _integers(symbols)):
+            raise ValueError("an entry holds a node or symbol that is not an integer")
+        k = len(nodes)
+        starts = np.fromiter(map({v: blocks[v].start for v in order}.__getitem__, nodes), np.int64, k)
+        widths = np.fromiter(map({v: len(conditioning_sets[v]) for v in order}.__getitem__, nodes), np.int64, k)
+        symbols = np.array(symbols, dtype=np.int64)
+        if not (np.array_equal(np.fromiter(map(len, assignments), np.int64, k), widths)
+                and 0 <= symbols.min(initial=0) and symbols.max(initial=0) < a):
+            raise ValueError("an assignment does not fit its node's conditioning set")
+        stacked = np.array(rows, dtype=float) if k else np.zeros((0, a))
+        if stacked.shape != (k, a):
+            raise ValueError("a row does not hold one entry per symbol")
+        # Each entry's row of the store: its block's start plus its big-endian
+        # digits, summed per entry from one running sum over all symbols.
+        ends = np.cumsum(widths)
+        place = a ** (np.repeat(ends, widths) - np.arange(symbols.size) - 1)
+        digits = np.concatenate(([0], np.cumsum(symbols * place)))
+        idx = starts + digits[ends] - digits[ends - widths]
+        values = np.full((total, a), 1.0 / a)
+        fitted = np.zeros(total, dtype=bool)
+        fitted[idx] = True
+        if np.count_nonzero(fitted) < k:  # the last entry for each row is kept
+            last = k - 1 - np.unique(idx[::-1], return_index=True)[1]
+            idx, stacked = idx[last], stacked[last]
+        values[idx] = stacked
+        return cls(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
+
+    @classmethod
     def from_rows(cls, order, conditioning_sets, alphabet_size, cpts, **kwargs) -> "BayesNetModel":
         """Model whose fitted rows are given sparsely: cpts maps (node,
         assignment) to a distribution over the alphabet, and every other row
         is uniform. Assignments must match the node's conditioning set in
-        length and hold integer symbols of the alphabet."""
+        length and hold integer symbols of the alphabet; the first entry, in
+        the mapping's order, that does not is named."""
         a = alphabet_size
         blocks, total = _table_blocks(order, conditioning_sets, a)
         # One pass in entry order checks each key and finds its row of the
@@ -227,8 +270,13 @@ class BayesNetModel:
         the factors that read over after the first. Terms multiply in node
         order through math.prod, as a running product does: np.prod or logs
         would move the last bits. Raises ValueError when the assignment misses
-        a variable or holds a value outside the alphabet, and UnderflowError."""
+        a variable or holds a value outside the alphabet, or over is not a
+        node of the model, and UnderflowError."""
         if over is not None:
+            # is_integer, inlined for speed: true and 1.0 would find node 1.
+            reading = self._reading.get(over) if type(over) is int or isinstance(over, np.integer) else None
+            if reading is None:
+                raise ValueError(f"over {over!r} is not a node of the model")
             assignment = dict(assignment)  # a faster copy than {**assignment, over: 0}
             assignment[over] = 0
         if not self._symbols.issuperset(assignment.values()):
@@ -239,7 +287,7 @@ class BayesNetModel:
         total = math.prod(factors, start=1.0)
         for value in range(1, self.alphabet_size) if over is not None else ():
             assignment[over] = value
-            total += math.prod(self._fill(factors, assignment, self._reading[over]), start=1.0)
+            total += math.prod(self._fill(factors, assignment, reading), start=1.0)
         if total < sys.float_info.min:  # each term is filled again, to tell underflow from zero
             terms = [factors] if over is None else []
             for value in range(self.alphabet_size) if over is not None else ():
@@ -293,6 +341,11 @@ def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:
         node, assignment = keys[end if bad is None else bad]
         raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
     return out
+
+
+def _integers(values) -> bool:
+    """Whether is_integer holds for every value, read from their types."""
+    return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
 
 
 def _is_symbol(s, alphabet: int) -> bool:
@@ -524,17 +577,28 @@ def learned_model_to_json(model: BayesNetModel) -> str:
     """Sparse JSON of a model: its fitted rows only, sorted by node and then
     by assignment; every row not listed reads as uniform. The bytes are
     dump_json of the payload with one {"assignment", "node", "row"} dict per
-    row, but the entries are filled into one template per node: %r of a
-    finite float is what json writes for it."""
+    row, but the entries are filled into one template per conditioning-set
+    width, over columns of all fitted rows at once: %r of a finite float is
+    what json writes for it."""
     a = model.alphabet_size
-    entries = []
-    for node in sorted(model.order):
-        width = len(model.conditioning_sets[node])
-        idxs, rows = model.fitted_rows(node)
-        template = (f'    {{\n      "assignment": {_list_template("%d", width)},\n'
-                    f'      "node": {node},\n      "row": {_list_template("%r", a)}\n    }}')
-        digits = [d.tolist() for d in _decode(idxs, (a,) * width)]
-        entries += [template % cells for cells in zip(*digits, *rows.T.tolist())]
+    order = model.order
+    starts = np.array([model._blocks[v].start for v in order], dtype=np.int64)
+    widths = np.array([len(model.conditioning_sets[v]) for v in order], dtype=np.int64)
+    idx = np.flatnonzero(model.fitted)
+    at = np.searchsorted(starts, idx, side="right") - 1  # each row's node, as a position in the order
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[sorted(range(len(order)), key=order.__getitem__)] = np.arange(len(order))
+    by_node = np.argsort(rank[at], kind="stable")  # the store keeps a node's rows by assignment
+    idx, at = idx[by_node], at[by_node]
+    local, width = idx - starts[at], widths[at]
+    nodes, rows = np.asarray(order)[at], model.values[idx]
+    entries = np.empty(idx.size, dtype=object)
+    for w in set(width.tolist()):
+        sel = np.flatnonzero(width == w)
+        template = (f'    {{\n      "assignment": {_list_template("%d", w)},\n'
+                    f'      "node": %d,\n      "row": {_list_template("%r", a)}\n    }}')
+        digits = [d.tolist() for d in _decode(local[sel], (a,) * w)]
+        entries[sel] = [template % cells for cells in zip(*digits, nodes[sel].tolist(), *rows[sel].T.tolist())]
     header = dump_json({
         "alphabet": a,
         "names": list(model.names) if model.names is not None else None,
@@ -544,7 +608,7 @@ def learned_model_to_json(model: BayesNetModel) -> str:
         "substituted_nodes": sorted(model.substituted_nodes),
         "cpts": [],
     })
-    cpts = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    cpts = "[\n" + ",\n".join(entries.tolist()) + "\n  ]" if idx.size else "[]"
     # JSON strings hold no raw newline, so the first top-level "cpts" line is the key's own.
     return header.replace('\n  "cpts": []', '\n  "cpts": ' + cpts, 1)
 
@@ -557,22 +621,32 @@ def _list_template(item: str, count: int) -> str:
 def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetModel:
     raw = decode_json(text, source)
     try:
-        # Later entries for the same row replace earlier ones.
-        cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
-        model = BayesNetModel.from_rows(
-            order=tuple(raw["order"]),
-            conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
-            alphabet_size=raw["alphabet"],
-            cpts=cpts,
-            x_substitution=tuple(raw["x_substitution"]) if raw.get("x_substitution") else None,
-            substituted_nodes=frozenset(raw.get("substituted_nodes", [])),
-            names=tuple(raw["names"]) if raw.get("names") else None,
-        )
+        try:
+            nodes, assignments, rows = (list(map(itemgetter(key), raw["cpts"])) for key in ("node", "assignment", "row"))
+            model = BayesNetModel.from_entries(nodes=nodes, assignments=assignments, rows=rows, **_model_fields(raw))
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError, StateSpaceError):
+            # The file is read again entry by entry, in file order, to name its
+            # first fault; or it loads, if every entry at fault was replaced
+            # by a later one for the same row.
+            cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
+            model = BayesNetModel.from_rows(cpts=cpts, **_model_fields(raw))
         if model.names is not None:  # checked once they are known to be strings
             require_names(model.names)
         return model
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid learned model: {e}") from None
+
+
+def _model_fields(raw: dict) -> dict:
+    """The model's arguments other than its rows, read from the payload."""
+    return dict(
+        order=tuple(raw["order"]),
+        conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
+        alphabet_size=raw["alphabet"],
+        x_substitution=tuple(raw["x_substitution"]) if raw.get("x_substitution") else None,
+        substituted_nodes=frozenset(raw.get("substituted_nodes", [])),
+        names=tuple(raw["names"]) if raw.get("names") else None,
+    )
 
 
 def load_learned_model(path: str) -> BayesNetModel:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,3 +362,11 @@ class TestLearnedModelFile:
                 x_substitution=(0, 1),
                 substituted_nodes=frozenset({1}),
             )
+
+    @pytest.mark.parametrize("over", [5, True, 1.0, -1])
+    def test_sum_over_a_value_that_is_not_a_node_is_refused(self, over):
+        # True and 1.0 hash as node 1, over which the sum used to run.
+        model = BayesNetModel.from_rows((0, 1), {0: (), 1: (0,)}, 2, {})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'over {over!r} is not a node of the model')}$"):
+            model.joint_probability({0: 1, 1: 0}, over=over)
+        assert model.joint_probability({0: 1, 1: 0}, over=1) == 0.5

@@ -1,0 +1,198 @@
+"""The bulk learned-model reader against the per-entry reader it replaced.
+
+reference_from_rows below is the loader's loop as it stood before the entries
+were checked in bulk: one pass over the (node, assignment) -> row mapping in
+entry order, checking each key, then the rows stacked and checked. The
+property requires the new loader to give the same store, or the same
+FormatError text, on drawn files: unchanged, with one entry at fault, and
+with two entries for one row.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dolearn.errors import FormatError
+from dolearn.files import decode_json
+from dolearn.graph import is_integer, require_names
+from dolearn.learn import BayesNetModel, _table_blocks, learned_model_to_json, parse_learned_model_json
+from dolearn.model import first_non_distribution
+
+from test_dense_store import sparse_models
+
+PROPERTY = settings.get_profile("property")
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-entry reader.
+
+
+def reference_stack_rows(rows, keys, alphabet):
+    try:
+        out = np.array(rows, dtype=float)
+    except ValueError:
+        out = None
+    end = len(rows)
+    if out is None or out.shape != (end, alphabet):
+        end = next((k for k, row in enumerate(rows) if np.asarray(row, dtype=float).shape != (alphabet,)), end)
+        out = np.array(rows[:end], dtype=float).reshape(end, alphabet)
+    bad = first_non_distribution(out, 1e-12)
+    if bad is not None or end < len(rows):
+        node, assignment = keys[end if bad is None else bad]
+        raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
+    return out
+
+
+def reference_from_rows(order, conditioning_sets, alphabet_size, cpts, **kwargs):
+    a = alphabet_size
+    blocks, total = _table_blocks(order, conditioning_sets, a)
+    idx = []
+    try:
+        for node, assignment in cpts:
+            width = len(conditioning_sets[node])
+            if not is_integer(node):
+                raise ValueError(f"node {node!r} of an entry must be a node index")
+            if len(assignment) != width:
+                raise ValueError(f"assignment arity mismatch for node {node}")
+            i = 0
+            for s in assignment:
+                if not (is_integer(s) and 0 <= s < a):
+                    raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+                i = i * a + s
+            idx.append(blocks[node].start + i)
+    except (KeyError, ValueError):
+        reference_stack_rows(list(cpts.values())[: len(idx)], list(cpts), a)
+        raise
+    values = np.full((total, a), 1.0 / a)
+    fitted = np.zeros(total, dtype=bool)
+    if idx:
+        values[idx] = reference_stack_rows(list(cpts.values()), list(cpts), a)
+        fitted[idx] = True
+    return BayesNetModel(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
+
+
+def reference_parse(text, source="<learned>"):
+    raw = decode_json(text, source)
+    try:
+        cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
+        model = reference_from_rows(
+            order=tuple(raw["order"]),
+            conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
+            alphabet_size=raw["alphabet"],
+            cpts=cpts,
+            x_substitution=tuple(raw["x_substitution"]) if raw.get("x_substitution") else None,
+            substituted_nodes=frozenset(raw.get("substituted_nodes", [])),
+            names=tuple(raw["names"]) if raw.get("names") else None,
+        )
+        if model.names is not None:
+            require_names(model.names)
+        return model
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise FormatError(f"{source}:1: invalid learned model: {e}") from None
+
+
+# ---------------------------------------------------------------------------
+# Drawn files.
+
+FAULTS = (
+    "bool_node", "float_node", "unknown_node", "arity", "float_symbol", "bool_symbol", "outside_alphabet",
+    "long_row", "short_row", "not_a_distribution", "nan_row",
+)
+
+
+def fault(raw, entry, how, data):
+    """Put the fault how into entry; a fault that needs a symbol leaves an
+    entry with an empty assignment as it is."""
+    symbols = entry["assignment"]
+    at = data.draw(st.integers(0, len(symbols) - 1)) if symbols else None
+    if how == "bool_node":
+        entry["node"] = data.draw(st.booleans())
+    elif how == "float_node":
+        entry["node"] = float(entry["node"])
+    elif how == "unknown_node":
+        entry["node"] = data.draw(st.sampled_from([-1, max(raw["order"]) + 1, 10**30]))
+    elif how == "arity":
+        if symbols and data.draw(st.booleans()):
+            del symbols[at]
+        else:
+            symbols.append(0)
+    elif how == "float_symbol" and symbols:
+        symbols[at] = float(symbols[at])
+    elif how == "bool_symbol" and symbols:
+        symbols[at] = data.draw(st.booleans())
+    elif how == "outside_alphabet" and symbols:
+        symbols[at] = data.draw(st.sampled_from([-1, raw["alphabet"], 2**70]))
+    elif how == "long_row":
+        entry["row"] = entry["row"] + [0.0]
+    elif how == "short_row":
+        entry["row"] = entry["row"][:-1]
+    elif how == "not_a_distribution":
+        entry["row"] = [p + 1e-9 for p in entry["row"]]
+    elif how == "nan_row":
+        entry["row"] = [float("nan")] + entry["row"][1:]
+
+
+def drawn_file(draw):
+    """The parsed file of a drawn model, as written."""
+    kwargs, cpts = draw(sparse_models())
+    return json.loads(learned_model_to_json(BayesNetModel.from_rows(cpts=cpts, **kwargs)))
+
+
+def outcome(parse, text):
+    try:
+        model = parse(text)
+    except FormatError as e:
+        return ("error", str(e))
+    return ("ok", model.values.tobytes(), model.fitted.tobytes(), learned_model_to_json(model))
+
+
+def same_outcome(raw):
+    text = json.dumps(raw)
+    assert outcome(parse_learned_model_json, text) == outcome(reference_parse, text)
+
+
+class TestBulkReader:
+    @PROPERTY
+    @given(data=st.data())
+    def test_written_files_load_alike(self, data):
+        same_outcome(drawn_file(data.draw))
+
+    @pytest.mark.parametrize("how", FAULTS)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_an_entry_at_fault_is_refused_alike(self, data, how):
+        raw = drawn_file(data.draw)
+        if raw["cpts"]:
+            fault(raw, data.draw(st.sampled_from(raw["cpts"])), how, data)
+        same_outcome(raw)
+
+    @pytest.mark.parametrize("how", (None, *FAULTS))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_second_entry_for_a_row_is_read_alike(self, data, how):
+        # The second entry holds a distribution or a fault, and comes before
+        # or after the first: the later one replaces the earlier.
+        raw = drawn_file(data.draw)
+        entries = raw["cpts"]
+        if not entries:
+            return
+        at = data.draw(st.integers(0, len(entries) - 1))
+        twin = json.loads(json.dumps(entries[at]))
+        w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=raw["alphabet"], max_size=raw["alphabet"])))
+        if w.sum() > 0:
+            twin["row"] = (w / w.sum()).tolist()
+        if how is not None:
+            fault(raw, twin, how, data)
+        entries.insert(at + data.draw(st.sampled_from([0, 1])), twin)
+        same_outcome(raw)
+
+    def test_a_node_that_is_a_bool_is_refused(self):
+        model = BayesNetModel.from_rows((0, 1), {0: (), 1: ()}, 2, {(1, ()): [0.25, 0.75]})
+        raw = json.loads(learned_model_to_json(model))
+        raw["cpts"][0]["node"] = True
+        same_outcome(raw)
+        message = outcome(parse_learned_model_json, json.dumps(raw))[1]
+        assert message.endswith("node True of an entry must be a node index")
