@@ -89,9 +89,9 @@ class BayesNetModel:
     digits are i. fitted marks the rows that were fitted; every other row is
     uniform. Node v's rows are the slice _blocks[v] of both arrays, the one
     index every reader uses. The arrays, and the view table(v), are
-    read-only. cpts is the sparse view of the fitted rows; from_rows and
-    from_entries build a model from such rows. When x_substitution is set,
-    the substituted nodes condition on the constant instead of the variable.
+    read-only. cpts is the sparse view of the fitted rows; from_entries
+    builds a model from such rows. When x_substitution is set, the
+    substituted nodes condition on the constant instead of the variable.
     """
 
     order: tuple[int, ...]
@@ -108,13 +108,16 @@ class BayesNetModel:
         pos = {v: i for i, v in enumerate(self.order)}
         if len(pos) != len(self.order):
             raise ValueError("order lists a node twice")
-        if not all(_is_node(v) for v in self.order):
+        if not (_integers(self.order) and min(self.order, default=0) >= 0):
             raise ValueError("order must list node indices")
+        # The members' types are read at once; a member is looked at alone only
+        # when one is not an integer (true and 1.0 would pass for node 1).
+        typed = _integers(chain.from_iterable(self.conditioning_sets.values()))
         for node, z in self.conditioning_sets.items():
             if node not in pos:
                 raise ValueError(f"conditioning set given for unknown node {node}")
             for u in z:
-                if not _is_node(u) or u not in pos or pos[u] >= pos[node]:
+                if not (typed or is_integer(u)) or u not in pos or pos[u] >= pos[node]:
                     raise ValueError(f"conditioning set of {node} is not a set of predecessors")
         names = self.names
         if names is not None and not (
@@ -166,78 +169,46 @@ class BayesNetModel:
     def from_entries(
         cls, order, conditioning_sets, alphabet_size, nodes, assignments, rows, **kwargs
     ) -> "BayesNetModel":
-        """from_rows of entries given as columns and checked in bulk: entry i
-        gives node nodes[i] the row rows[i] at assignments[i], and a later
-        entry for a row replaces an earlier one. The constructor checks each
-        fitted row, once. An entry that from_rows would refuse raises a
-        ValueError that does not name it; from_rows of the same entries, in
-        order, names the first."""
+        """Model whose fitted rows are given sparsely, as columns of entries:
+        entry i gives node nodes[i] the row rows[i] at assignments[i], and
+        every other row is uniform. A later entry for a row replaces an
+        earlier one. The entries are checked in bulk, and the constructor
+        checks each kept row once; when a check fails, the entries are
+        scanned to name the first fault (see _name_first_fault)."""
         a = alphabet_size
         blocks, total = _table_blocks(order, conditioning_sets, a)
-        symbols = list(chain.from_iterable(assignments))
-        if not (_integers(nodes) and _integers(symbols)):
-            raise ValueError("an entry holds a node or symbol that is not an integer")
-        k = len(nodes)
-        starts = np.fromiter(map({v: blocks[v].start for v in order}.__getitem__, nodes), np.int64, k)
-        widths = np.fromiter(map({v: len(conditioning_sets[v]) for v in order}.__getitem__, nodes), np.int64, k)
-        symbols = np.array(symbols, dtype=np.int64)
-        if not (np.array_equal(np.fromiter(map(len, assignments), np.int64, k), widths)
-                and 0 <= symbols.min(initial=0) and symbols.max(initial=0) < a):
-            raise ValueError("an assignment does not fit its node's conditioning set")
-        stacked = np.array(rows, dtype=float) if k else np.zeros((0, a))
-        if stacked.shape != (k, a):
-            raise ValueError("a row does not hold one entry per symbol")
-        # Each entry's row of the store: its block's start plus its big-endian
-        # digits, summed per entry from one running sum over all symbols.
-        ends = np.cumsum(widths)
-        place = a ** (np.repeat(ends, widths) - np.arange(symbols.size) - 1)
-        digits = np.concatenate(([0], np.cumsum(symbols * place)))
-        idx = starts + digits[ends] - digits[ends - widths]
-        values = np.full((total, a), 1.0 / a)
-        fitted = np.zeros(total, dtype=bool)
-        fitted[idx] = True
-        if np.count_nonzero(fitted) < k:  # the last entry for each row is kept
-            last = k - 1 - np.unique(idx[::-1], return_index=True)[1]
-            idx, stacked = idx[last], stacked[last]
-        values[idx] = stacked
-        return cls(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
-
-    @classmethod
-    def from_rows(cls, order, conditioning_sets, alphabet_size, cpts, **kwargs) -> "BayesNetModel":
-        """Model whose fitted rows are given sparsely: cpts maps (node,
-        assignment) to a distribution over the alphabet, and every other row
-        is uniform. Assignments must match the node's conditioning set in
-        length and hold integer symbols of the alphabet; the first entry, in
-        the mapping's order, that does not is named."""
-        a = alphabet_size
-        blocks, total = _table_blocks(order, conditioning_sets, a)
-        # One pass in entry order checks each key and finds its row of the
-        # store; the rows are then stacked and set through one index.
-        idx = []
         try:
-            for node, assignment in cpts:
-                width = len(conditioning_sets[node])
-                if not is_integer(node):  # true and 1.0 find node 1's conditioning set
-                    raise ValueError(f"node {node!r} of an entry must be a node index")
-                if len(assignment) != width:
-                    raise ValueError(f"assignment arity mismatch for node {node}")
-                i = 0
-                for s in assignment:
-                    if not _is_symbol(s, a):
-                        raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
-                    i = i * a + s
-                idx.append(blocks[node].start + i)
-        except (KeyError, ValueError):
-            # The first fault in entry order is named: a bad row of an
-            # earlier entry before this entry's bad key.
-            _stack_rows(list(cpts.values())[: len(idx)], list(cpts), a)
-            raise
-        values = np.full((total, a), 1.0 / a)
-        fitted = np.zeros(total, dtype=bool)
-        if idx:
-            values[idx] = _stack_rows(list(cpts.values()), list(cpts), a)
+            symbols = list(chain.from_iterable(assignments))
+            if not (_integers(nodes) and _integers(symbols)):
+                raise ValueError("an entry holds a node or symbol that is not an integer")
+            k = len(nodes)
+            starts = np.fromiter(map({v: blocks[v].start for v in order}.__getitem__, nodes), np.int64, k)
+            widths = np.fromiter(map({v: len(conditioning_sets[v]) for v in order}.__getitem__, nodes), np.int64, k)
+            symbols = np.array(symbols, dtype=np.int64)
+            if not (np.array_equal(np.fromiter(map(len, assignments), np.int64, k), widths)
+                    and 0 <= symbols.min(initial=0) and symbols.max(initial=0) < a):
+                raise ValueError("an assignment does not fit its node's conditioning set")
+            # Each entry's row of the store: its block's start plus its big-endian
+            # digits, summed per entry from one running sum over all symbols.
+            ends = np.cumsum(widths)
+            place = a ** (np.repeat(ends, widths) - np.arange(symbols.size) - 1)
+            digits = np.concatenate(([0], np.cumsum(symbols * place)))
+            idx = starts + digits[ends] - digits[ends - widths]
+            fitted = np.zeros(total, dtype=bool)
             fitted[idx] = True
-        return cls(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
+            kept = rows
+            if np.count_nonzero(fitted) < k:  # the last entry for each row is kept
+                last = k - 1 - np.unique(idx[::-1], return_index=True)[1]
+                idx, kept = idx[last], list(map(rows.__getitem__, last.tolist()))
+            stacked = np.array(kept, dtype=float) if k else np.zeros((0, a))
+            if stacked.shape != (idx.size, a):
+                raise ValueError("a row does not hold one entry per symbol")
+            values = np.full((total, a), 1.0 / a)
+            values[idx] = stacked
+            return cls(order, conditioning_sets, alphabet_size, values, fitted, **kwargs)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            _name_first_fault(blocks, conditioning_sets, a, nodes, assignments, rows)
+            raise
 
     @property
     def cpts(self) -> Mapping:
@@ -324,23 +295,29 @@ def require_normal(p: float, terms: Iterable, names: Optional[Sequence[str]], ov
     return p
 
 
-def _stack_rows(rows: list, keys: list, alphabet: int) -> np.ndarray:
-    """Rows as one (len(rows), alphabet) float array; the error names the
-    first row, in the order of keys, that is not a distribution over the
-    alphabet."""
-    try:
-        out = np.array(rows, dtype=float)
-    except ValueError:
-        out = None
-    end = len(rows)
-    if out is None or out.shape != (end, alphabet):  # rows from the first misshapen one on are cut
-        end = next((k for k, row in enumerate(rows) if np.asarray(row, dtype=float).shape != (alphabet,)), end)
-        out = np.array(rows[:end], dtype=float).reshape(end, alphabet)
-    bad = first_non_distribution(out, 1e-12)
-    if bad is not None or end < len(rows):
-        node, assignment = keys[end if bad is None else bad]
-        raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
-    return out
+def _name_first_fault(blocks: dict, conditioning_sets: dict, alphabet: int, nodes, assignments, rows) -> None:
+    """Raise the error that names the first fault among the entries, if one
+    is at fault: the first key at fault (an unknown or non-integer node, a
+    wrong arity, a symbol outside the alphabet) unless the row of a key that
+    first occurs earlier is misshapen or not a distribution. Two entries are
+    for the same row only when their nodes and symbols are equal and of the
+    same types (true and 1.0 are not 1); the last row given is the one checked."""
+    kept = {}
+    for node, assignment, row in zip(nodes, assignments, rows):
+        assignment = tuple(assignment)
+        kept[type(node), node, tuple((type(s), s) for s in assignment)] = node, assignment, row
+    for node, assignment, row in kept.values():
+        if node not in blocks:  # true and 1.0 find node 1, and are refused below
+            raise KeyError(node)
+        if not is_integer(node):
+            raise ValueError(f"node {node!r} of an entry must be a node index")
+        if len(assignment) != len(conditioning_sets[node]):
+            raise ValueError(f"assignment arity mismatch for node {node}")
+        if not all(_is_symbol(s, alphabet) for s in assignment):
+            raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
+        row = np.asarray(row, dtype=float)
+        if row.shape != (alphabet,) or first_non_distribution(row[None], 1e-12) is not None:
+            raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
 
 
 def _integers(values) -> bool:
@@ -599,13 +576,14 @@ def learned_model_to_json(model: BayesNetModel) -> str:
                     f'      "node": %d,\n      "row": {_list_template("%r", a)}\n    }}')
         digits = [d.tolist() for d in _decode(local[sel], (a,) * w)]
         entries[sel] = [template % cells for cells in zip(*digits, nodes[sel].tolist(), *rows[sel].T.tolist())]
+    # int() writes numpy integers, which the model admits as nodes and symbols, as json ints.
     header = dump_json({
-        "alphabet": a,
+        "alphabet": int(a),
         "names": list(model.names) if model.names is not None else None,
-        "order": list(model.order),
-        "conditioning_sets": {str(v): list(z) for v, z in model.conditioning_sets.items()},
-        "x_substitution": list(model.x_substitution) if model.x_substitution else None,
-        "substituted_nodes": sorted(model.substituted_nodes),
+        "order": list(map(int, order)),
+        "conditioning_sets": {str(v): list(map(int, z)) for v, z in model.conditioning_sets.items()},
+        "x_substitution": list(map(int, model.x_substitution)) if model.x_substitution else None,
+        "substituted_nodes": sorted(map(int, model.substituted_nodes)),
         "cpts": [],
     })
     cpts = "[\n" + ",\n".join(entries.tolist()) + "\n  ]" if idx.size else "[]"
@@ -621,15 +599,8 @@ def _list_template(item: str, count: int) -> str:
 def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetModel:
     raw = decode_json(text, source)
     try:
-        try:
-            nodes, assignments, rows = (list(map(itemgetter(key), raw["cpts"])) for key in ("node", "assignment", "row"))
-            model = BayesNetModel.from_entries(nodes=nodes, assignments=assignments, rows=rows, **_model_fields(raw))
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError, StateSpaceError):
-            # The file is read again entry by entry, in file order, to name its
-            # first fault; or it loads, if every entry at fault was replaced
-            # by a later one for the same row.
-            cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
-            model = BayesNetModel.from_rows(cpts=cpts, **_model_fields(raw))
+        nodes, assignments, rows = (list(map(itemgetter(key), raw["cpts"])) for key in ("node", "assignment", "row"))
+        model = BayesNetModel.from_entries(nodes=nodes, assignments=assignments, rows=rows, **_model_fields(raw))
         if model.names is not None:  # checked once they are known to be strings
             require_names(model.names)
         return model

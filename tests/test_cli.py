@@ -522,9 +522,10 @@ class TestEvalUnderflow:
     the row [q, 1 - q], so that P(v1..vk = 0 | do(v0 = 1)) = q^k."""
 
     def _eval(self, tmp_path, capsys, k, q):
-        cpts = {(0, ()): [0.5, 0.5], **{(v, ()): [q, 1.0 - q] for v in range(1, k + 1)}}
-        model = BayesNetModel.from_rows(tuple(range(k + 1)), dict.fromkeys(range(k + 1), ()), 2, cpts,
-                                        x_substitution=(0, 1), names=tuple(f"v{v}" for v in range(k + 1)))
+        nodes = tuple(range(k + 1))
+        model = BayesNetModel.from_entries(nodes, dict.fromkeys(nodes, ()), 2, nodes, [()] * (k + 1),
+                                           [[0.5, 0.5]] + [[q, 1.0 - q]] * k, x_substitution=(0, 1),
+                                           names=tuple(f"v{v}" for v in nodes))
         learned = tmp_path / "learned.json"
         save_learned_model(model, str(learned))
         return run(capsys, "eval", "--learned", str(learned),

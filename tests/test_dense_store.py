@@ -166,11 +166,30 @@ def reference_to_json(model):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+class StrictKey(tuple):
+    """A (node, assignment) key that equals another only when their nodes
+    and symbols are equal and of the same types. Keyed by the bare pair, a
+    dict would take JSON's true and 1.0 for 1, so that an entry for node
+    true or symbol 1.0 would replace the row of node 1 or symbol 1 instead
+    of being refused."""
+
+    def _typed(self):
+        node, assignment = self
+        return type(node), node, tuple((type(s), s) for s in assignment)
+
+    def __hash__(self):
+        return hash(self._typed())
+
+    def __eq__(self, other):
+        return self._typed() == other._typed()
+
+
 def reference_parse(text, source="<learned>"):
+    """The sparse-dict loader, its entries keyed by StrictKey."""
     raw = json.loads(text)
     try:
         cpts = {
-            (entry["node"], tuple(entry["assignment"])): np.asarray(entry["row"], dtype=float)
+            StrictKey((entry["node"], tuple(entry["assignment"]))): np.asarray(entry["row"], dtype=float)
             for entry in raw["cpts"]
         }
         return ReferenceModel(
@@ -224,9 +243,15 @@ def sparse_models(draw):
     return kwargs, cpts
 
 
+def from_cpts(cpts, **kwargs):
+    """BayesNetModel.from_entries of a (node, assignment) -> row mapping."""
+    return BayesNetModel.from_entries(nodes=[v for v, _ in cpts], assignments=[z for _, z in cpts],
+                                      rows=list(cpts.values()), **kwargs)
+
+
 def both(case):
     kwargs, cpts = case
-    return BayesNetModel.from_rows(cpts=cpts, **kwargs), ReferenceModel(cpts=cpts, **kwargs)
+    return from_cpts(cpts, **kwargs), ReferenceModel(cpts=cpts, **kwargs)
 
 
 def full_assignments(model, rng, count):
@@ -380,7 +405,7 @@ class TestLoaderChecks:
         kwargs, cpts = case
         if not cpts:
             return
-        raw = json.loads(learned_model_to_json(BayesNetModel.from_rows(cpts=cpts, **kwargs)))
+        raw = json.loads(learned_model_to_json(from_cpts(cpts, **kwargs)))
         corrupt(raw, data.draw(st.sampled_from(raw["cpts"])), how)
         text = json.dumps(raw)
         assert _outcome(parse_learned_model_json, text) == _outcome(reference_parse, text)
@@ -391,7 +416,7 @@ class TestLoaderChecks:
     def test_two_faults_name_the_first_in_file_order(self, case, data, row_first):
         # A bad row in one entry and a symbol outside the alphabet in another.
         kwargs, cpts = case
-        raw = json.loads(learned_model_to_json(BayesNetModel.from_rows(cpts=cpts, **kwargs)))
+        raw = json.loads(learned_model_to_json(from_cpts(cpts, **kwargs)))
         if len(raw["cpts"]) < 2:
             return
         first, second = sorted(data.draw(st.lists(st.sampled_from(range(len(raw["cpts"]))), min_size=2,

@@ -103,9 +103,10 @@ class TestUnderflow:
 
     @staticmethod
     def qk_model(k, q):
-        cpts = {(0, ()): [0.5, 0.5], **{(v, ()): [q, 1.0 - q] for v in range(1, k + 1)}}
-        return BayesNetModel.from_rows(tuple(range(k + 1)), dict.fromkeys(range(k + 1), ()), 2, cpts,
-                                       x_substitution=(0, 1), names=tuple(f"v{v}" for v in range(k + 1)))
+        nodes = tuple(range(k + 1))
+        return BayesNetModel.from_entries(nodes, dict.fromkeys(nodes, ()), 2, nodes, [()] * (k + 1),
+                                          [[0.5, 0.5]] + [[q, 1.0 - q]] * k, x_substitution=(0, 1),
+                                          names=tuple(f"v{v}" for v in nodes))
 
     @pytest.mark.parametrize("k", [31, 40])
     def test_a_sum_below_the_normal_range_is_refused(self, k):
@@ -138,7 +139,7 @@ class TestUnderflow:
     def test_split_product_below_the_normal_range_is_refused(self):
         # Head and tail are each 1e-200 and normal; their product is not.
         head = self.qk_model(1, 1e-200)
-        tail = BayesNetModel.from_rows((2,), {2: ()}, 2, {(2, ()): [1e-200, 1.0 - 1e-200]}, names=("v0", "v1", "v2"))
+        tail = BayesNetModel.from_entries((2,), {2: ()}, 2, [2], [()], [[1e-200, 1.0 - 1e-200]], names=("v0", "v1", "v2"))
         ev = SplitDoEvaluator(0, 1, 2, head_vars=(1,), border_vars=(), tail_vars=(2,), head_tables={(): head},
                               tail_tables={(0,): tail, (1,): tail})
         w = {1: 0, 2: 0}
@@ -171,16 +172,13 @@ class TestSampleDo:
     def test_point_mass_rows_constant(self):
         from dolearn.learn import BayesNetModel
 
-        rows = {
-            (0, ()): np.array([0.0, 1.0]),
-            (1, (0,)): np.array([1.0, 0.0]),
-            (1, (1,)): np.array([0.0, 1.0]),
-        }
-        model = BayesNetModel.from_rows(
+        model = BayesNetModel.from_entries(
             order=(0, 1),
             conditioning_sets={0: (), 1: (0,)},
             alphabet_size=2,
-            cpts=rows,
+            nodes=(0, 1, 1),
+            assignments=((), (0,), (1,)),
+            rows=([0.0, 1.0], [1.0, 0.0], [0.0, 1.0]),
             x_substitution=(0, 1),
         )
         im = InterventionalModel(model, 0, 1)
@@ -199,11 +197,13 @@ class TestModelToDense:
     def test_independent_nodes_marginal_is_row(self):
         from dolearn.learn import BayesNetModel
 
-        model = BayesNetModel.from_rows(
+        model = BayesNetModel.from_entries(
             order=(0, 1),
             conditioning_sets={0: (), 1: ()},
             alphabet_size=2,
-            cpts={(0, ()): np.array([0.3, 0.7]), (1, ()): np.array([0.9, 0.1])},
+            nodes=(0, 1),
+            assignments=((), ()),
+            rows=(np.array([0.3, 0.7]), np.array([0.9, 0.1])),
         )
         dense = model_to_dense(model, keep=[0])
         assert np.allclose(dense.mass, [0.3, 0.7])
@@ -212,11 +212,13 @@ class TestModelToDense:
         from dolearn.learn import BayesNetModel
 
         order = tuple(range(30))
-        model = BayesNetModel.from_rows(
+        model = BayesNetModel.from_entries(
             order=order,
             conditioning_sets={v: () for v in order},
             alphabet_size=2,
-            cpts={},
+            nodes=(),
+            assignments=(),
+            rows=(),
         )
         with pytest.raises(StateSpaceError):
             model_to_dense(model, keep=order)

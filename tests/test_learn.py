@@ -343,22 +343,41 @@ class TestLearnedModelFile:
         for key, row in model.cpts.items():
             assert np.array_equal(back.cpts[key], row)
 
+    @pytest.mark.parametrize("order, sets, message", [
+        ((0, 1.0), {0: (), 1: ()}, "order must list node indices"),
+        ((0, True), {0: (), 1: ()}, "order must list node indices"),
+        ((0, -1), {0: (), -1: ()}, "order must list node indices"),
+        ((0, 1), {0: (), 1: (0.0,)}, "conditioning set of 1 is not a set of predecessors"),
+        ((0, 1), {0: (), 1: (False,)}, "conditioning set of 1 is not a set of predecessors"),
+        ((0, 1), {0: (), 1: ([0],)}, "conditioning set of 1 is not a set of predecessors"),
+        ((0, 1), {0: (), 1: (-1,)}, "conditioning set of 1 is not a set of predecessors"),
+        ((0, 1), {0: (), 1: (), 2: ()}, "conditioning set given for unknown node 2"),
+    ])
+    def test_order_and_conditioning_sets_hold_node_indices(self, order, sets, message):
+        # 0.0 and False equal node 0, which precedes node 1, but are not node indices.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BayesNetModel.from_entries(order, sets, 2, (), (), ())
+
     def test_invariant_rejection(self):
         with pytest.raises(ValueError, match="predecessors"):
-            BayesNetModel.from_rows(
+            BayesNetModel.from_entries(
                 order=(0, 1),
                 conditioning_sets={0: (1,), 1: ()},
                 alphabet_size=2,
-                cpts={},
+                nodes=(),
+                assignments=(),
+                rows=(),
             )
 
     def test_substituted_node_cannot_condition_on_x(self):
         with pytest.raises(ValueError, match="still conditions"):
-            BayesNetModel.from_rows(
+            BayesNetModel.from_entries(
                 order=(0, 1),
                 conditioning_sets={0: (), 1: (0,)},
                 alphabet_size=2,
-                cpts={},
+                nodes=(),
+                assignments=(),
+                rows=(),
                 x_substitution=(0, 1),
                 substituted_nodes=frozenset({1}),
             )
@@ -366,7 +385,7 @@ class TestLearnedModelFile:
     @pytest.mark.parametrize("over", [5, True, 1.0, -1])
     def test_sum_over_a_value_that_is_not_a_node_is_refused(self, over):
         # True and 1.0 hash as node 1, over which the sum used to run.
-        model = BayesNetModel.from_rows((0, 1), {0: (), 1: (0,)}, 2, {})
+        model = BayesNetModel.from_entries((0, 1), {0: (), 1: (0,)}, 2, (), (), ())
         with pytest.raises(ValueError, match=f"^{re.escape(f'over {over!r} is not a node of the model')}$"):
             model.joint_probability({0: 1, 1: 0}, over=over)
         assert model.joint_probability({0: 1, 1: 0}, over=1) == 0.5

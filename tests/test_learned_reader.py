@@ -9,6 +9,7 @@ with two entries for one row.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from dolearn.graph import is_integer, require_names
 from dolearn.learn import BayesNetModel, _table_blocks, learned_model_to_json, parse_learned_model_json
 from dolearn.model import first_non_distribution
 
-from test_dense_store import sparse_models
+from test_dense_store import StrictKey, from_cpts, sparse_models
 
 PROPERTY = settings.get_profile("property")
 
@@ -75,9 +76,10 @@ def reference_from_rows(order, conditioning_sets, alphabet_size, cpts, **kwargs)
 
 
 def reference_parse(text, source="<learned>"):
+    """The per-entry loader, its entries keyed by StrictKey (see there why)."""
     raw = decode_json(text, source)
     try:
-        cpts = {(entry["node"], tuple(entry["assignment"])): entry["row"] for entry in raw["cpts"]}
+        cpts = {StrictKey((entry["node"], tuple(entry["assignment"]))): entry["row"] for entry in raw["cpts"]}
         model = reference_from_rows(
             order=tuple(raw["order"]),
             conditioning_sets={int(k): tuple(v) for k, v in raw["conditioning_sets"].items()},
@@ -138,7 +140,7 @@ def fault(raw, entry, how, data):
 def drawn_file(draw):
     """The parsed file of a drawn model, as written."""
     kwargs, cpts = draw(sparse_models())
-    return json.loads(learned_model_to_json(BayesNetModel.from_rows(cpts=cpts, **kwargs)))
+    return json.loads(learned_model_to_json(from_cpts(cpts, **kwargs)))
 
 
 def outcome(parse, text):
@@ -190,9 +192,22 @@ class TestBulkReader:
         same_outcome(raw)
 
     def test_a_node_that_is_a_bool_is_refused(self):
-        model = BayesNetModel.from_rows((0, 1), {0: (), 1: ()}, 2, {(1, ()): [0.25, 0.75]})
+        model = BayesNetModel.from_entries((0, 1), {0: (), 1: ()}, 2, [1], [()], [[0.25, 0.75]])
         raw = json.loads(learned_model_to_json(model))
         raw["cpts"][0]["node"] = True
         same_outcome(raw)
         message = outcome(parse_learned_model_json, json.dumps(raw))[1]
         assert message.endswith("node True of an entry must be a node index")
+
+    @pytest.mark.parametrize("field, twin, message", [
+        ("node", True, "node True of an entry must be a node index"),
+        ("assignment", [0.0], "assignment (0.0,) for 1 lies outside the alphabet"),
+    ])
+    def test_a_later_twin_of_another_type_is_refused(self, field, twin, message):
+        # true equals node 1 and 0.0 symbol 0, but neither replaces the row.
+        model = BayesNetModel.from_entries((0, 1), {0: (), 1: (0,)}, 2, [1], [(0,)], [[0.25, 0.75]])
+        raw = json.loads(learned_model_to_json(model))
+        raw["cpts"].append(dict(raw["cpts"][0], **{field: twin, "row": [0.5, 0.5]}))
+        same_outcome(raw)
+        with pytest.raises(FormatError, match=f"^<learned>:1: invalid learned model: {re.escape(message)}$"):
+            parse_learned_model_json(json.dumps(raw))

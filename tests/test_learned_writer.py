@@ -16,7 +16,7 @@ from dolearn.errors import FormatError, GenerationError
 from dolearn.files import dump_json
 from dolearn.graph import random_admg, require_names
 from dolearn.learn import (
-    exact_do_model, learn_do, learn_observational, learned_model_to_json, parse_learned_model_json,
+    BayesNetModel, exact_do_model, learn_do, learn_observational, learned_model_to_json, parse_learned_model_json,
 )
 from dolearn.model import DenseDistribution, _decode, exact_observational, random_cbn, sample_observational
 
@@ -117,3 +117,14 @@ def test_model_with_no_fitted_row_writes_an_empty_cpts_list():
     assert not model.fitted.any()
     text = learned_model_to_json(model)
     assert '\n  "cpts": [],\n' in text and text == reference_json(model)
+
+
+def test_numpy_integer_ids_write_as_their_int_twin():
+    # The model admits numpy integers as nodes, symbols and alphabet; json writes none of them.
+    def model(i):
+        return BayesNetModel.from_entries(
+            (i(1), i(0), i(2)), {i(1): (), i(0): (i(1),), i(2): (i(0),)}, i(2), [i(0), i(2)], [(i(1),), (i(0),)],
+            [[0.25, 0.75], [0.5, 0.5]], x_substitution=(i(1), i(0)), substituted_nodes=frozenset({i(2)}),
+        )
+
+    assert learned_model_to_json(model(np.int64)) == learned_model_to_json(model(int))
