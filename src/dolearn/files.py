@@ -34,7 +34,25 @@ def write_text(path: str, text: str) -> None:
 
 
 def dump_json(payload) -> str:
+    """The artifact JSON format. The graph, model and learned-model writers
+    fill list_template and array_template text with the same bytes."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def list_template(item: str, count: int, indent: int) -> str:
+    """The dump_json layout of a list of count items, each the text item, for
+    a list whose closing bracket is indent spaces in."""
+    if not count:
+        return "[]"
+    return "[" + ",".join(["\n" + " " * (indent + 2) + item] * count) + "\n" + " " * indent + "]"
+
+
+def array_template(item: str, shape: tuple[int, ...], indent: int) -> str:
+    """The dump_json layout of a nested list of the given shape, its items in
+    row-major order, for a list whose closing bracket is indent spaces in."""
+    for depth in reversed(range(len(shape))):
+        item = list_template(item, shape[depth], indent + 2 * depth)
+    return item
 
 
 def decode_json(text: str, source: str):

@@ -11,6 +11,8 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +24,7 @@ from .errors import (
     IdentifiabilityError,
     ReductionInvariantError,
 )
-from .files import decode_json, dump_json, read_text, write_text
+from .files import array_template, decode_json, list_template, read_text, write_text
 
 
 def is_integer(v) -> bool:
@@ -453,18 +455,17 @@ def random_admg(
 # Graph file format: JSON with fields n, names, alphabet, directed, bidirected.
 
 
-def graph_payload(g: Admg) -> dict:
-    return {
-        "n": g.node_count,
-        "names": list(g.names),
-        "alphabet": g.alphabet_size,
-        "directed": sorted([i, j] for i, j in g.directed_edges),
-        "bidirected": sorted([i, j] for i, j in g.bidirected_edges),
-    }
-
-
 def graph_to_json(g: Admg) -> str:
-    return dump_json(graph_payload(g))
+    """dump_json of {n, names, alphabet, directed, bidirected}, edges sorted,
+    filled into templates: each name is written by json's own ASCII escaper."""
+    directed, bidirected = sorted(g.directed_edges), sorted(g.bidirected_edges)
+    return '{\n  "alphabet": %d,\n  "bidirected": %s,\n  "directed": %s,\n  "n": %d,\n  "names": %s\n}\n' % (
+        g.alphabet_size,
+        array_template("%d", (len(bidirected), 2), 2) % tuple(chain.from_iterable(bidirected)),
+        array_template("%d", (len(directed), 2), 2) % tuple(chain.from_iterable(directed)),
+        g.node_count,
+        list_template("%s", g.node_count, 2) % tuple(map(encode_basestring_ascii, g.names)),
+    )
 
 
 def _line_of(text: str, key: str, index: Optional[int] = None) -> int:

@@ -14,6 +14,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
@@ -21,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, StateSpaceError, UnderflowError
-from .files import decode_json, dump_json, read_text, write_text
+from .files import decode_json, list_template, read_text, write_text
 from .graph import (
     Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, require_names,
     topological_order,
@@ -556,7 +557,8 @@ def learned_model_to_json(model: BayesNetModel) -> str:
     dump_json of the payload with one {"assignment", "node", "row"} dict per
     row, but the entries are filled into one template per conditioning-set
     width, over columns of all fitted rows at once: %r of a finite float is
-    what json writes for it."""
+    what json writes for it. The header fields are templates too, each name
+    written by json's own ASCII escaper."""
     a = model.alphabet_size
     order = model.order
     starts = np.array([model._blocks[v].start for v in order], dtype=np.int64)
@@ -572,28 +574,24 @@ def learned_model_to_json(model: BayesNetModel) -> str:
     entries = np.empty(idx.size, dtype=object)
     for w in set(width.tolist()):
         sel = np.flatnonzero(width == w)
-        template = (f'    {{\n      "assignment": {_list_template("%d", w)},\n'
-                    f'      "node": %d,\n      "row": {_list_template("%r", a)}\n    }}')
+        template = (f'{{\n      "assignment": {list_template("%d", w, 6)},\n'
+                    f'      "node": %d,\n      "row": {list_template("%r", a, 6)}\n    }}')
         digits = [d.tolist() for d in _decode(local[sel], (a,) * w)]
         entries[sel] = [template % cells for cells in zip(*digits, nodes[sel].tolist(), *rows[sel].T.tolist())]
-    # int() writes numpy integers, which the model admits as nodes and symbols, as json ints.
-    header = dump_json({
-        "alphabet": int(a),
-        "names": list(model.names) if model.names is not None else None,
-        "order": list(map(int, order)),
-        "conditioning_sets": {str(v): list(map(int, z)) for v, z in model.conditioning_sets.items()},
-        "x_substitution": list(map(int, model.x_substitution)) if model.x_substitution else None,
-        "substituted_nodes": sorted(map(int, model.substituted_nodes)),
-        "cpts": [],
-    })
-    cpts = "[\n" + ",\n".join(entries.tolist()) + "\n  ]" if idx.size else "[]"
-    # JSON strings hold no raw newline, so the first top-level "cpts" line is the key's own.
-    return header.replace('\n  "cpts": []', '\n  "cpts": ' + cpts, 1)
-
-
-def _list_template(item: str, count: int) -> str:
-    """The indent=2 layout of a list of count items at entry depth."""
-    return "[" + ",".join(["\n        " + item] * count) + "\n      ]" if count else "[]"
+    # %d writes numpy integers, which the model admits as nodes and symbols, as json writes ints.
+    sets = sorted((str(v), z) for v, z in model.conditioning_sets.items())
+    x_sub, names = model.x_substitution, model.names
+    return ('{\n  "alphabet": %d,\n  "conditioning_sets": %s,\n  "cpts": %s,\n  "names": %s,\n  "order": %s,\n'
+            '  "substituted_nodes": %s,\n  "x_substitution": %s\n}\n') % (
+        a,
+        "{" + ",".join(f'\n    "{v}": ' + list_template("%d", len(z), 4) % tuple(z) for v, z in sets) + "\n  }"
+        if sets else "{}",
+        list_template("%s", idx.size, 2) % tuple(entries.tolist()),
+        "null" if names is None else list_template("%s", len(names), 2) % tuple(map(encode_basestring_ascii, names)),
+        list_template("%d", len(order), 2) % tuple(order),
+        list_template("%d", len(model.substituted_nodes), 2) % tuple(sorted(model.substituted_nodes)),
+        list_template("%d", len(x_sub), 2) % tuple(x_sub) if x_sub else "null",
+    )
 
 
 def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetModel:

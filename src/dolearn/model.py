@@ -17,8 +17,8 @@ from typing import BinaryIO, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, StateSpaceError
-from .files import decode_json, decode_text, dump_json, read_bytes, read_text, write_text
-from .graph import Admg, graph_from_payload, graph_payload, is_integer, topological_order
+from .files import array_template, decode_json, decode_text, list_template, read_bytes, read_text, write_text
+from .graph import Admg, graph_from_payload, graph_to_json, is_integer, topological_order
 
 STATE_SPACE_LIMIT = 2**24
 DRAW_CELL_LIMIT = 2**26  # cells of one draw array: 64 MiB at one byte per symbol
@@ -156,8 +156,10 @@ class GroundTruthCbn:
 
     def __post_init__(self):
         g = self.graph
-        if self.hidden_domain < 2:
-            raise ValueError("hidden_domain must be at least 2")
+        object.__setattr__(self, "hidden_domain", _checked_hidden_domain(self.hidden_domain))
+        # Kept as float arrays, as the file holds them: the writer's %r of a bool is no JSON.
+        object.__setattr__(self, "hidden_priors", tuple(np.asarray(p, dtype=float) for p in self.hidden_priors))
+        object.__setattr__(self, "tables", tuple(np.asarray(t, dtype=float) for t in self.tables))
         if len(self.hidden_priors) != len(g.bidirected_edges):
             raise ValueError("one hidden prior per bidirected edge required")
         if any(prior.shape != (self.hidden_domain,) for prior in self.hidden_priors):
@@ -184,6 +186,16 @@ class GroundTruthCbn:
         return len(self.hidden_priors)
 
 
+def _checked_hidden_domain(hidden_domain) -> int:
+    """hidden_domain as an int. The model file holds a JSON integer, so 2.0
+    and True, which its reader would refuse, are refused here too."""
+    if not is_integer(hidden_domain):
+        raise ValueError(f"hidden_domain {hidden_domain!r} is not an integer")
+    if hidden_domain < 2:
+        raise ValueError("hidden_domain must be at least 2")
+    return int(hidden_domain)
+
+
 def _hidden_parents(g: Admg) -> tuple[tuple[int, ...], ...]:
     """Per node, the ascending indices of its hidden parents: hidden variable
     e confounds the endpoints of the e-th bidirected edge in sorted order."""
@@ -205,23 +217,27 @@ def random_cbn(g: Admg, hidden_domain: Optional[int] = None, smoothing: float = 
     with uniform, so smoothing lower-bounds every entry by smoothing/|domain|."""
     if not 0.0 <= smoothing <= 1.0:
         raise ValueError("smoothing must lie in [0, 1]")
-    if hidden_domain is None:
-        hidden_domain = g.alphabet_size
+    hidden_domain = _checked_hidden_domain(g.alphabet_size if hidden_domain is None else hidden_domain)
     # Checked before any draw: one node on two bidirected edges with a large
     # hidden domain asks for a table beyond memory.
     shapes = _table_shapes(g, hidden_domain, _hidden_parents(g))
-    entries = hidden_domain * len(g.bidirected_edges) + sum(map(math.prod, shapes))
+    sizes = list(map(math.prod, shapes))
+    entries = hidden_domain * len(g.bidirected_edges) + sum(sizes)
     if entries > STATE_SPACE_LIMIT:
         raise StateSpaceError(f"the tables and priors would hold {entries} entries, above the {STATE_SPACE_LIMIT} guard")
     rng = np.random.default_rng(seed)
 
-    def draw_rows(shape):
-        rows = rng.standard_exponential(shape)
+    def draw_rows(count, width):
+        # The generator fills values in order, so one draw of all rows is the
+        # stream that one draw per prior or per table would give.
+        rows = rng.standard_exponential((count, width))
         rows /= rows.sum(axis=-1, keepdims=True)
-        return (1.0 - smoothing) * rows + smoothing / shape[-1]
+        return (1.0 - smoothing) * rows + smoothing / width
 
-    priors = tuple(draw_rows((hidden_domain,)) for _ in range(len(g.bidirected_edges)))
-    return GroundTruthCbn(g, hidden_domain, priors, tuple(draw_rows(shape) for shape in shapes))
+    priors = draw_rows(len(g.bidirected_edges), hidden_domain)
+    flat = draw_rows(sum(sizes) // g.alphabet_size, g.alphabet_size).reshape(-1)
+    tables = np.split(flat, np.cumsum(sizes)[:-1])
+    return GroundTruthCbn(g, hidden_domain, tuple(priors), tuple(t.reshape(s) for t, s in zip(tables, shapes)))
 
 
 def symbol_dtype(size: int) -> np.dtype:
@@ -401,20 +417,30 @@ def strong_positivity_margin(p: DenseDistribution, s: Iterable[int]) -> float:
 
 
 def model_to_json(cbn: GroundTruthCbn) -> str:
-    return dump_json({
-        "graph": graph_payload(cbn.graph),
-        "hidden_domain": cbn.hidden_domain,
-        "hidden_priors": [prior.tolist() for prior in cbn.hidden_priors],
-        "cpts": [
-            {
-                "node": v,
-                "obs_parents": list(cbn.graph.parents(v)),
-                "hidden_parents": list(cbn.hidden_parents[v]),
-                "table": table.tolist(),
-            }
-            for v, table in enumerate(cbn.tables)
-        ],
-    })
+    """dump_json of {graph, hidden_domain, hidden_priors, cpts}, one cpts entry
+    {node, obs_parents, hidden_parents, table} per node, filled into one
+    template per domain shape: tables and priors are checked finite
+    distributions, and %r of a finite float is what json writes for it."""
+    g = cbn.graph
+    templates: dict[tuple[int, int], str] = {}
+    cpts = []
+    for v, (table, hidden) in enumerate(zip(cbn.tables, cbn.hidden_parents)):
+        obs = g.parents(v)
+        template = templates.get((len(obs), len(hidden)))
+        if template is None:
+            template = templates[len(obs), len(hidden)] = (
+                f'{{\n      "hidden_parents": {list_template("%d", len(hidden), 6)},\n      "node": %d,\n'
+                f'      "obs_parents": {list_template("%d", len(obs), 6)},\n'
+                f'      "table": {array_template("%r", table.shape, 6)}\n    }}')
+        cpts.append(template % (*hidden, v, *obs, *table.ravel().tolist()))
+    priors = np.reshape(cbn.hidden_priors, (-1, cbn.hidden_domain))
+    # JSON strings hold no raw newline, so each line of the graph file moves in by one level.
+    return '{\n  "cpts": %s,\n  "graph": %s,\n  "hidden_domain": %d,\n  "hidden_priors": %s\n}\n' % (
+        list_template("%s", len(cpts), 2) % tuple(cpts),
+        graph_to_json(g)[:-1].replace("\n", "\n  "),
+        cbn.hidden_domain,
+        array_template("%r", priors.shape, 2) % tuple(priors.ravel().tolist()),
+    )
 
 
 def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
@@ -436,9 +462,6 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
                 raise ValueError(f"node, obs_parents and hidden_parents of node {node!r} must be integers")
             domains.append((node, obs, hidden))
             tables.append(np.asarray(entry["table"], dtype=float))
-        hidden_domain = int(raw["hidden_domain"])
-        if not is_integer(raw["hidden_domain"]):  # 2.0 and true pass int() but are no JSON integer
-            raise ValueError(f"hidden_domain {raw['hidden_domain']!r} is not an integer")
         # Each entry restates its node's domain, which must be the graph's; a
         # wrong entry count is GroundTruthCbn's to refuse.
         if len(domains) == g.node_count:
@@ -447,7 +470,7 @@ def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
                     raise ValueError("cpts must be listed by node index")
                 if obs != g.parents(i) or hidden != own_hidden:
                     raise ValueError(f"table domain of node {i} does not match the graph")
-        return GroundTruthCbn(g, hidden_domain, priors, tuple(tables))
+        return GroundTruthCbn(g, raw["hidden_domain"], priors, tuple(tables))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"{source}:1: invalid model: {e}") from None
 

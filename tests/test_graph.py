@@ -13,7 +13,6 @@ from dolearn.graph import (
     c_components,
     check_identifiability,
     effective_parents,
-    graph_payload,
     graph_to_json,
     induced_subgraph,
     latent_project,
@@ -24,6 +23,8 @@ from dolearn.graph import (
     reduce_for_marginal,
     topological_order,
 )
+
+from test_artifact_writers import reference_graph_payload
 
 
 def chain(n, alphabet=2):
@@ -353,7 +354,7 @@ class TestGraphFile:
     @given(n=st.integers(3, 8), seed=st.integers(0, 2**16), key=st.sampled_from(["directed", "bidirected"]),
            data=st.data())
     def test_bad_edge_anchored_where_the_element_starts(self, n, seed, key, data):
-        payload = graph_payload(random_admg(n, 2, 3, seed=seed))
+        payload = reference_graph_payload(random_admg(n, 2, 3, seed=seed))
         if not payload[key]:
             return
         idx = data.draw(st.integers(0, len(payload[key]) - 1))

@@ -22,8 +22,8 @@ from dolearn.model import DenseDistribution, _decode, exact_observational, rando
 
 PROPERTY = settings.get_profile("property")
 
-# A name whose text is the key the entries are spliced at; the file escapes
-# its quotes, so the splice must not match it.
+# A name whose text is the entries' own key; the file escapes its quotes, so
+# the name cannot pass for the key.
 SPLICE_BAIT = '"cpts": []'
 names_text = st.text(st.sampled_from('v"\\é中\n\t ') | st.characters(exclude_categories=("Cs",)), max_size=6)
 

@@ -23,8 +23,8 @@ from dolearn.learn import (
     _counted_model, _encode, _Plan, add_one_estimator, exact_do_model, learn_ccomponent_intervention, learn_do,
 )
 from dolearn.model import (
-    GroundTruthCbn, SampleBatch, exact_observational, parse_samples_csv, random_cbn, sample_observational,
-    samples_to_csv, symbol_dtype,
+    GroundTruthCbn, SampleBatch, _hidden_parents, exact_observational, model_to_json, parse_samples_csv, random_cbn,
+    sample_observational, samples_to_csv, symbol_dtype,
 )
 
 PROPERTY = settings.get_profile("property")
@@ -102,6 +102,20 @@ def reference_sample_observational(cbn, m, seed):
             idx = idx * cbn.hidden_domain + hidden_vals[h]
         values[:, node] = reference_sample_rows(flat[idx], rng.random(m))
     return SampleBatch(tuple(order), values[:, order])
+
+
+def reference_random_cbn(g, hidden_domain, smoothing, seed):
+    a = g.alphabet_size
+    rng = np.random.default_rng(seed)
+
+    def draw_rows(shape):
+        rows = rng.standard_exponential(shape)
+        rows /= rows.sum(axis=-1, keepdims=True)
+        return (1.0 - smoothing) * rows + smoothing / shape[-1]
+
+    shapes = [(a,) * len(g.parents(v)) + (hidden_domain,) * len(h) + (a,) for v, h in enumerate(_hidden_parents(g))]
+    priors = tuple(draw_rows((hidden_domain,)) for _ in range(len(g.bidirected_edges)))
+    return GroundTruthCbn(g, hidden_domain, priors, tuple(draw_rows(shape) for shape in shapes))
 
 
 def reference_sample_do(im, count, seed):
@@ -491,6 +505,21 @@ class TestAncestralSampling:
         self.assert_interventional_equal(model, count, seed + 2)
         pointed = dataclasses.replace(model, values=with_point_masses(model.values, seed + 3))
         self.assert_interventional_equal(pointed, count, seed + 4)
+
+
+class TestRandomCbn:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 4), st.sampled_from([0.0, 0.25, 1.0]), st.integers(1, 8),
+           st.integers(1, 3), st.integers(0, 10_000))
+    def test_two_draws_equal_one_draw_per_row_set(self, alphabet, hidden_domain, smoothing, n, k, seed):
+        """One draw of all priors and one of all table rows are the stream that
+        one draw per prior and per table gave; k = 1 draws no bidirected edge."""
+        g = random_admg(n, 2, k, alphabet_size=alphabet, seed=seed)
+        got = random_cbn(g, hidden_domain=hidden_domain, smoothing=smoothing, seed=seed + 1)
+        want = reference_random_cbn(g, hidden_domain, smoothing, seed + 1)
+        assert all(map(np.array_equal, got.hidden_priors, want.hidden_priors))
+        assert all(map(np.array_equal, got.tables, want.tables))
+        assert model_to_json(got) == model_to_json(want)
 
 
 class TestEffectiveParents:
