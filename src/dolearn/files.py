@@ -55,6 +55,17 @@ def array_template(item: str, shape: tuple[int, ...], indent: int) -> str:
     return item
 
 
+def require_fields(raw, fields, source: str) -> dict:
+    """raw, a decoded JSON value, when it is an object holding every field;
+    otherwise a FormatError at line 1 that names the first field it lacks."""
+    if not isinstance(raw, dict):
+        raise FormatError(f"{source}:1: expected a JSON object")
+    missing = next((key for key in fields if key not in raw), None)
+    if missing is not None:
+        raise FormatError(f"{source}:1: missing required field {missing!r}")
+    return raw
+
+
 def decode_json(text: str, source: str):
     """The value of a JSON text; a syntax error is a FormatError at its line,
     and a text the decoder cannot hold one at line 1."""

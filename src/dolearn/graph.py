@@ -24,7 +24,7 @@ from .errors import (
     IdentifiabilityError,
     ReductionInvariantError,
 )
-from .files import array_template, decode_json, list_template, read_text, write_text
+from .files import array_template, decode_json, list_template, read_text, require_fields, write_text
 
 
 def is_integer(v) -> bool:
@@ -74,34 +74,25 @@ class Admg:
         if int(alphabet_size) < 2:
             raise ValueError("alphabet_size must be at least 2")
         directed = frozenset((int(i), int(j)) for i, j in directed_edges)
-        bidirected = set()
-        for i, j in bidirected_edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop {i} <-> {j} not allowed")
-            bidirected.add((min(i, j), max(i, j)))
-        for i, j in directed:
-            if i == j:
-                raise ValueError(f"self-loop {i} -> {j} not allowed")
-        for i, j in list(directed) + list(bidirected):
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+        bidirected = frozenset(tuple(sorted((int(i), int(j)))) for i, j in bidirected_edges)
+        parents, children, neighbours = ([[] for _ in range(n)] for _ in range(3))
+        # One sweep checks each edge and fills the adjacency; in sorted edge
+        # order every list comes out ascending.
+        for edges, arrow, into, out in ((directed, "->", parents, children),
+                                        (bidirected, "<->", neighbours, neighbours)):
+            for i, j in sorted(edges):
+                if i == j:
+                    raise ValueError(f"self-loop {i} {arrow} {j} not allowed")
+                if not (0 <= i < n and 0 <= j < n):
+                    raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
+                into[j].append(i)
+                out[i].append(j)
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "alphabet_size", int(alphabet_size))
         object.__setattr__(self, "directed_edges", directed)
-        object.__setattr__(self, "bidirected_edges", frozenset(bidirected))
-        object.__setattr__(self, "_topo", tuple(_kahn_order(n, directed)))
-        parents: list[list[int]] = [[] for _ in range(n)]
-        children: list[list[int]] = [[] for _ in range(n)]
-        neighbours: list[list[int]] = [[] for _ in range(n)]
-        # In sorted edge order every list comes out ascending.
-        for i, j in sorted(directed):
-            parents[j].append(i)
-            children[i].append(j)
-        for i, j in sorted(bidirected):
-            neighbours[i].append(j)
-            neighbours[j].append(i)
+        object.__setattr__(self, "bidirected_edges", bidirected)
+        object.__setattr__(self, "_topo", tuple(_kahn_order(parents, children)))
         object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
         object.__setattr__(self, "_neighbours", tuple(map(tuple, neighbours)))
@@ -174,26 +165,22 @@ class MarginalReduction:
     report: dict
 
 
-def _kahn_order(n: int, directed: Iterable[tuple[int, int]]) -> list[int]:
-    indeg = [0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, j in directed:
-        indeg[j] += 1
-        children[i].append(j)
-    heap = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(heap)
+def _kahn_order(parents: Sequence[Sequence[int]], children: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn's order over the adjacency, the smallest ready node first: a heap
+    pops it whatever order the nodes were pushed in. A cycle is refused by
+    its smallest edge between nodes left unordered."""
+    indeg = [len(p) for p in parents]
+    heap = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
     order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
-        for w in sorted(children[v]):
+        for w in children[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
-    if len(order) < n:
-        stuck = {i for i in range(n) if indeg[i] > 0}
-        edge = min((i, j) for i, j in directed if i in stuck and j in stuck)
-        raise GraphCycleError(edge)
+    if len(order) < len(indeg):
+        raise GraphCycleError(min((i, j) for j, d in enumerate(indeg) if d for i in parents[j] if indeg[i]))
     return order
 
 
@@ -427,28 +414,18 @@ def random_admg(
         directed = []
         for j in range(1, n):
             deg = int(rng.integers(0, min(max_in_degree, j) + 1))
-            for p in rng.choice(j, size=deg, replace=False):
-                directed.append((int(p), j))
+            directed += [(int(p), j) for p in rng.choice(j, size=deg, replace=False)]
         perm = [int(v) for v in rng.permutation(n)]
         bidirected = []
         i = 0
         while i < n:
             size = int(rng.integers(1, max_component + 1))
-            group = perm[i : i + size]
-            for a, b in zip(group, group[1:]):
-                bidirected.append((a, b))
+            bidirected += zip(perm[i : i + size], perm[i + 1 : i + size])  # a path through each group
             i += size
-        g = Admg(
-            node_count=n,
-            alphabet_size=alphabet_size,
-            directed_edges=directed,
-            bidirected_edges=bidirected,
-        )
+        g = Admg(n, alphabet_size=alphabet_size, directed_edges=directed, bidirected_edges=bidirected)
         if identifiable_for is None or check_identifiability(g, identifiable_for):
             return g
-    raise GenerationError(
-        f"no identifiable graph found for node {identifiable_for} in {attempts} attempts"
-    )
+    raise GenerationError(f"no identifiable graph found for node {identifiable_for} in {attempts} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +483,12 @@ def parse_graph_json(text: str, source: str = "<graph>") -> Admg:
 def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
     """Graph of a decoded graph file; each invariant violation is a FormatError
     at its line of text, the file's text, or at line 1 without it."""
-    if not isinstance(raw, dict):
-        raise FormatError(f"{source}:1: expected a JSON object")
+    require_fields(raw, ("n", "alphabet", "directed", "bidirected"), source)
 
     def fail(key, msg, idx=None):
         # The line is looked up only on failure, as each lookup rescans the text.
         raise FormatError(f"{source}:{_line_of(text, key, idx)}: {msg}")
 
-    for key in ("n", "alphabet", "directed", "bidirected"):
-        if key not in raw:
-            raise FormatError(f"{source}:1: missing required field {key!r}")
     n = raw["n"]
     if not is_integer(n) or n <= 0:
         fail("n", "n must be a positive integer")
@@ -524,6 +497,8 @@ def graph_from_payload(raw, source: str = "<graph>", text: str = "") -> Admg:
         fail("names", f"names must list exactly {n} identifiers")
     if names is not None and not all(isinstance(s, str) for s in names):
         fail("names", f"names must be strings, not {next(s for s in names if not isinstance(s, str))!r}")
+    if names is not None and len(set(names)) != n:
+        fail("names", f"names must be {n} distinct identifiers")
     try:
         require_names(names or ())
     except ValueError as e:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, StateSpaceError, UnderflowError
-from .files import decode_json, list_template, read_text, write_text
+from .files import decode_json, list_template, read_text, require_fields, write_text
 from .graph import (
     Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, require_names,
     topological_order,
@@ -130,10 +130,10 @@ class BayesNetModel:
             if not (_is_node(x_node) and x_node in pos and _is_symbol(x_val, self.alphabet_size)):
                 raise ValueError(f"x_substitution {self.x_substitution} must pair a node of the order with a symbol")
             for node in self.substituted_nodes:
-                if x_node in self.conditioning_sets[node]:
+                if not (_is_node(node) and node in pos):  # true and 1.0 would find node 1
+                    raise ValueError(f"substituted node {node!r} must be a node of the order")
+                if x_node in self.conditioning_sets.get(node, ()):  # a missing set is refused below
                     raise ValueError(f"substituted node {node} still conditions on {x_node}")
-                if not _is_node(node):  # true and 1.0 find node 1's conditioning set
-                    raise ValueError(f"substituted node {node!r} must be a node index")
         a = self.alphabet_size
         blocks, total = _table_blocks(self.order, self.conditioning_sets, a)
         self.values = np.ascontiguousarray(self.values, dtype=float)
@@ -309,7 +309,7 @@ def _name_first_fault(blocks: dict, conditioning_sets: dict, alphabet: int, node
         kept[type(node), node, tuple((type(s), s) for s in assignment)] = node, assignment, row
     for node, assignment, row in kept.values():
         if node not in blocks:  # true and 1.0 find node 1, and are refused below
-            raise KeyError(node)
+            raise ValueError(f"node {node!r} of an entry is not in the order")
         if not is_integer(node):
             raise ValueError(f"node {node!r} of an entry must be a node index")
         if len(assignment) != len(conditioning_sets[node]):
@@ -339,7 +339,11 @@ def _table_blocks(order, conditioning: dict, alphabet: int) -> tuple[dict[int, s
     count; refuses tables above TABLE_ROW_LIMIT rows."""
     if not (_is_node(alphabet) and alphabet >= 1):
         raise ValueError(f"alphabet {alphabet!r} must be an integer of at least 1")
-    require_table_rows({v: conditioning[v] for v in order}, alphabet)
+    try:
+        conditioning = {v: conditioning[v] for v in order}
+    except KeyError as e:
+        raise ValueError(f"node {e.args[0]!r} of the order has no conditioning set") from None
+    require_table_rows(conditioning, alphabet)
     blocks = {}
     start = 0
     for v in order:
@@ -595,7 +599,7 @@ def learned_model_to_json(model: BayesNetModel) -> str:
 
 
 def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetModel:
-    raw = decode_json(text, source)
+    raw = require_fields(decode_json(text, source), ("alphabet", "conditioning_sets", "cpts", "order"), source)
     try:
         nodes, assignments, rows = (list(map(itemgetter(key), raw["cpts"])) for key in ("node", "assignment", "row"))
         model = BayesNetModel.from_entries(nodes=nodes, assignments=assignments, rows=rows, **_model_fields(raw))
@@ -603,7 +607,19 @@ def parse_learned_model_json(text: str, source: str = "<learned>") -> BayesNetMo
             require_names(model.names)
         return model
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
-        raise FormatError(f"{source}:1: invalid learned model: {e}") from None
+        raise FormatError(f"{source}:1: invalid learned model: {_entry_fault(raw['cpts']) or e}") from None
+
+
+def _entry_fault(entries) -> Optional[str]:
+    """The fault of the first entry that is not an object holding node,
+    assignment and row, or None; called only once a load has failed."""
+    for entry in entries if isinstance(entries, list) else ():
+        if not isinstance(entry, dict):
+            return "an entry is not an object"
+        missing = next((key for key in ("assignment", "node", "row") if key not in entry), None)
+        if missing is not None:
+            return f"an entry has no field {missing!r}"
+    return None
 
 
 def _model_fields(raw: dict) -> dict:

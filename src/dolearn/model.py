@@ -17,7 +17,9 @@ from typing import BinaryIO, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, StateSpaceError
-from .files import array_template, decode_json, decode_text, list_template, read_bytes, read_text, write_text
+from .files import (
+    array_template, decode_json, decode_text, list_template, read_bytes, read_text, require_fields, write_text,
+)
 from .graph import Admg, graph_from_payload, graph_to_json, is_integer, topological_order
 
 STATE_SPACE_LIMIT = 2**24
@@ -444,12 +446,7 @@ def model_to_json(cbn: GroundTruthCbn) -> str:
 
 
 def parse_model_json(text: str, source: str = "<model>") -> GroundTruthCbn:
-    raw = decode_json(text, source)
-    if not isinstance(raw, dict):
-        raise FormatError(f"{source}:1: expected a JSON object")
-    for key in ("graph", "hidden_domain", "hidden_priors", "cpts"):
-        if key not in raw:
-            raise FormatError(f"{source}:1: missing required field {key!r}")
+    raw = require_fields(decode_json(text, source), ("graph", "hidden_domain", "hidden_priors", "cpts"), source)
     g = graph_from_payload(raw["graph"], source=f"{source}#graph")
     try:
         priors = tuple(np.asarray(p, dtype=float) for p in raw["hidden_priors"])

@@ -114,6 +114,23 @@ class TestPipeline:
         assert report["alpha_est"] is not None
         assert report["m"] <= 20000  # capped at the available rows
 
+    def test_alpha_estimate_of_zero_is_floored(self, tmp_path, capsys):
+        # Two rows of the walkthrough model leave a parent configuration of
+        # x's component unseen: the estimate is 0 and the budget uses 1 / (2 m).
+        graph, model, samples, learned = (tmp_path / name for name in ("g.json", "m.json", "s.csv", "l.json"))
+        for argv in (["gen-graph", "--nodes", "6", "--in-degree", "2", "--ccomp-size", "2", "--x-var", "0",
+                      "--seed", "1", "--out", str(graph)],
+                     ["gen-model", "--graph", str(graph), "--lambda", "0.25", "--seed", "2", "--out", str(model)],
+                     ["sample", "--model", str(model), "--m", "2", "--seed", "3", "--out", str(samples)]):
+            assert dispatch(argv) == 0
+        code, _, err = run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+                           "--x-var", "v0", "--x-val", "1", "--out", str(learned))
+        assert code == 0
+        assert "using empirical estimate 0.25" in err
+        report = json.loads((tmp_path / "l.json.report.json").read_text())
+        assert report["alpha_est"] == 0.0
+        assert report["params"]["alpha_floored"] is True
+
     def test_marginal_both_routes(self, pipeline, tmp_path, capsys):
         graph, model, samples = pipeline
         out_a = tmp_path / "marg_a.json"
@@ -286,6 +303,14 @@ class TestExitCodes:
         assert code == 3, err
         assert err.startswith(f"input error: {graph}:4: name '\\ud800' cannot be addressed")
 
+    def test_repeated_graph_names_are_input_error_at_names(self, tmp_path, capsys):
+        graph, model = tmp_path / "g.json", tmp_path / "m.json"
+        graph.write_text('{\n"n": 2,\n"alphabet": 2,\n"names": ["a", "a"],\n"directed": [],\n"bidirected": []\n}')
+        code, _, err = run(capsys, "gen-model", "--graph", str(graph), "--out", str(model))
+        assert code == 3
+        assert err.startswith(f"input error: {graph}:4: names must be 2 distinct identifiers")
+        assert not model.exists()
+
     @pytest.mark.parametrize("nodes, seed", [(5, 3), (6, 8)])
     def test_truth_model_over_another_graph_is_input_error(self, tmp_path, capsys, nodes, seed):
         # The truth model's graph has 5 nodes, or 6 nodes and other edges.
@@ -322,6 +347,29 @@ class TestExitCodes:
             "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
         code, _, err = run(capsys, "eval", "--learned", str(learned), "--assignment", "v1=9")
         assert code == 2
+
+    @pytest.mark.parametrize("assignment, message", [
+        ("v1", "malformed assignment term 'v1'"),
+        ("v1=x,v2=1,v3=0,v4=1", "non-integer value for 'v1'"),
+    ])
+    def test_malformed_assignment_term_is_usage_error(self, pipeline, tmp_path, capsys, assignment, message):
+        graph, model, samples = pipeline
+        learned = tmp_path / "learned.json"
+        run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+            "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
+        code, out, err = run(capsys, "eval", "--learned", str(learned), "--assignment", assignment)
+        assert code == 2
+        assert message in err and out == ""
+
+    def test_empty_assignment_term_is_skipped(self, pipeline, tmp_path, capsys):
+        graph, model, samples = pipeline
+        learned = tmp_path / "learned.json"
+        run(capsys, "learn-do", "--graph", str(graph), "--samples", str(samples),
+            "--x-var", "0", "--x-val", "1", "--m", "1000", "--t", "10", "--out", str(learned))
+        outputs = [run(capsys, "eval", "--learned", str(learned), "--assignment", assignment)
+                   for assignment in ("v1=0,v2=1,v3=0,v4=1", "v1=0,,v2=1, ,v3=0,v4=1,")]
+        assert outputs[0][0] == 0 and outputs[0][1] != ""
+        assert outputs[1] == outputs[0]
 
     def test_oversized_conditioning_space_is_contract_error(self, tmp_path, capsys):
         # |Σ| = 10 on a 21-node bidirected chain: the last node conditions on
@@ -502,8 +550,13 @@ class TestExitCodes:
         (lambda text: json.dumps("graph hidden_domain hidden_priors cpts"), "expected a JSON object"),
         (lambda text: json.dumps(["graph", "hidden_domain", "hidden_priors", "cpts"]), "expected a JSON object"),
         (lambda text: text.replace('"hidden_domain": 2', '"hidden_domain": 2.0'), "hidden_domain 2.0 is not an integer"),
+        (lambda text: json.dumps(dict(json.loads(text), hidden_priors=json.loads(text)["hidden_priors"][1:])),
+         "one hidden prior per bidirected edge required"),
+        (lambda text: json.dumps(dict(json.loads(text),
+                                      hidden_priors=[p + [0.0] for p in json.loads(text)["hidden_priors"]])),
+         "hidden priors must have shape (2,)"),
     ], ids=["infinite_hidden_domain", "fractional_hidden_domain", "top_level_string", "top_level_array",
-            "integral_float_hidden_domain"])
+            "integral_float_hidden_domain", "hidden_prior_missing", "hidden_prior_too_wide"])
     def test_malformed_model_file_is_input_error(self, tmp_path, capsys, edit, message):
         graph, model = tmp_path / "g.json", tmp_path / "m.json"
         assert dispatch(["gen-graph", "--nodes", "4", "--in-degree", "2", "--ccomp-size", "2",

@@ -52,6 +52,8 @@ class ReferenceModel:
                 if x_substitution[0] in conditioning_sets[node]:
                     raise ValueError(f"substituted node {node} still conditions on {x_substitution[0]}")
         for (node, assignment), row in cpts.items():
+            if node not in conditioning_sets:
+                raise ValueError(f"node {node!r} of an entry is not in the order")
             if len(assignment) != len(conditioning_sets[node]):
                 raise ValueError(f"assignment arity mismatch for node {node}")
             if not all(isinstance(a, int) and 0 <= a < alphabet_size for a in assignment):

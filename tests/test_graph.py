@@ -78,6 +78,36 @@ class TestTopologicalOrder:
         assert all(pos[i] < pos[j] for i, j in g.directed_edges)
 
 
+class TestConstructorRefusals:
+    """Each refusal of Admg, one fault at a time, with its message."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(node_count=0), "node_count must be positive"),
+        (dict(node_count=-3), "node_count must be positive"),
+        (dict(node_count=2, names=["a", "a"]), "names must be 2 distinct identifiers"),
+        (dict(node_count=2, names=["a"]), "names must be 2 distinct identifiers"),
+        (dict(node_count=2, names=["a=b", "c"]), "name 'a=b' cannot be addressed"),
+        (dict(node_count=2, alphabet_size=1), "alphabet_size must be at least 2"),
+        (dict(node_count=3, directed_edges=[(0, 1), (2, 2)]), "self-loop 2 -> 2 not allowed"),
+        (dict(node_count=3, bidirected_edges=[(0, 1), (1, 1)]), "self-loop 1 <-> 1 not allowed"),
+        (dict(node_count=3, directed_edges=[(0, 1), (1, 3)]), r"edge \(1, 3\) out of range for 3 nodes"),
+        (dict(node_count=3, directed_edges=[(-1, 2)]), r"edge \(-1, 2\) out of range for 3 nodes"),
+        (dict(node_count=3, bidirected_edges=[(0, 1), (4, 1)]), r"edge \(1, 4\) out of range for 3 nodes"),
+        (dict(node_count=3, bidirected_edges=[(2, -1)]), r"edge \(-1, 2\) out of range for 3 nodes"),
+    ], ids=["no_nodes", "negative_count", "repeated_names", "too_few_names", "unaddressable_name",
+            "alphabet_below_2", "directed_self_loop", "bidirected_self_loop", "directed_out_of_range",
+            "directed_negative", "bidirected_out_of_range", "bidirected_negative"])
+    def test_refusal(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Admg(**kwargs)
+
+    def test_cycle_named_by_its_smallest_edge(self):
+        # 1 -> 2 -> 3 -> 1 is left unordered; 0 -> 1 leads into it.
+        with pytest.raises(GraphCycleError, match=r"^directed edges contain a cycle through 1 -> 2$") as e:
+            Admg(4, directed_edges=[(3, 1), (0, 1), (2, 3), (1, 2)])
+        assert e.value.edge == (1, 2)
+
+
 class TestCComponents:
     def test_figure_partition(self):
         # A..E with A<->C, B<->D, D<->E gives {A,C} and {B,D,E}.
@@ -378,6 +408,11 @@ class TestGraphFile:
             Admg(2, names=[name, "c"])
         text = '{\n"n": 2,\n"alphabet": 2,\n"names": ' + json.dumps([name, "c"]) + ',\n"directed": [],\n"bidirected": []\n}'
         with pytest.raises(FormatError, match=f"^<graph>:4: name {re.escape(repr(name))} cannot be addressed"):
+            parse_graph_json(text)
+
+    def test_repeated_names_anchored_at_names(self):
+        text = '{\n"n": 3,\n"alphabet": 2,\n"names": ["a", "b", "a"],\n"directed": [],\n"bidirected": []\n}'
+        with pytest.raises(FormatError, match=r"^<graph>:4: names must be 3 distinct identifiers$"):
             parse_graph_json(text)
 
     def test_inner_whitespace_is_a_valid_name(self):

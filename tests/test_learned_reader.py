@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dolearn.cli import dispatch
 from dolearn.errors import FormatError
 from dolearn.files import decode_json
 from dolearn.graph import is_integer, require_names
@@ -53,6 +54,8 @@ def reference_from_rows(order, conditioning_sets, alphabet_size, cpts, **kwargs)
     idx = []
     try:
         for node, assignment in cpts:
+            if node not in conditioning_sets:
+                raise ValueError(f"node {node!r} of an entry is not in the order")
             width = len(conditioning_sets[node])
             if not is_integer(node):
                 raise ValueError(f"node {node!r} of an entry must be a node index")
@@ -211,3 +214,62 @@ class TestBulkReader:
         same_outcome(raw)
         with pytest.raises(FormatError, match=f"^<learned>:1: invalid learned model: {re.escape(message)}$"):
             parse_learned_model_json(json.dumps(raw))
+
+
+def _drop(key, *at):
+    """An edit that deletes key from the payload, or from the part at the path at."""
+    def edit(raw):
+        for step in at:
+            raw = raw[step]
+        del raw[key]
+    return edit
+
+
+def _set(value, key, *at):
+    def edit(raw):
+        for step in at:
+            raw = raw[step]
+        raw[key] = value
+    return edit
+
+
+class TestFaultsNamed:
+    """A learned file at fault exits 3 at line 1, and the message names the
+    field, the entry's field or the node at fault; a missing top-level field
+    in the graph and model readers' words."""
+
+    MODEL = BayesNetModel.from_entries((0, 1), {0: (), 1: (0,)}, 2, [0, 1], [(), (0,)], [[0.5, 0.5], [0.25, 0.75]],
+                                       x_substitution=(0, 1), names=("v0", "v1"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set(7777, "node", "cpts", 1), "invalid learned model: node 7777 of an entry is not in the order"),
+        (_drop("row", "cpts", 1), "invalid learned model: an entry has no field 'row'"),
+        (_drop("node", "cpts", 0), "invalid learned model: an entry has no field 'node'"),
+        (_drop("assignment", "cpts", 1), "invalid learned model: an entry has no field 'assignment'"),
+        (_set("entry", 1, "cpts"), "invalid learned model: an entry is not an object"),
+        (_set([0, 1], 0, "cpts"), "invalid learned model: an entry is not an object"),
+        (_drop("alphabet"), "missing required field 'alphabet'"),
+        (_drop("conditioning_sets"), "missing required field 'conditioning_sets'"),
+        (_drop("cpts"), "missing required field 'cpts'"),
+        (_drop("order"), "missing required field 'order'"),
+        (_set([0, 1, 1], "order"), "invalid learned model: order lists a node twice"),
+        (_drop("0", "conditioning_sets"), "invalid learned model: node 0 of the order has no conditioning set"),
+        (_set([7777], "substituted_nodes"), "invalid learned model: substituted node 7777 must be a node of the order"),
+    ], ids=["unknown_node", "no_row", "no_node", "no_assignment", "string_entry", "list_entry", "no_alphabet",
+            "no_conditioning_sets", "no_cpts", "no_order", "order_repeats_a_node",
+            "no_conditioning_set", "unknown_substituted_node"])
+    def test_eval_names_the_fault(self, tmp_path, capsys, edit, message):
+        raw = json.loads(learned_model_to_json(self.MODEL))
+        edit(raw)
+        path = tmp_path / "learned.json"
+        path.write_text(json.dumps(raw))
+        assert dispatch(["eval", "--learned", str(path), "--assignment", "v1=0"]) == 3
+        assert capsys.readouterr().err == f"input error: {path}:1: {message}\n"
+
+    def test_a_document_that_is_no_object_is_refused(self):
+        with pytest.raises(FormatError, match=r"^<learned>:1: expected a JSON object$"):
+            parse_learned_model_json("[]")
+
+    def test_a_node_without_a_conditioning_set_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^node 0 of the order has no conditioning set$"):
+            BayesNetModel((0, 1), {1: ()}, 2, np.full((2, 2), 0.5), np.zeros(2, dtype=bool))
