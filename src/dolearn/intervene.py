@@ -53,8 +53,11 @@ class InterventionalModel:
 def evaluate_do(im: InterventionalModel, w: dict) -> float:
     """Probability of a full assignment to the non-intervened variables: the
     substituted joint summed over x, in O(n + |alphabet| * |factors reading x|).
-    Raises ValueError when w misses a non-intervened variable or holds a value
-    outside the alphabet, and UnderflowError when the sum has underflowed."""
+    The n factors are first read by a loop or, on a model of
+    learn.GATHER_MIN_STEPS nodes or more, by one array gather; both give the
+    running product's bits. Raises ValueError when w misses a non-intervened
+    variable or holds a value outside the alphabet, and UnderflowError when
+    the sum has underflowed."""
     return im.dx.joint_probability(w, over=im.x_node)
 
 

@@ -8,19 +8,22 @@ results (bits, draws, bytes, accepted and refused files) on random models.
 
 import itertools
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dolearn import learn
 from dolearn.cli import dispatch
-from dolearn.errors import FormatError, StateSpaceError
+from dolearn.errors import FormatError, StateSpaceError, UnderflowError
 from dolearn.graph import random_admg
 from dolearn.intervene import (
     InterventionalModel, build_split_evaluator, evaluate_do, evaluate_split, model_to_dense, sample_do
 )
-from dolearn.learn import BayesNetModel, learned_model_to_json, parse_learned_model_json
+from dolearn.learn import GATHER_MIN_STEPS, BayesNetModel, learned_model_to_json, parse_learned_model_json
 from dolearn.model import DenseDistribution, SampleBatch, _spread, random_cbn, sample_observational
 
 PROPERTY = settings.get_profile("property")
@@ -212,13 +215,15 @@ def reference_parse(text, source="<learned>"):
 
 
 @st.composite
-def sparse_models(draw):
+def sparse_models(draw, large=False):
     """(kwargs, cpts) of a random model: |Σ| in {2, 3}, up to five nodes
-    drawn from range(2n), as in the component models of a split evaluator,
-    rows fitted with a drawn probability (none at all included), and an
-    optional substitution with substituted nodes."""
+    (or, when large, also GATHER_MIN_STEPS to GATHER_MIN_STEPS + 20, which
+    joint_probability fills by its gather) drawn from range(2n), as in the
+    component models of a split evaluator, rows fitted with a drawn
+    probability (none at all included), and an optional substitution with
+    substituted nodes."""
     a = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5) | st.integers(GATHER_MIN_STEPS, GATHER_MIN_STEPS + 20) if large else st.integers(1, 5))
     order = tuple(draw(st.lists(st.integers(0, 2 * n - 1), min_size=n, max_size=n, unique=True)))
     conditioning = {}
     for i, v in enumerate(order):
@@ -256,6 +261,34 @@ def both(case):
     return from_cpts(cpts, **kwargs), ReferenceModel(cpts=cpts, **kwargs)
 
 
+DROP = object()
+# Values an assignment may hold besides a symbol: 1.0, Fraction(1) and
+# Decimal(1) equal the symbol 1 but cannot index the store; True, np.int64(1)
+# and numpy's bool can.
+ODD_VALUES = (DROP, True, np.int64(1), np.bool_(True), 1.0, Fraction(1), Decimal(1), -1, 3, "1")
+
+
+def with_fill(model, gather):
+    """A copy of model whose joint_probability fills its factors by the
+    gather when gather holds and by the loop otherwise, whatever its size."""
+    saved = learn.GATHER_MIN_STEPS
+    learn.GATHER_MIN_STEPS = 0 if gather else len(model.order) + 1
+    try:
+        copy = BayesNetModel(model.order, model.conditioning_sets, model.alphabet_size, model.values, model.fitted,
+                             model.x_substitution, model.substituted_nodes, model.names)
+        copy._build_index()  # which reads the cut-over
+    finally:
+        learn.GATHER_MIN_STEPS = saved
+    return copy
+
+
+def evaluation(model, w, over):
+    try:
+        return "ok", model.joint_probability(w, over=over)
+    except (ValueError, UnderflowError) as e:
+        return type(e).__name__, str(e)
+
+
 def full_assignments(model, rng, count):
     width = max(model.order) + 1
     return rng.integers(0, model.alphabet_size, size=(count, width))
@@ -267,7 +300,7 @@ def full_assignments(model, rng, count):
 
 class TestDenseStore:
     @PROPERTY
-    @given(sparse_models(), st.integers(0, 2**32 - 1))
+    @given(sparse_models(large=True), st.integers(0, 2**32 - 1))
     def test_joint_probability_and_evaluate_do_bit_equal(self, case, seed):
         new, ref = both(case)
         rows = full_assignments(new, np.random.default_rng(seed), 20)
@@ -282,6 +315,37 @@ class TestDenseStore:
                 assert evaluate_do(im, w) == reference_evaluate_do(ref, x_node, w)
 
     @PROPERTY
+    @given(sparse_models(large=True), st.data())
+    def test_both_fills_give_the_same_value_or_message(self, case, data):
+        # A drawn assignment with up to three faults: a variable dropped, or a
+        # value that is no symbol or that only compares equal to one.
+        model = from_cpts(case[1], **case[0])
+        w = {v: data.draw(st.integers(0, model.alphabet_size - 1)) for v in model.order}
+        for v in data.draw(st.lists(st.sampled_from(model.order), max_size=3)):
+            odd = data.draw(st.sampled_from(ODD_VALUES))
+            if odd is DROP:
+                w.pop(v, None)
+            else:
+                w[v] = odd
+        over = data.draw(st.none() | st.sampled_from(model.order))
+        gathered, looped = (evaluation(with_fill(model, gather), w, over) for gather in (True, False))
+        assert gathered == looped
+
+    def test_symbols_wider_than_a_byte(self):
+        # A root-only model over 300 symbols, above the cut-over.
+        a, n = 300, GATHER_MIN_STEPS + 5
+        rng = np.random.default_rng(3)
+        nodes = tuple(range(n))
+        cpts = {(v, ()): row for v, row in zip(nodes, rng.dirichlet(np.ones(a), size=n))}
+        kwargs = dict(order=nodes, conditioning_sets=dict.fromkeys(nodes, ()), alphabet_size=a, x_substitution=(0, 7))
+        new, ref = from_cpts(cpts, **kwargs), ReferenceModel(cpts=cpts, **kwargs)
+        for row in rng.integers(0, a, size=(20, n)):
+            w = {v: int(s) for v, s in zip(nodes, row)}
+            assert new.joint_probability(w) == ref.joint_probability(w) > 0.0
+            del w[0]
+            assert evaluate_do(InterventionalModel(new, 0, 7), w) == reference_evaluate_do(ref, 0, w)
+
+    @PROPERTY
     @given(st.integers(3, 6), st.sampled_from([2, 3]), st.integers(0, 2**16))
     def test_evaluate_split_bit_equal(self, n, a, seed):
         # The component models hold node ids that skip x's component or the rest.
@@ -293,7 +357,7 @@ class TestDenseStore:
             assert evaluate_split(ev, w) == reference_evaluate_split(ev, w)
 
     @PROPERTY
-    @given(sparse_models(), st.integers(0, 2**32 - 1), st.integers(1, 200))
+    @given(sparse_models(large=True), st.integers(0, 2**32 - 1), st.integers(1, 200))
     def test_sample_do_draws_identical(self, case, seed, count):
         new, ref = both(case)
         if new.x_substitution is None:

@@ -18,7 +18,7 @@ from dolearn.intervene import (
     model_to_dense,
     sample_do,
 )
-from dolearn.learn import BayesNetModel, exact_do_model, learn_do, practical_threshold
+from dolearn.learn import GATHER_MIN_STEPS, BayesNetModel, exact_do_model, learn_do, practical_threshold
 from dolearn.model import (
     empirical_marginal,
     exact_interventional,
@@ -84,16 +84,30 @@ class TestEvaluateDo:
     ])
     def test_bad_assignment_rejected(self, w, message):
         # A negative symbol used to wrap around to the last one and answer
-        # for the assignment with that symbol in its place.
-        g, cbn = instance(2)
-        batch = sample_observational(cbn, 3000, seed=1)
-        model = learn_do(batch, g, 0, 1, t=10)
-        with pytest.raises(ValueError, match=message):
-            evaluate_do(InterventionalModel(model, 0, 1), w)
-        with pytest.raises(ValueError, match=message):
-            model.joint_probability({**w, 0: 1})
-        with pytest.raises(ValueError, match=message):
-            evaluate_split(build_split_evaluator(batch, g, 0, 1, t=10), w)
+        # for the assignment with that symbol in its place. The model of
+        # GATHER_MIN_STEPS + 10 nodes, and its split evaluator's tail, are
+        # filled by the gather.
+        for n in (5, GATHER_MIN_STEPS + 10):
+            g, cbn = instance(2, n=n)
+            w = {**w, **dict.fromkeys(range(5, n), 0)}
+            batch = sample_observational(cbn, 3000, seed=1)
+            model = learn_do(batch, g, 0, 1, t=10)
+            with pytest.raises(ValueError, match=message):
+                evaluate_do(InterventionalModel(model, 0, 1), w)
+            with pytest.raises(ValueError, match=message):
+                model.joint_probability({**w, 0: 1})
+            with pytest.raises(ValueError, match=message):
+                evaluate_split(build_split_evaluator(batch, g, 0, 1, t=10), w)
+
+    @pytest.mark.parametrize("n", [5, GATHER_MIN_STEPS + 10])
+    def test_bools_and_numpy_integers_are_symbols(self, n):
+        g, cbn = instance(2, n=n)
+        im = InterventionalModel(learn_do(sample_observational(cbn, 3000, seed=1), g, 0, 1, t=10), 0, 1)
+        w = {v: v % 2 for v in range(1, n)}
+        want = evaluate_do(im, w)
+        assert want > 0.0
+        for kind in (bool, np.int64, np.bool_):
+            assert evaluate_do(im, {v: kind(s) for v, s in w.items()}) == want
 
 
 class TestUnderflow:
@@ -108,7 +122,7 @@ class TestUnderflow:
                                           [[0.5, 0.5]] + [[q, 1.0 - q]] * k, x_substitution=(0, 1),
                                           names=tuple(f"v{v}" for v in nodes))
 
-    @pytest.mark.parametrize("k", [31, 40])
+    @pytest.mark.parametrize("k", [31, 40, GATHER_MIN_STEPS + 20])
     def test_a_sum_below_the_normal_range_is_refused(self, k):
         model = self.qk_model(k, 1e-10)
         w = dict.fromkeys(range(1, k + 1), 0)
@@ -121,20 +135,24 @@ class TestUnderflow:
             model.joint_probability({**w, 0: 1})
 
     def test_smallest_values_of_the_normal_range_are_exact(self):
-        model = self.qk_model(30, 1e-10)
-        w = dict.fromkeys(range(1, 31), 0)
-        term = 1.0
-        for factor in [0.5] + [1e-10] * 30:  # a running product in node order
-            term *= factor
-        assert evaluate_do(InterventionalModel(model, 0, 1), w) == model.joint_probability(w, over=0) == term + term
-        assert model.joint_probability({**w, 0: 1}) == term
-        assert term + term == pytest.approx(1e-300)
+        assert 61 >= GATHER_MIN_STEPS  # so the model of 61 nodes is filled by the gather
+        for k, q in ((30, 1e-10), (60, 1e-5)):
+            model = self.qk_model(k, q)
+            w = dict.fromkeys(range(1, k + 1), 0)
+            term = 1.0
+            for factor in [0.5] + [q] * k:  # a running product in node order
+                term *= factor
+            assert evaluate_do(InterventionalModel(model, 0, 1), w) == model.joint_probability(w, over=0) == term + term
+            assert model.joint_probability({**w, 0: 1}) == term
+            assert term + term == pytest.approx(1e-300)
 
     def test_exact_zero_is_returned(self):
         # Every term of the sum over v0 has v1's zero factor.
-        model = self.qk_model(1, 0.0)
-        assert evaluate_do(InterventionalModel(model, 0, 1), {1: 0}) == 0.0
-        assert model.joint_probability({0: 1, 1: 0}) == 0.0
+        for k in (1, GATHER_MIN_STEPS):
+            model = self.qk_model(k, 0.0)
+            w = dict.fromkeys(range(1, k + 1), 0)
+            assert evaluate_do(InterventionalModel(model, 0, 1), w) == 0.0
+            assert model.joint_probability({**w, 0: 1}) == 0.0
 
     def test_split_product_below_the_normal_range_is_refused(self):
         # Head and tail are each 1e-200 and normal; their product is not.

@@ -255,9 +255,25 @@ class TestFaultsNamed:
         (_set([0, 1, 1], "order"), "invalid learned model: order lists a node twice"),
         (_drop("0", "conditioning_sets"), "invalid learned model: node 0 of the order has no conditioning set"),
         (_set([7777], "substituted_nodes"), "invalid learned model: substituted node 7777 must be a node of the order"),
+        # A field of the wrong JSON type; an empty object for cpts used to load
+        # as a model with no fitted rows.
+        (_set({}, "cpts"), "invalid learned model: cpts must be a list of entries"),
+        (_set({"a": 1}, "cpts"), "invalid learned model: cpts must be a list of entries"),
+        (_set(3, "assignment", "cpts", 0),
+         "invalid learned model: the assignment of an entry must be a list of symbols"),
+        (_set(5, "order"), "invalid learned model: order must be a list of node indices"),
+        (_set({"x": []}, "conditioning_sets"),
+         "invalid learned model: conditioning_sets must be an object of node lists keyed by node index"),
+        (_set([], "conditioning_sets"),
+         "invalid learned model: conditioning_sets must be an object of node lists keyed by node index"),
+        (_set(5, "x_substitution"), "invalid learned model: x_substitution must be a [node, symbol] list or null"),
+        (_set(5, "substituted_nodes"), "invalid learned model: substituted_nodes must be a list of node indices"),
+        (_set(5, "names"), "invalid learned model: names must be a list of strings or null"),
     ], ids=["unknown_node", "no_row", "no_node", "no_assignment", "string_entry", "list_entry", "no_alphabet",
             "no_conditioning_sets", "no_cpts", "no_order", "order_repeats_a_node",
-            "no_conditioning_set", "unknown_substituted_node"])
+            "no_conditioning_set", "unknown_substituted_node", "empty_object_cpts", "object_cpts",
+            "number_assignment", "number_order", "conditioning_set_key_no_index", "list_conditioning_sets",
+            "number_x_substitution", "number_substituted_nodes", "number_names"])
     def test_eval_names_the_fault(self, tmp_path, capsys, edit, message):
         raw = json.loads(learned_model_to_json(self.MODEL))
         edit(raw)
