@@ -33,6 +33,10 @@ def is_integer(v) -> bool:
     return type(v) is int or isinstance(v, np.integer)
 
 
+def is_symbol(s, alphabet: int) -> bool:
+    return is_integer(s) and 0 <= s < alphabet
+
+
 def require_names(names: Iterable[str]) -> None:
     """Refuse a name that the command line cannot address: assignments and
     target lists are split at commas and equals signs, each part is stripped
@@ -214,11 +218,13 @@ def topological_order(g: Admg) -> list[int]:
     return list(g._topo)
 
 
-def require_nodes(g: Admg, nodes: Iterable[int]) -> None:
-    """Raise ValueError unless every node is an index of g."""
+def require_nodes(g: Admg, nodes: Iterable[int]) -> list[int]:
+    """The nodes as ints; ValueError unless each is an int or numpy integer index of g."""
+    nodes = list(nodes)
     for v in nodes:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node index {v} out of range")
+        if not (is_integer(v) and 0 <= v < g.node_count):
+            raise ValueError(f"node index {v!r} out of range" if is_integer(v) else f"node {v!r} is not a node index")
+    return list(map(int, nodes))
 
 
 def c_components(g: Admg) -> CComponentPartition:
@@ -228,8 +234,7 @@ def c_components(g: Admg) -> CComponentPartition:
 
 def parent_sets(g: Admg, s: Iterable[int]) -> tuple[frozenset, frozenset, frozenset]:
     """Directed parents of a node set: (Pa, Pa ∪ S, Pa \\ S)."""
-    s = frozenset(int(v) for v in s)
-    require_nodes(g, s)
+    s = frozenset(require_nodes(g, s))
     pa = frozenset(u for v in s for u in g._parents[v])
     return pa, pa | s, pa - s
 
@@ -289,8 +294,7 @@ def latent_project(g: Admg, keep: Iterable[int]) -> Admg:
     dropped interior (a direct edge counts); bidirected {i, j} iff one hidden
     variable reaches both i and j by directed paths through dropped nodes only.
     """
-    kept = sorted(set(int(v) for v in keep))
-    require_nodes(g, kept)
+    kept = sorted(set(require_nodes(g, keep)))
     index_of = {v: i for i, v in enumerate(kept)}
     # reach[v]: the kept node v itself, or the kept nodes a dropped v reaches
     # through dropped nodes; children come before parents in reverse order.
@@ -314,8 +318,7 @@ def latent_project(g: Admg, keep: Iterable[int]) -> Admg:
 
 def prune_to_ancestors(g: Admg, f: Iterable[int]) -> InducedSubgraph:
     """Induced sub-ADMG on the directed ancestors of f, f included."""
-    keep = set(int(v) for v in f)
-    require_nodes(g, keep)
+    keep = set(require_nodes(g, f))
     stack = list(keep)
     while stack:
         v = stack.pop()
@@ -350,10 +353,9 @@ def reduce_for_marginal(g: Admg, x: int, f: Iterable[int]) -> MarginalReduction:
     positivity carries over, as its margin is over the same parent closure.
     The report holds the in-degree and component sizes with their bounds.
     """
-    f = frozenset(int(v) for v in f)
+    f = frozenset(require_nodes(g, f))
     if x in f:
         raise ValueError("f must not contain the intervened variable")
-    require_nodes(g, f)
     require_identifiable(g, x)
     s1 = g._partition.component_containing(x)
     _, pa_plus, _ = parent_sets(g, s1)

@@ -13,21 +13,12 @@ import numpy as np
 
 from .errors import StateSpaceError
 from .graph import (
-    Admg,
-    c_components,
-    parent_sets,
-    prune_to_ancestors,
-    reduce_for_marginal,
-    require_identifiable,
+    Admg, c_components, is_integer, parent_sets, prune_to_ancestors, reduce_for_marginal, require_identifiable,
     require_nodes,
 )
 from .learn import (
-    BayesNetModel,
-    count_threshold,
-    exact_ccomponent_model,
-    learn_ccomponent_intervention,
-    learn_do,
-    require_normal,
+    BayesNetModel, count_threshold, exact_ccomponent_model, learn_ccomponent_intervention, learn_do,
+    require_assignment, require_normal,
 )
 from .model import (
     DenseDistribution, SampleBatch, _draw_ancestral, _product, derived_seed, empirical_marginal,
@@ -53,11 +44,10 @@ class InterventionalModel:
 def evaluate_do(im: InterventionalModel, w: dict) -> float:
     """Probability of a full assignment to the non-intervened variables: the
     substituted joint summed over x, in O(n + |alphabet| * |factors reading x|).
-    The n factors are first read by a loop or, on a model of
-    learn.GATHER_MIN_STEPS nodes or more, by one array gather; both give the
-    running product's bits. Raises ValueError when w misses a non-intervened
-    variable or holds a value outside the alphabet, and UnderflowError when
-    the sum has underflowed."""
+    A symbol may be of any integer type (a SampleBatch row's uint8 included)
+    or numpy's bool. Both fills give the running product's bits. Raises the
+    ValueError of learn.require_assignment for the first fault of w, and
+    UnderflowError when the sum has underflowed."""
     return im.dx.joint_probability(w, over=im.x_node)
 
 
@@ -78,9 +68,10 @@ def sample_do(im: InterventionalModel, count: int, seed: int = 0) -> SampleBatch
 
 def model_to_dense(model: BayesNetModel, keep: Iterable[int]) -> DenseDistribution:
     """Exact enumeration of the model's joint, marginalized to keep."""
-    keep = set(int(v) for v in keep)
-    if keep - set(model.order):
-        raise ValueError(f"unknown variables {sorted(keep - set(model.order))}")
+    keep = set(keep)
+    unknown = [v for v in keep if not (is_integer(v) and v in model._blocks)]  # 1.5 and true find no node
+    if unknown:
+        raise ValueError(f"unknown variables {unknown}")
     ids = tuple(sorted(model.order))
     a = model.alphabet_size
     sizes = (a,) * len(ids)
@@ -162,15 +153,15 @@ def build_split_evaluator_exact(p: DenseDistribution, g: Admg, x_node: int, x_va
 
 def evaluate_split(ev: SplitDoEvaluator, w: dict) -> float:
     """Head table summed over the intervened coordinate times the tail table.
+    The head table is looked up by the border's values as given; when that
+    fails, require_assignment names the first fault or gives them as ints.
     Raises ValueError for the assignments evaluate_do refuses, and
     UnderflowError when the head, the tail or their product has underflowed."""
-    for v in ev.border_vars:  # the head table is looked up by these values; joint_probability checks the rest
-        if v not in w:
-            raise ValueError(f"the assignment gives no value to variable {v}")
-        if w[v] not in range(ev.alphabet_size):
-            raise ValueError(f"value {w[v]!r} of variable {v} lies outside the alphabet of size {ev.alphabet_size}")
+    try:
+        head_model = ev.head_tables[tuple(w[v] for v in ev.border_vars)]
+    except (KeyError, TypeError):
+        head_model = ev.head_tables[tuple(require_assignment(w, ev.border_vars, ev.alphabet_size).values())]
     head = {v: w[v] for v in ev.head_vars if v in w}
-    head_model = ev.head_tables[tuple(w[v] for v in ev.border_vars)]
     head_val = head_model.joint_probability(head, over=ev.x_node)
     # The head's values index the tail tables once the head model has taken them.
     tail = {v: w[v] for v in ev.border_vars + ev.tail_vars if v in w}
@@ -209,10 +200,9 @@ def learn_marginal_do(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     t = count_threshold(g, t)
-    f = tuple(sorted(set(int(v) for v in f)))
+    f = tuple(sorted(set(require_nodes(g, f))))
     if x_node in f:
         raise ValueError("f must not contain the intervened variable")
-    require_nodes(g, f)
 
     if via_generator:
         model = learn_do(samples, g, x_node, x_val, t)

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import FormatError, StateSpaceError, UnderflowError
 from .files import decode_json, list_template, read_text, require_fields, write_text
 from .graph import (
-    Admg, c_components, effective_parents, is_integer, parent_sets, require_identifiable, require_names,
-    topological_order,
+    Admg, c_components, effective_parents, is_integer, is_symbol, parent_sets, require_identifiable, require_names,
+    require_nodes, topological_order,
 )
 from .identify import conditional_table
 from .model import (
@@ -138,7 +138,7 @@ class BayesNetModel:
             raise ValueError("names must be distinct strings naming every node in the order")
         if self.x_substitution is not None:
             x_node, x_val = self.x_substitution
-            if not (_is_node(x_node) and x_node in pos and _is_symbol(x_val, self.alphabet_size)):
+            if not (_is_node(x_node) and x_node in pos and is_symbol(x_val, self.alphabet_size)):
                 raise ValueError(f"x_substitution {self.x_substitution} must pair a node of the order with a symbol")
             for node in self.substituted_nodes:
                 if not (_is_node(node) and node in pos):  # true and 1.0 would find node 1
@@ -162,7 +162,7 @@ class BayesNetModel:
         self.values.flags.writeable = False
         self.fitted.flags.writeable = False
         self._blocks = blocks
-        self._steps = self._reading = self._cells = self._symbols = self._gather = None  # see _build_index
+        self._steps = self._reading = self._cells = self._gather = None  # see _build_index
 
     @classmethod
     def from_entries(
@@ -237,13 +237,14 @@ class BayesNetModel:
     def joint_probability(self, assignment: Mapping, over: Optional[int] = None) -> float:
         """Probability of a full assignment over this model's variables or,
         given the node over, the joint summed over its values, refilling only
-        the factors that read over after the first. The first fill is one
-        array gather on a model of GATHER_MIN_STEPS nodes or more and a loop
-        over the steps below it; both read the same cells. Terms multiply in
-        node order through math.prod, as a running product does: np.prod or
-        logs would move the last bits. Raises ValueError when the assignment
-        misses a variable or holds a value outside the alphabet, or over is
-        not a node of the model, and UnderflowError."""
+        the factors that read over after the first. The first fill (one array
+        gather from GATHER_MIN_STEPS nodes up, a loop over the steps below)
+        checks nothing; when it fails, require_assignment names the first
+        fault or gives the symbols (of any integer type, or numpy's bool) as
+        ints for the loop. Terms multiply in node order through math.prod, as
+        a running product does: np.prod or logs would move the last bits.
+        Raises ValueError (over not a node, see require_assignment) and
+        UnderflowError."""
         if self._steps is None:  # on the first call, so that loading, learning and sampling never pay for it
             self._build_index()
         steps, cells, gather = self._steps, self._cells, self._gather
@@ -254,14 +255,14 @@ class BayesNetModel:
                 raise ValueError(f"over {over!r} is not a node of the model")
             assignment = dict(assignment)  # a faster copy than {**assignment, over: 0}
             assignment[over] = 0
-        if not self._symbols.issuperset(assignment.values()):
-            alphabet = self._symbols  # read by the generator instead of self, which as a cell would slow every call
-            var, s = next((v, s) for v, s in assignment.items() if s not in alphabet)
-            raise ValueError(f"value {s!r} of variable {var} lies outside the alphabet of size {self.alphabet_size}")
-        if gather is None:
+        try:
+            # No fill reads a key outside the model, and the loop's tuples would read a negative symbol from their end.
+            if len(assignment) != len(steps) or gather is None and steps and min(assignment.values()) < 0:
+                raise KeyError
+            factors = _gather(gather, assignment) if gather else _fill(cells, [0.0] * len(steps), assignment, steps)
+        except (KeyError, TypeError, IndexError, OverflowError):
+            assignment = require_assignment(assignment, self._blocks, self.alphabet_size)
             factors = _fill(cells, [0.0] * len(steps), assignment, steps)
-        else:  # _fill reads what the gather cannot pack, or names the fault
-            factors = _gather(gather, assignment) or _fill(cells, [0.0] * len(steps), assignment, steps)
         total = math.prod(factors, start=1.0)
         for value in range(1, self.alphabet_size) if over is not None else ():
             assignment[over] = value
@@ -276,42 +277,37 @@ class BayesNetModel:
 
     def _build_index(self) -> None:
         """Build what joint_probability reads. Step pos reads node v's factor
-        as one cell of the flat store: base + w[v] plus stride * w[u] over
-        v's conditioning set. _steps holds (pos, v, base, ((u, stride), ...))
-        per node, in order; _reading, per node, its own step and those of the
-        nodes conditioning on it; _cells, the flat store as a view, which
-        copies nothing where a list would cost 32+ bytes per entry; _gather,
-        _gather_index's on a model of GATHER_MIN_STEPS nodes or more."""
+        at the cell own[w[v]] plus term[w[u]] over v's conditioning set: own
+        holds v's base plus each symbol, term (one per stride) each symbol
+        times u's stride, so any integer type reads an int. _steps holds (pos,
+        v, own, ((u, term), ...)) per node, in order; _reading, per node, its
+        own step and those of the nodes conditioning on it; _cells, the flat
+        store as a view, which copies nothing where a list would cost 32+
+        bytes per entry; _gather, _gather_index's from GATHER_MIN_STEPS nodes."""
         a, order = self.alphabet_size, self.order
         sets = [self.conditioning_sets[v] for v in order]
-        # Member j of a conditioning set of k reads stride a^(k - j).
-        strides = [tuple(a**j for j in range(k, 0, -1)) for k in range(max(map(len, sets), default=0) + 1)]
+        # terms[j] holds s * a^j per symbol s; member j of a conditioning set of k reads terms[k - j].
+        terms = [tuple(range(0, a**j * a, a**j)) for j in range(max(map(len, sets), default=0) + 1)]
         bases = [self._blocks[v].start * a for v in order]
-        steps = tuple(zip(range(len(order)), order, bases, [tuple(zip(z, strides[len(z)])) for z in sets]))
+        owns = [tuple(range(base, base + a)) for base in bases]
+        steps = tuple(zip(range(len(order)), order, owns, [tuple(zip(z, terms[len(z):0:-1])) for z in sets]))
         self._reading = {v: [step] for v, step in zip(order, steps)}  # a node's own step precedes those that read it
         for step in steps:
             for u, _ in step[3]:
                 self._reading[u].append(step)
-        self._cells, self._symbols = memoryview(self.values.reshape(-1)), frozenset(range(a))
+        self._cells = memoryview(self.values.reshape(-1))
         self._gather = _gather_index(order, sets, bases, a, self.values) if len(order) >= GATHER_MIN_STEPS else None
         self._steps = steps
 
 
 def _fill(cells: memoryview, factors: list, assignment: Mapping, steps) -> list:
-    """factors, with each given step's factor at an in-alphabet assignment
-    written in. The first step whose node is missing, or holds a value that
-    cannot index the store, is refused."""
-    try:
-        for pos, node, base, terms in steps:
-            i = base + assignment[node]
-            for u, stride in terms:
-                i += stride * assignment[u]
-            factors[pos] = cells[i]
-    except KeyError as e:
-        raise ValueError(f"the assignment gives no value to variable {e.args[0]}") from None
-    except TypeError:  # a value such as 1.0 equals a symbol but cannot index the store
-        var, s = next((v, s) for v, s in assignment.items() if not isinstance(s, (int, np.integer)))
-        raise ValueError(f"value {s!r} of variable {var} is not an integer symbol") from None
+    """factors, with each given step's factor written in. A missing node, or
+    a value that is no symbol but for a negative integer, raises."""
+    for pos, node, own, terms in steps:
+        i = own[assignment[node]]
+        for u, term in terms:
+            i += term[assignment[u]]
+        factors[pos] = cells[i]
     return factors
 
 
@@ -320,9 +316,9 @@ def _gather_index(order, sets: list, bases: list, alphabet: int, values: np.ndar
     step i's): the reader of an assignment's values in node order; positions
     and strides (n, 2 + k), k the widest set, such that step i's cell is the
     sum over j of strides[i, j] * w[positions[i, j]], where w is those values
-    followed by a sentinel 1; and the flat store. Column 0 reads the sentinel
-    with the step's base as stride, column 1 the node itself, the rest its
-    conditioning set, padded with the sentinel at stride 0."""
+    followed by a sentinel 1; the flat store; and |Σ|. Column 0 reads the
+    sentinel with the step's base as stride, column 1 the node itself, the
+    rest its conditioning set, padded with the sentinel at stride 0."""
     n = len(order)
     widths = np.fromiter(map(len, sets), np.intp, n)
     at = dict(zip(order, range(n)))
@@ -333,25 +329,38 @@ def _gather_index(order, sets: list, bases: list, alphabet: int, values: np.ndar
     strides[:, 0], strides[:, 1], positions[:, 1] = bases, 1, np.arange(n)
     positions[rows, cols] = np.fromiter(map(at.__getitem__, chain.from_iterable(sets)), np.intp, rows.size)
     strides[rows, cols] = alphabet ** (np.repeat(widths, widths) + 2 - cols)
-    return itemgetter(*order), positions, strides, values.reshape(-1)
+    read = itemgetter(*order) if n > 1 else lambda w: [w[v] for v in order]  # itemgetter(v) returns no tuple
+    return read, positions, strides, values.reshape(-1), alphabet
 
 
-def _gather(gather: tuple, assignment: Mapping) -> Optional[list]:
-    """Every step's factor at an in-alphabet assignment, by one gather from
-    the flat store, or None when the assignment lacks a node or holds a
-    value that does not pack as an integer; _fill then names the fault, or
-    reads a value that indexes the store all the same (numpy's bool)."""
-    values, positions, strides, flat = gather
-    try:
-        # In CPython the unsigned 64-bit typecode packs ints about three times
-        # faster than the narrow ones, and like them refuses 1.0, Fraction and
-        # Decimal.
-        w = array("Q", values(assignment))
-    except (KeyError, TypeError):
-        return None
+def _gather(gather: tuple, assignment: Mapping) -> list:
+    """Every step's factor, by one gather from the flat store. A missing node,
+    or a value that is no symbol, raises."""
+    values, positions, strides, flat, alphabet = gather
+    # CPython packs ints into the unsigned 64-bit typecode about three times
+    # faster than into the narrow ones; all refuse 1.0, Fraction and Decimal.
+    w = array("Q", values(assignment))
     w.append(1)
-    cells = np.einsum("ij,ij->i", strides, np.frombuffer(w, dtype=np.int64)[positions])
-    return flat[cells].tolist()
+    w = np.frombuffer(w, dtype=np.uint64)
+    if w[:-1].max(initial=0) >= alphabet:
+        raise IndexError
+    return flat[np.einsum("ij,ij->i", strides, w.view(np.int64)[positions])].tolist()
+
+
+def require_assignment(assignment: Mapping, nodes, alphabet: int) -> dict:
+    """The values of nodes in assignment as ints, or ValueError naming its
+    first fault: a value equal to no symbol (in the assignment's order), a
+    node without a value (in nodes' order), a node's non-integer value (1.0)."""
+    for var, s in assignment.items():
+        if s not in range(alphabet):
+            raise ValueError(f"value {s!r} of variable {var} lies outside the alphabet of size {alphabet}")
+    for v in nodes:
+        if v not in assignment:
+            raise ValueError(f"the assignment gives no value to variable {v}")
+    for var, s in assignment.items():
+        if var in nodes and not isinstance(s, (int, np.integer, np.bool_)):
+            raise ValueError(f"value {s!r} of variable {var} is not an integer symbol")
+    return {v: int(assignment[v]) for v in nodes}
 
 
 def require_normal(p: float, terms: Iterable, names: Optional[Sequence[str]], over: Optional[int]) -> float:
@@ -383,7 +392,7 @@ def _name_first_fault(blocks: dict, conditioning_sets: dict, alphabet: int, node
             raise ValueError(f"node {node!r} of an entry must be a node index")
         if len(assignment) != len(conditioning_sets[node]):
             raise ValueError(f"assignment arity mismatch for node {node}")
-        if not all(_is_symbol(s, alphabet) for s in assignment):
+        if not all(is_symbol(s, alphabet) for s in assignment):
             raise ValueError(f"assignment {assignment} for {node} lies outside the alphabet")
         row = np.asarray(row, dtype=float)
         if row.shape != (alphabet,) or first_non_distribution(row[None], 1e-12) is not None:
@@ -393,10 +402,6 @@ def _name_first_fault(blocks: dict, conditioning_sets: dict, alphabet: int, node
 def _integers(values) -> bool:
     """Whether is_integer holds for every value, read from their types."""
     return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
-
-
-def _is_symbol(s, alphabet: int) -> bool:
-    return is_integer(s) and 0 <= s < alphabet
 
 
 def _is_node(v) -> bool:
@@ -487,18 +492,18 @@ def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
     """Keep the union y_set of confounded components and pin each member's
     effective parents outside it to y_bar_1, which must assign exactly the
     directed parents of y_set outside y_set."""
-    y_set = frozenset(int(v) for v in y_set)
+    y_set = frozenset(require_nodes(g, y_set))
     for comp in c_components(g).components:
         hit = y_set.intersection(comp)
         if hit and hit != set(comp):
             raise ValueError(f"y_set splits the confounded component {comp}")
     _, _, pa_minus = parent_sets(g, y_set)
-    given = {int(k): int(v) for k, v in y_bar_1.items()}
+    given = dict(zip(require_nodes(g, y_bar_1), y_bar_1.values()))
     if set(given) != set(pa_minus):
         raise ValueError(f"y_bar_1 must assign exactly the outside parents {sorted(pa_minus)}, got {sorted(given)}")
     for v, val in given.items():
-        if not 0 <= val < g.alphabet_size:
-            raise ValueError(f"assignment {val} to {v} outside alphabet")
+        if not is_symbol(val, g.alphabet_size):  # int() would read 0.9 as 0
+            raise ValueError(f"assignment {val!r} to {v} outside alphabet")
     zs = effective_parents(g)
     order = tuple(v for v in topological_order(g) if v in y_set)
     pins = {v: tuple((u, given[u]) for u in zs[v] if u not in y_set) for v in order}

@@ -20,7 +20,7 @@ from .errors import FormatError, StateSpaceError
 from .files import (
     array_template, decode_json, decode_text, list_template, read_bytes, read_text, require_fields, write_text,
 )
-from .graph import Admg, graph_from_payload, graph_to_json, is_integer, topological_order
+from .graph import Admg, graph_from_payload, graph_to_json, is_integer, is_symbol, topological_order
 
 STATE_SPACE_LIMIT = 2**24
 DRAW_CELL_LIMIT = 2**26  # cells of one draw array: 64 MiB at one byte per symbol
@@ -65,7 +65,9 @@ class DenseDistribution:
         return DenseDistribution(kept, sizes, arr.reshape(-1))
 
     def probability(self, assignment: dict) -> float:
-        idx = tuple(int(assignment[v]) for v in self.variable_ids)
+        idx = tuple(assignment[v] for v in self.variable_ids)
+        if not all(map(is_symbol, idx, self.domain_sizes)):  # int() would read 0.9 as 0, and -1 wraps
+            raise ValueError(f"assignment {assignment} holds a value outside its variable's domain")
         return float(self.as_array()[idx])
 
     def relabel(self, mapping: dict) -> "DenseDistribution":

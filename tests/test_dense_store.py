@@ -263,9 +263,10 @@ def both(case):
 
 DROP = object()
 # Values an assignment may hold besides a symbol: 1.0, Fraction(1) and
-# Decimal(1) equal the symbol 1 but cannot index the store; True, np.int64(1)
-# and numpy's bool can.
-ODD_VALUES = (DROP, True, np.int64(1), np.bool_(True), 1.0, Fraction(1), Decimal(1), -1, 3, "1")
+# Decimal(1) equal the symbol 1 but cannot index the store; True, numpy
+# integers of any width (a SampleBatch holds uint8) and numpy's bool can.
+ODD_VALUES = (DROP, True, np.int64(1), np.bool_(True), np.uint8(1), np.uint16(1), np.int8(-1), 1.0, Fraction(1),
+              Decimal(1), -1, 3, "1")
 
 
 def with_fill(model, gather):
@@ -287,6 +288,22 @@ def evaluation(model, w, over):
         return "ok", model.joint_probability(w, over=over)
     except (ValueError, UnderflowError) as e:
         return type(e).__name__, str(e)
+
+
+def stated_refusal(model, w, over):
+    """The message of the first fault by the stated rule, or None: a value
+    outside the alphabet (in the assignment's order), then a variable
+    without a value (in the model's order), then a value that is not an
+    integer (in the assignment's order)."""
+    if over is not None:
+        w = {**w, over: 0}
+    a = model.alphabet_size
+    faults = [(0, i, f"value {s!r} of variable {v} lies outside the alphabet of size {a}")
+              for i, (v, s) in enumerate(w.items()) if not any(s == symbol for symbol in range(a))]
+    faults += [(1, i, f"the assignment gives no value to variable {v}") for i, v in enumerate(model.order) if v not in w]
+    faults += [(2, i, f"value {s!r} of variable {v} is not an integer symbol") for i, (v, s) in enumerate(w.items())
+               if type(s) not in (int, bool, np.bool_) and not np.issubdtype(type(s), np.integer)]
+    return min(faults)[2] if faults else None
 
 
 def full_assignments(model, rng, count):
@@ -330,6 +347,13 @@ class TestDenseStore:
         over = data.draw(st.none() | st.sampled_from(model.order))
         gathered, looped = (evaluation(with_fill(model, gather), w, over) for gather in (True, False))
         assert gathered == looped
+        # A refused query names its first fault by the stated rule; an
+        # accepted one gives the result of its int twin.
+        message = stated_refusal(model, w, over)
+        if message is None:
+            assert gathered == evaluation(model, {v: int(s) for v, s in w.items()}, over)
+        else:
+            assert gathered == ("ValueError", message)
 
     def test_symbols_wider_than_a_byte(self):
         # A root-only model over 300 symbols, above the cut-over.

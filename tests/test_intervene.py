@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dolearn.errors import StateSpaceError, UnderflowError
-from dolearn.graph import Admg, c_components, parent_sets, random_admg
+from dolearn.graph import (
+    Admg, c_components, latent_project, parent_sets, prune_to_ancestors, random_admg, reduce_for_marginal,
+)
 from dolearn.identify import tian_pearl_do
 from dolearn.intervene import (
     InterventionalModel,
@@ -18,7 +20,9 @@ from dolearn.intervene import (
     model_to_dense,
     sample_do,
 )
-from dolearn.learn import GATHER_MIN_STEPS, BayesNetModel, exact_do_model, learn_do, practical_threshold
+from dolearn.learn import (
+    GATHER_MIN_STEPS, BayesNetModel, exact_do_model, learn_ccomponent_intervention, learn_do, practical_threshold,
+)
 from dolearn.model import (
     empirical_marginal,
     exact_interventional,
@@ -108,6 +112,23 @@ class TestEvaluateDo:
         assert want > 0.0
         for kind in (bool, np.int64, np.bool_):
             assert evaluate_do(im, {v: kind(s) for v, s in w.items()}) == want
+
+    @pytest.mark.parametrize("n", [14, 30, GATHER_MIN_STEPS + 10])
+    def test_sample_rows_read_as_their_int_twins(self, n):
+        # A SampleBatch holds uint8 symbols. The loop, which also refills x's
+        # readers above the gather's cut-over, used to add cell offsets in
+        # uint8 arithmetic and overflow past 255.
+        g, cbn = instance(1, n=n)
+        batch = sample_observational(cbn, 2000, seed=1)
+        model = learn_do(batch, g, 0, 1, t=10)
+        im, ev = InterventionalModel(model, 0, 1), build_split_evaluator(batch, g, 0, 1, t=10)
+        for row in batch.data[:20, batch.positions(range(n))]:
+            w = dict(enumerate(row))
+            twin = {v: int(s) for v, s in w.items()}
+            assert model.joint_probability(w) == model.joint_probability(twin) > 0.0
+            del w[0], twin[0]
+            assert evaluate_do(im, w) == evaluate_do(im, twin)
+            assert evaluate_split(ev, w) == evaluate_split(ev, twin)
 
 
 class TestUnderflow:
@@ -394,3 +415,44 @@ class TestLearnMarginalDo:
 
     def test_generator_count_formula(self):
         assert generator_sample_count(2, 2, 0.1) == 4000
+
+
+class TestNodeAndSymbolArguments:
+    """A node or symbol argument that is not an integer is refused where int()
+    used to truncate it: 1.5 read as node 1, 0.9 as symbol 0 and -1 as the
+    last symbol. On this graph {1, 2} is a confounded component whose one
+    outside parent is 0."""
+
+    @staticmethod
+    def setting():
+        g = random_admg(6, 2, 2, seed=1, identifiable_for=0)
+        batch = sample_observational(random_cbn(g, smoothing=0.25, seed=1), 3000, seed=1)
+        return g, batch, learn_do(batch, g, 0, 1, t=10)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, s, m: parent_sets(g, [1.5]), "node 1.5 is not a node index"),
+        (lambda g, s, m: latent_project(g, [0, 1.5]), "node 1.5 is not a node index"),
+        (lambda g, s, m: prune_to_ancestors(g, [1.5]), "node 1.5 is not a node index"),
+        (lambda g, s, m: reduce_for_marginal(g, 0, [2.5]), "node 2.5 is not a node index"),
+        (lambda g, s, m: learn_marginal_do(s, g, 0, 1, [2.7], 10), "node 2.7 is not a node index"),
+        (lambda g, s, m: learn_ccomponent_intervention(s, g, (1.5, 2), {0: 0}, 10), "node 1.5 is not a node index"),
+        (lambda g, s, m: learn_ccomponent_intervention(s, g, (1, 2), {0.5: 0}, 10), "node 0.5 is not a node index"),
+        (lambda g, s, m: learn_ccomponent_intervention(s, g, (1, 2), {0: 0.9}, 10), "assignment 0.9 to 0 outside"),
+        (lambda g, s, m: model_to_dense(m, [1.5]), r"unknown variables \[1.5\]"),
+        (lambda g, s, m: model_to_dense(m, [1]).probability({1: 0.9}), "outside its variable's domain"),
+        (lambda g, s, m: model_to_dense(m, [1]).probability({1: -1}), "outside its variable's domain"),
+    ], ids=["parent_sets", "latent_project", "prune_to_ancestors", "reduce_for_marginal", "learn_marginal_do",
+            "y_set", "y_bar_1_node", "y_bar_1_symbol", "model_to_dense", "probability", "negative_probability"])
+    def test_non_integers_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(*self.setting())
+
+    def test_numpy_integers_are_accepted(self):
+        g, s, m = self.setting()
+        one, two = np.int64(1), np.uint8(2)
+        assert parent_sets(g, [one]) == parent_sets(g, [1])
+        assert np.array_equal(model_to_dense(m, [one]).mass, model_to_dense(m, [1]).mass)
+        assert model_to_dense(m, [1]).probability({1: one}) == model_to_dense(m, [1]).probability({1: 1})
+        assert np.array_equal(learn_marginal_do(s, g, 0, 1, [two], 10).mass, learn_marginal_do(s, g, 0, 1, [2], 10).mass)
+        assert np.array_equal(learn_ccomponent_intervention(s, g, (one, two), {np.int64(0): one}, 10).values,
+                              learn_ccomponent_intervention(s, g, (1, 2), {0: 1}, 10).values)
