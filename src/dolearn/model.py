@@ -2,8 +2,9 @@
 
 Hidden structure follows the one-confounder-per-bidirected-edge convention:
 each hidden variable is a root with exactly the two endpoints of its edge as
-children. Exact operations enumerate the full product space and refuse spaces
-above STATE_SPACE_LIMIT cells so the oracle stays honest.
+children. Exact operations enumerate the product space they build (the
+interventional oracle leaves the intervened variable's axis out) and refuse
+spaces above STATE_SPACE_LIMIT cells so the oracle stays honest.
 """
 
 from __future__ import annotations
@@ -20,10 +21,22 @@ from .errors import FormatError, StateSpaceError
 from .files import (
     array_template, decode_json, decode_text, list_template, read_bytes, read_text, require_fields, write_text,
 )
-from .graph import Admg, graph_from_payload, graph_to_json, is_integer, is_symbol, topological_order
+from .graph import (
+    Admg, graph_from_payload, graph_to_json, is_integer, is_symbol, require_nodes, topological_order,
+)
 
 STATE_SPACE_LIMIT = 2**24
 DRAW_CELL_LIMIT = 2**26  # cells of one draw array: 64 MiB at one byte per symbol
+
+
+def _require_ids(ids: Iterable[int]) -> tuple[int, ...]:
+    """The variable ids as ints; ValueError unless each is an int or numpy
+    integer, as int() would read 1.5 and True as variable 1."""
+    ids = tuple(ids)
+    for v in ids:
+        if not is_integer(v):
+            raise ValueError(f"variable {v!r} is not a node index")
+    return tuple(map(int, ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +52,7 @@ class DenseDistribution:
     mass: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "variable_ids", tuple(int(v) for v in self.variable_ids))
+        object.__setattr__(self, "variable_ids", _require_ids(self.variable_ids))
         object.__setattr__(self, "domain_sizes", tuple(int(s) for s in self.domain_sizes))
         mass = np.asarray(self.mass, dtype=float).reshape(-1)
         object.__setattr__(self, "mass", mass)
@@ -55,7 +68,7 @@ class DenseDistribution:
         return self.mass.reshape(self.domain_sizes)
 
     def marginal(self, keep: Iterable[int]) -> "DenseDistribution":
-        keep = set(int(v) for v in keep)
+        keep = set(_require_ids(keep))
         axes = tuple(i for i, v in enumerate(self.variable_ids) if v not in keep)
         kept = tuple(v for v in self.variable_ids if v in keep)
         if keep - set(self.variable_ids):
@@ -72,7 +85,7 @@ class DenseDistribution:
 
     def relabel(self, mapping: dict) -> "DenseDistribution":
         """Rename variables; the new ids must preserve the current ordering."""
-        new_ids = tuple(int(mapping[v]) for v in self.variable_ids)
+        new_ids = _require_ids(mapping[v] for v in self.variable_ids)
         if list(new_ids) != sorted(new_ids):
             raise ValueError("relabeling must preserve ascending id order")
         return DenseDistribution(new_ids, self.domain_sizes, self.mass)
@@ -360,57 +373,67 @@ def _spread(table: np.ndarray, table_ids, target_ids, target_sizes) -> np.ndarra
 
 def _product(factors, target_ids, target_sizes) -> np.ndarray:
     """Product over the target space of (table, ids) factors, multiplied in
-    the order given."""
+    the order given, in place into one buffer."""
     out = np.ones(target_sizes or (1,))
     for table, ids in factors:
-        out = out * _spread(table, ids, target_ids, target_sizes)
+        out *= _spread(table, ids, target_ids, target_sizes)
     return out
 
 
-def _full_joint(cbn: GroundTruthCbn, skip_node: Optional[int] = None) -> tuple[np.ndarray, int]:
-    """Product of all factors (optionally omitting one node's own factor)
-    over the axes (observables 0..n-1, hidden variables after)."""
+def _full_joint(cbn: GroundTruthCbn, pin: Optional[tuple[int, int]] = None) -> DenseDistribution:
+    """Distribution over the observables of the product of all factors, built
+    over the axes (observables ascending, hidden variables after) with the
+    hidden ones then summed out. Given pin = (x, x_val), x's own table is left
+    out and each factor that reads x is sliced at x_val, so x gets no axis:
+    each cell gets, in the same order, the multiplications it gets in the
+    X = x_val slice of the whole product, which is never built."""
     g = cbn.graph
     n, h = g.node_count, cbn.hidden_count
-    sizes = [g.alphabet_size] * n + [cbn.hidden_domain] * h
+    x, x_val = pin if pin is not None else (None, None)
+    observed = tuple(v for v in range(n) if v != x)
+    sizes = [g.alphabet_size] * len(observed) + [cbn.hidden_domain] * h
     require_state_space(sizes)
-    factors = [(prior, [n + e]) for e, prior in enumerate(cbn.hidden_priors)]
-    factors += [
-        (table, [*g.parents(v), *(n + e for e in cbn.hidden_parents[v]), v])
-        for v, table in enumerate(cbn.tables)
-        if v != skip_node
-    ]
-    return _product(factors, range(n + h), sizes), n
+
+    def factors():
+        for e, prior in enumerate(cbn.hidden_priors):
+            yield prior, [n + e]
+        for v, table in enumerate(cbn.tables):
+            if v == x:
+                continue
+            ids = [*g.parents(v), *(n + e for e in cbn.hidden_parents[v]), v]
+            if x in ids:
+                axis = ids.index(x)
+                table = np.take(table, x_val, axis=axis)
+                del ids[axis]
+            yield table, ids
+
+    joint = _product(factors(), [*observed, *range(n, n + h)], sizes)
+    if h:
+        joint = joint.sum(axis=tuple(range(joint.ndim - h, joint.ndim)))
+    return DenseDistribution(observed, (g.alphabet_size,) * len(observed), joint.reshape(-1))
 
 
 def exact_observational(cbn: GroundTruthCbn) -> DenseDistribution:
     """Exact observational distribution: hidden variables marginalized out."""
-    joint, n = _full_joint(cbn)
-    obs = joint.sum(axis=tuple(range(n, joint.ndim))) if joint.ndim > n else joint
-    g = cbn.graph
-    return DenseDistribution(tuple(range(n)), (g.alphabet_size,) * n, obs.reshape(-1))
+    return _full_joint(cbn)
 
 
 def exact_interventional(cbn: GroundTruthCbn, x_node: int, x_val: int) -> DenseDistribution:
     """Truncated factorization: drop x's mechanism, pin x, marginalize hidden.
 
-    This is the oracle; it never consults the identification formulas.
+    This is the oracle; it never consults the identification formulas. It
+    enumerates |Σ|^(n-1)·|H|^h states and never builds x's axis.
     """
     g = cbn.graph
-    if not 0 <= x_val < g.alphabet_size:
-        raise ValueError(f"x_val {x_val} outside alphabet")
-    joint, n = _full_joint(cbn, skip_node=x_node)
-    joint = np.take(joint, x_val, axis=x_node)
-    hidden_axes = tuple(range(n - 1, joint.ndim))
-    if hidden_axes:
-        joint = joint.sum(axis=hidden_axes)
-    ids = tuple(v for v in range(n) if v != x_node)
-    return DenseDistribution(ids, (g.alphabet_size,) * (n - 1), joint.reshape(-1))
+    (x_node,) = require_nodes(g, [x_node])
+    if not is_symbol(x_val, g.alphabet_size):
+        raise ValueError(f"x_val {x_val!r} is not a symbol of the alphabet [0, {g.alphabet_size})")
+    return _full_joint(cbn, pin=(x_node, int(x_val)))
 
 
 def strong_positivity_margin(p: DenseDistribution, s: Iterable[int]) -> float:
     """Smallest marginal mass over assignments of s; 1.0 when s is empty."""
-    s = tuple(sorted(set(int(v) for v in s)))
+    s = tuple(sorted(set(_require_ids(s))))
     if not s:
         return 1.0
     return float(p.marginal(s).mass.min())
@@ -612,7 +635,7 @@ def save_samples(batch: SampleBatch, names: Sequence[str], path: str) -> None:
 
 def empirical_marginal(batch: SampleBatch, keep: Sequence[int], domain_size: int) -> DenseDistribution:
     """Empirical distribution of the kept columns."""
-    keep = tuple(sorted(int(v) for v in keep))
+    keep = tuple(sorted(_require_ids(keep)))
     total = require_state_space([domain_size] * len(keep))
     batch.require_symbols(domain_size)
     key = _encode(batch.data, batch.positions(keep), domain_size)

@@ -55,6 +55,31 @@ class TestDenseDistribution:
         d = dense([2, 5], [2, 2], [0.1, 0.2, 0.3, 0.4])
         assert d.probability({2: 1, 5: 0}) == pytest.approx(0.3)
 
+    # int() used to read each of these as variable 1 (relabel gave ids 0..5).
+    @pytest.mark.parametrize("call, bad", [
+        (lambda d, s: dense([0, 1.5], [2, 2], d.mass), "1.5"),
+        (lambda d, s: d.marginal([1.5]), "1.5"),
+        (lambda d, s: d.marginal([True]), "True"),
+        (lambda d, s: d.relabel({v: v + 0.5 for v in d.variable_ids}), "0.5"),
+        (lambda d, s: strong_positivity_margin(d, [1.5]), "1.5"),
+        (lambda d, s: empirical_marginal(s, [1.5], 2), "1.5"),
+    ], ids=["constructor", "marginal", "marginal_bool", "relabel", "strong_positivity_margin", "empirical_marginal"])
+    def test_non_integer_ids_are_refused(self, call, bad):
+        g = random_admg(6, 2, 2, seed=1, identifiable_for=0)
+        cbn = random_cbn(g, smoothing=0.25, seed=1)
+        with pytest.raises(ValueError, match=f"variable {bad} is not a node index"):
+            call(exact_observational(cbn), sample_observational(cbn, 3000, seed=1))
+
+    def test_numpy_integer_ids_are_read_as_ints(self):
+        d = dense([0, 1], [2, 2], [0.1, 0.2, 0.3, 0.4])
+        one = np.uint8(1)
+        assert d.marginal([one]).variable_ids == (1,)
+        assert np.array_equal(d.marginal([one]).mass, d.marginal([1]).mass)
+        assert d.relabel({0: np.int64(3), 1: np.int64(7)}).variable_ids == (3, 7)
+        assert strong_positivity_margin(d, [one]) == strong_positivity_margin(d, [1])
+        batch = SampleBatch((0, 1), np.array([[0, 1], [1, 1]], dtype=np.uint8))
+        assert empirical_marginal(batch, [one], 2).variable_ids == (1,)
+
 
 class TestDistances:
     def test_identical_is_zero(self):
