@@ -334,7 +334,7 @@ def _cmd_experiment(args) -> int:
                            required=False) or False
         try:  # the hard family's own range checks, on every instance the sweep builds
             for alpha in alphas:
-                exp.HardInstanceSpec(n_effect, alpha, epsilon, ((1,) * n_effect,), confounded=confounded)
+                exp.HardInstanceSpec(n_effect, alpha, epsilon, (1,) * n_effect, confounded=confounded)
         except ValueError as e:
             raise FormatError(f"{args.spec}:1: {e}") from None
         result = exp.alpha_sweep_experiment(alphas, n_effect, epsilon, m, trials, seed, t, confounded)

@@ -1,4 +1,4 @@
-"""Hard-instance families and scripted convergence/scaling experiments.
+"""The hard-instance family and scripted convergence/scaling experiments.
 
 The hard family has a source-or-confounded pair (Z, X) with a rare
 disagreement event of probability alpha, and n effect variables whose biases
@@ -18,13 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GenerationError
 from .graph import Admg
 from .intervene import model_to_dense
 from .learn import learn_do
 from .model import (
     GroundTruthCbn,
-    _decode,
     derived_seed,
     exact_interventional,
     sample_observational,
@@ -41,17 +39,13 @@ TV_BRACKET_LOW = 1.0 / 8.0
 
 @dataclass(frozen=True)
 class HardInstanceSpec:
-    """Parameters of one hard instance.
-
-    codewords holds exactly 2**control_degree bit-vectors of length
-    n_effect_vars; without control variables that is a single codeword.
-    """
+    """Parameters of one hard instance; codeword is a bit-vector of length
+    n_effect_vars."""
 
     n_effect_vars: int
     alpha: float
     epsilon: float
-    codewords: tuple[tuple[int, ...], ...]
-    control_degree: int = 0
+    codeword: tuple[int, ...]
     confounded: bool = False
 
     def __post_init__(self):
@@ -62,11 +56,8 @@ class HardInstanceSpec:
             raise ValueError("alpha must lie in (0, 1/2]")
         if self.epsilon <= 0 or self.epsilon / math.sqrt(n) > 0.25:
             raise ValueError("epsilon must be positive with epsilon/sqrt(n) <= 1/4")
-        if len(self.codewords) != 2**self.control_degree:
-            raise ValueError(f"expected {2 ** self.control_degree} codewords")
-        for word in self.codewords:
-            if len(word) != n or any(b not in (0, 1) for b in word):
-                raise ValueError("codewords must be bit-vectors of length n_effect_vars")
+        if len(self.codeword) != n or any(b not in (0, 1) for b in self.codeword):
+            raise ValueError("codeword must be a bit-vector of length n_effect_vars")
 
     @property
     def bias(self) -> float:
@@ -76,87 +67,35 @@ class HardInstanceSpec:
 def build_hard_instance(spec: HardInstanceSpec) -> GroundTruthCbn:
     """Materialize the hard instance as a fully specified binary model.
 
-    Nodes: Z, X, the control variables, then the effect variables. Z is a
-    uniform source (or a copy of the hidden confounder), X disagrees with it
-    with probability alpha, and each effect variable is biased by the active
-    codeword only when X and Z disagree.
+    Nodes: Z, X, then the effect variables. Z is a uniform source (or a copy
+    of the hidden confounder), X disagrees with it with probability alpha,
+    and each effect variable is biased by the codeword only when X and Z
+    disagree.
     """
     n = spec.n_effect_vars
-    d = spec.control_degree
-    z_id, x_id = 0, 1
-    w_ids = list(range(2, 2 + d))
-    y_ids = list(range(2 + d, 2 + d + n))
-    names = ["Z", "X"] + [f"W{i + 1}" for i in range(d)] + [f"Y{j + 1}" for j in range(n)]
-    directed = []
-    for y in y_ids:
-        directed.append((z_id, y))
-        directed.append((x_id, y))
-        for w in w_ids:
-            directed.append((w, y))
-    bidirected = []
-    if spec.confounded:
-        bidirected.append((z_id, x_id))
-    else:
-        directed.append((z_id, x_id))
+    directed = [(u, y) for y in range(2, 2 + n) for u in (0, 1)]
+    bidirected = [(0, 1)] if spec.confounded else []
+    if not spec.confounded:
+        directed.append((0, 1))
     g = Admg(
-        node_count=2 + d + n,
-        names=names,
+        node_count=2 + n,
+        names=["Z", "X"] + [f"Y{j + 1}" for j in range(n)],
         alphabet_size=2,
         directed_edges=directed,
         bidirected_edges=bidirected,
     )
     a = spec.alpha
-    s = spec.bias
     flip = np.array([[1.0 - a, a], [a, 1.0 - a]])  # row u: P(X = 1-u) = alpha
     uniform = np.array([0.5, 0.5])
     # Z copies the hidden confounder or is a uniform source; X flips what Z
     # reads with probability alpha.
-    priors = (uniform.copy(),) if spec.confounded else ()
-    tables = [np.eye(2) if spec.confounded else uniform.copy(), flip]
-    tables += [uniform.copy() for _ in w_ids]
-    for j, y in enumerate(y_ids):
-        shape = (2, 2) + (2,) * d + (2,)
-        table = np.empty(shape)
-        for z_val in (0, 1):
-            for x_val in (0, 1):
-                for w_key in range(2**d):
-                    w_vals = _decode(w_key, (2,) * d)
-                    if x_val != z_val:
-                        sign = 1.0 if spec.codewords[w_key][j] else -1.0
-                        p1 = 0.5 + sign * s
-                    else:
-                        p1 = 0.5
-                    table[(z_val, x_val) + w_vals] = [1.0 - p1, p1]
+    priors = (uniform,) if spec.confounded else ()
+    tables = [np.eye(2) if spec.confounded else uniform, flip]
+    for p1 in _coordinate_biases(spec):
+        table = np.full((2, 2, 2), 0.5)  # axes Z, X, Y
+        table[0, 1] = table[1, 0] = [1.0 - p1, p1]
         tables.append(table)
     return GroundTruthCbn(g, 2, priors, tuple(tables))
-
-
-def random_code(n: int, count: int, min_sep_fraction: float, seed: int = 0, attempts: int = 1000):
-    """Balanced random bit-vectors with a checked pairwise separation: every
-    ordered pair has at least min_sep_fraction * n positions valued (1, 0)."""
-    if count < 2:
-        raise ValueError("count must be at least 2")
-    if not 0.0 < min_sep_fraction <= 0.25:
-        raise ValueError("min_sep_fraction must lie in (0, 1/4]")
-    rng = np.random.default_rng(seed)
-    need = min_sep_fraction * n
-    base = [1] * (n // 2) + [0] * (n - n // 2)
-    for _ in range(attempts):
-        words = [tuple(int(b) for b in rng.permutation(base)) for _ in range(count)]
-        ok = True
-        for c in words:
-            for other in words:
-                if c is other:
-                    continue
-                sep = sum(1 for cb, db in zip(c, other) if cb == 1 and db == 0)
-                if sep < need:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return words
-    raise GenerationError(f"no {count} codewords with separation {min_sep_fraction} found at n={n}")
 
 
 def _kl_bernoulli(p: float, q: float) -> float:
@@ -167,14 +106,11 @@ def _kl_bernoulli(p: float, q: float) -> float:
 
 
 def _coordinate_biases(spec: HardInstanceSpec) -> list[float]:
-    word = spec.codewords[0]
     s = spec.bias
-    return [0.5 + s if bit else 0.5 - s for bit in word]
+    return [0.5 + s if bit else 0.5 - s for bit in spec.codeword]
 
 
 def _check_comparable(a: HardInstanceSpec, b: HardInstanceSpec) -> None:
-    if a.control_degree != 0 or b.control_degree != 0:
-        raise ValueError("exact pairwise distances are implemented for the no-control family")
     if (a.n_effect_vars, a.alpha, a.epsilon, a.confounded) != (b.n_effect_vars, b.alpha, b.epsilon, b.confounded):
         raise ValueError("instances must differ only in their codewords")
 
@@ -199,7 +135,7 @@ def _binomial_tv(l: int, p: float, q: float) -> float:
     return 0.5 * total
 
 
-def interventional_tv(spec_a: HardInstanceSpec, spec_b: HardInstanceSpec, x_val: int = 1) -> float:
+def interventional_tv(spec_a: HardInstanceSpec, spec_b: HardInstanceSpec) -> float:
     """Exact TV between the post-intervention distributions of two instances.
 
     Coordinates where the codewords agree contribute a common factor and drop
@@ -208,7 +144,7 @@ def interventional_tv(spec_a: HardInstanceSpec, spec_b: HardInstanceSpec, x_val:
     """
     _check_comparable(spec_a, spec_b)
     s = spec_a.bias
-    differing = sum(1 for ca, cb in zip(spec_a.codewords[0], spec_b.codewords[0]) if ca != cb)
+    differing = sum(1 for ca, cb in zip(spec_a.codeword, spec_b.codeword) if ca != cb)
     return 0.5 * _binomial_tv(differing, 0.5 + s, 0.5 - s)
 
 
@@ -297,10 +233,10 @@ def alpha_sweep_experiment(
     confounded: bool = False,
 ) -> ExperimentResult:
     """Median learned TV at a fixed budget across positivity levels."""
-    codeword = tuple([1] * n_effect)
+    codeword = (1,) * n_effect
     rows = []
     for alpha in alphas:
-        cbn = build_hard_instance(HardInstanceSpec(n_effect, float(alpha), epsilon, (codeword,), confounded=confounded))
+        cbn = build_hard_instance(HardInstanceSpec(n_effect, float(alpha), epsilon, codeword, confounded=confounded))
         runs = [(m, derived_seed(seed, trial, int(alpha * 10**9))) for trial in range(trials)]
         rows += [(float(alpha), trial, *tv) for trial, tv in enumerate(_learned_tvs(cbn, 1, 1, t, runs))]
     medians, quartiles = _tv_spread(rows, [float(alpha) for alpha in alphas])

@@ -33,6 +33,11 @@ def is_integer(v) -> bool:
     return type(v) is int or isinstance(v, np.integer)
 
 
+def all_integers(values) -> bool:
+    """Whether is_integer holds for every value, read from their types."""
+    return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
+
+
 def is_symbol(s, alphabet: int) -> bool:
     return is_integer(s) and 0 <= s < alphabet
 
@@ -66,6 +71,9 @@ class Admg:
     bidirected_edges: frozenset[tuple[int, int]]
 
     def __init__(self, node_count, names=None, alphabet_size=2, directed_edges=(), bidirected_edges=()):
+        for key, v in (("node_count", node_count), ("alphabet_size", alphabet_size)):
+            if not is_integer(v):  # int() would read 3.7 as 3
+                raise ValueError(f"{key} {v!r} is not an integer")
         n = int(node_count)
         if n <= 0:
             raise ValueError("node_count must be positive")
@@ -75,8 +83,12 @@ class Admg:
         if len(names) != n or len(set(names)) != n:
             raise ValueError("names must be %d distinct identifiers" % n)
         require_names(names)
-        if int(alphabet_size) < 2:
+        if alphabet_size < 2:
             raise ValueError("alphabet_size must be at least 2")
+        directed_edges, bidirected_edges = tuple(directed_edges), tuple(bidirected_edges)
+        ends = list(chain.from_iterable(directed_edges + bidirected_edges))
+        if not all_integers(ends):  # int() would read 0.5 as node 0, and True as node 1
+            raise ValueError(f"edge endpoint {next(v for v in ends if not is_integer(v))!r} is not a node index")
         directed = frozenset((int(i), int(j)) for i, j in directed_edges)
         bidirected = frozenset(tuple(sorted((int(i), int(j)))) for i, j in bidirected_edges)
         parents, children, neighbours = ([[] for _ in range(n)] for _ in range(3))
@@ -281,7 +293,7 @@ def require_identifiable(g: Admg, x: int, x_val: Optional[int] = None) -> None:
     ident = check_identifiability(g, x)
     if not ident:
         raise IdentifiabilityError(f"child {ident.witness} of {x} shares a confounded component with it")
-    if x_val is not None and not 0 <= x_val < g.alphabet_size:
+    if x_val is not None and not is_symbol(x_val, g.alphabet_size):  # np.take would read 0.5 as 0
         raise ValueError(f"x_val {x_val} outside alphabet")
 
 

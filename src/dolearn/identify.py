@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NormalizationError, PositivityError
 from .graph import Admg, c_components, effective_parents, parent_sets, require_identifiable
-from .model import DenseDistribution, _decode, _product, first_non_distribution
+from .model import DenseDistribution, _decode, _pinned, _product, first_non_distribution
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +91,9 @@ def tian_pearl_do(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> Den
         for j in range(len(part.components)):
             q = compute_q_factor(p, g, j)
             arr, ids = q.as_array(), q.variable_ids
-            if x_node in ids:
-                axis = ids.index(x_node)
-                arr = arr.sum(axis=axis) if j == x_comp else np.take(arr, x_val, axis=axis)
-                ids = ids[:axis] + ids[axis + 1 :]
-            yield arr, ids
+            if j == x_comp:
+                arr, ids = arr.sum(axis=ids.index(x_node)), tuple(v for v in ids if v != x_node)
+            yield _pinned(arr, ids, {x_node: x_val})
 
     result = _product(factors(), w_ids, w_sizes)
     if first_non_distribution(result.reshape(1, -1), 1e-9, floor=1e-12) is not None:
@@ -117,13 +115,7 @@ def exact_dx(p: DenseDistribution, g: Admg, x_node: int, x_val: int) -> DenseDis
     sizes = tuple(g.alphabet_size for _ in ids)
 
     def factor(v):
-        z = zs[v]
-        tbl = conditional_table(p, v, z)
-        if v not in s1 and x_node in z:
-            axis = z.index(x_node)
-            tbl = np.take(tbl, x_val, axis=axis)
-            z = z[:axis] + z[axis + 1 :]
-        return tbl, z + (v,)
+        return _pinned(conditional_table(p, v, zs[v]), zs[v] + (v,), {} if v in s1 else {x_node: x_val})
 
     result = _product(map(factor, range(g.node_count)), ids, sizes)
     return DenseDistribution(ids, sizes, result.reshape(-1))

@@ -25,12 +25,12 @@ import numpy as np
 from .errors import FormatError, StateSpaceError, UnderflowError
 from .files import decode_json, list_template, read_text, require_fields, write_text
 from .graph import (
-    Admg, c_components, effective_parents, is_integer, is_symbol, parent_sets, require_identifiable, require_names,
-    require_nodes, topological_order,
+    Admg, all_integers, c_components, effective_parents, is_integer, is_symbol, parent_sets, require_identifiable,
+    require_names, require_nodes, topological_order,
 )
 from .identify import conditional_table
 from .model import (
-    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, empirical_marginal,
+    STATE_SPACE_LIMIT, DenseDistribution, SampleBatch, _decode, _encode, _pinned, empirical_marginal,
     first_non_distribution, strong_positivity_margin,
 )
 
@@ -120,11 +120,11 @@ class BayesNetModel:
         pos = {v: i for i, v in enumerate(self.order)}
         if len(pos) != len(self.order):
             raise ValueError("order lists a node twice")
-        if not (_integers(self.order) and min(self.order, default=0) >= 0):
+        if not (all_integers(self.order) and min(self.order, default=0) >= 0):
             raise ValueError("order must list node indices")
         # The members' types are read at once; a member is looked at alone only
         # when one is not an integer (true and 1.0 would pass for node 1).
-        typed = _integers(chain.from_iterable(self.conditioning_sets.values()))
+        typed = all_integers(chain.from_iterable(self.conditioning_sets.values()))
         for node, z in self.conditioning_sets.items():
             if node not in pos:
                 raise ValueError(f"conditioning set given for unknown node {node}")
@@ -178,7 +178,7 @@ class BayesNetModel:
         blocks, total = _table_blocks(order, conditioning_sets, a)
         try:
             symbols = list(chain.from_iterable(assignments))
-            if not (_integers(nodes) and _integers(symbols)):
+            if not (all_integers(nodes) and all_integers(symbols)):
                 raise ValueError("an entry holds a node or symbol that is not an integer")
             k = len(nodes)
             starts = np.fromiter(map({v: blocks[v].start for v in order}.__getitem__, nodes), np.int64, k)
@@ -399,11 +399,6 @@ def _name_first_fault(blocks: dict, conditioning_sets: dict, alphabet: int, node
             raise ValueError(f"stored row for {node} given {assignment} is not a distribution")
 
 
-def _integers(values) -> bool:
-    """Whether is_integer holds for every value, read from their types."""
-    return all(t is int or issubclass(t, np.integer) for t in set(map(type, values)))
-
-
 def _is_node(v) -> bool:
     return is_integer(v) and v >= 0
 
@@ -552,13 +547,7 @@ def _exact_model(plan: _Plan, p: DenseDistribution) -> BayesNetModel:
     a = plan.graph.alphabet_size
     blocks = []
     for v in plan.order:
-        z = plan.parents[v]
-        tbl = conditional_table(p, v, z)
-        pinned = dict(plan.pins[v])
-        # Back to front, so the axis indices of the coordinates left stay valid.
-        for pos in reversed(range(len(z))):
-            if z[pos] in pinned:
-                tbl = np.take(tbl, pinned[z[pos]], axis=pos)
+        tbl, _ = _pinned(conditional_table(p, v, plan.parents[v]), plan.parents[v], dict(plan.pins[v]))
         blocks.append(tbl.reshape(-1, a))
     values = _stack(blocks, (a,))
     return plan.model(values, np.ones(values.shape[0], dtype=bool))

@@ -22,7 +22,7 @@ from .files import (
     array_template, decode_json, decode_text, list_template, read_bytes, read_text, require_fields, write_text,
 )
 from .graph import (
-    Admg, graph_from_payload, graph_to_json, is_integer, is_symbol, require_nodes, topological_order,
+    Admg, all_integers, graph_from_payload, graph_to_json, is_integer, is_symbol, require_nodes, topological_order,
 )
 
 STATE_SPACE_LIMIT = 2**24
@@ -53,7 +53,10 @@ class DenseDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "variable_ids", _require_ids(self.variable_ids))
-        object.__setattr__(self, "domain_sizes", tuple(int(s) for s in self.domain_sizes))
+        sizes = tuple(self.domain_sizes)
+        if not all_integers(sizes):  # int() would read 2.5 as 2
+            raise ValueError(f"domain sizes {sizes} must be integers")
+        object.__setattr__(self, "domain_sizes", tuple(map(int, sizes)))
         mass = np.asarray(self.mass, dtype=float).reshape(-1)
         object.__setattr__(self, "mass", mass)
         if len(self.variable_ids) != len(self.domain_sizes):
@@ -124,7 +127,7 @@ class SampleBatch:
         data = np.asarray(self.data)
         if data.dtype.kind not in "iu":  # a float or bool array would be truncated into symbols
             raise ValueError(f"symbols must be integers, not {data.dtype}")
-        columns = tuple(int(c) for c in self.columns)
+        columns = _require_ids(self.columns)
         if data.ndim != 2 or data.shape[1] != len(columns):
             raise ValueError("data shape does not match columns")
         if len(set(columns)) != len(columns):
@@ -380,6 +383,17 @@ def _product(factors, target_ids, target_sizes) -> np.ndarray:
     return out
 
 
+def _pinned(table: np.ndarray, ids, pins: dict) -> tuple[np.ndarray, tuple]:
+    """A factor over ids sliced at each coordinate that pins fixes, taken back
+    to front so the axis indices left stay valid, and the ids it keeps."""
+    ids = list(ids)
+    for axis in reversed(range(len(ids))):
+        if ids[axis] in pins:
+            table = np.take(table, pins[ids[axis]], axis=axis)
+            del ids[axis]
+    return table, tuple(ids)
+
+
 def _full_joint(cbn: GroundTruthCbn, pin: Optional[tuple[int, int]] = None) -> DenseDistribution:
     """Distribution over the observables of the product of all factors, built
     over the axes (observables ascending, hidden variables after) with the
@@ -389,8 +403,8 @@ def _full_joint(cbn: GroundTruthCbn, pin: Optional[tuple[int, int]] = None) -> D
     X = x_val slice of the whole product, which is never built."""
     g = cbn.graph
     n, h = g.node_count, cbn.hidden_count
-    x, x_val = pin if pin is not None else (None, None)
-    observed = tuple(v for v in range(n) if v != x)
+    pins = dict([pin] if pin is not None else [])
+    observed = tuple(v for v in range(n) if v not in pins)
     sizes = [g.alphabet_size] * len(observed) + [cbn.hidden_domain] * h
     require_state_space(sizes)
 
@@ -398,14 +412,8 @@ def _full_joint(cbn: GroundTruthCbn, pin: Optional[tuple[int, int]] = None) -> D
         for e, prior in enumerate(cbn.hidden_priors):
             yield prior, [n + e]
         for v, table in enumerate(cbn.tables):
-            if v == x:
-                continue
-            ids = [*g.parents(v), *(n + e for e in cbn.hidden_parents[v]), v]
-            if x in ids:
-                axis = ids.index(x)
-                table = np.take(table, x_val, axis=axis)
-                del ids[axis]
-            yield table, ids
+            if v not in pins:
+                yield _pinned(table, (*g.parents(v), *(n + e for e in cbn.hidden_parents[v]), v), pins)
 
     joint = _product(factors(), [*observed, *range(n, n + h)], sizes)
     if h:

@@ -304,8 +304,8 @@ def test_criterion_9_lower_bound_reflections():
     for n in (8, 16, 32):
         ones = tuple([1] * n)
         zeros = tuple([0] * n)
-        sa = HardInstanceSpec(n, alpha, eps, (ones,))
-        sb = HardInstanceSpec(n, alpha, eps, (zeros,))
+        sa = HardInstanceSpec(n, alpha, eps, ones)
+        sb = HardInstanceSpec(n, alpha, eps, zeros)
         kl = observational_kl(sa, sb)
         tv = interventional_tv(sa, sb)
         kl_ok = lo * alpha * eps**2 <= kl <= hi * alpha * eps**2

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dolearn.errors import GenerationError
 from dolearn.experiments import (
     KL_BRACKET,
     TV_BRACKET_LOW,
@@ -11,12 +10,14 @@ from dolearn.experiments import (
     convergence_experiment,
     interventional_tv,
     observational_kl,
-    random_code,
 )
+from dolearn.graph import Admg
 from dolearn.model import (
+    GroundTruthCbn,
     exact_interventional,
     exact_observational,
     kl_distance,
+    model_to_json,
     random_cbn,
     tv_distance,
 )
@@ -31,16 +32,51 @@ def zeros(n):
     return tuple([0] * n)
 
 
+def per_cell_hard_instance(spec):
+    """The hard instance filled one (Z, X) cell of each effect table at a
+    time, with the effect variables' edges listed per variable."""
+    n = spec.n_effect_vars
+    y_ids = list(range(2, 2 + n))
+    directed = []
+    for y in y_ids:
+        directed.append((0, y))
+        directed.append((1, y))
+    bidirected = []
+    if spec.confounded:
+        bidirected.append((0, 1))
+    else:
+        directed.append((0, 1))
+    names = ["Z", "X"] + [f"Y{j + 1}" for j in range(n)]
+    g = Admg(node_count=2 + n, names=names, alphabet_size=2, directed_edges=directed, bidirected_edges=bidirected)
+    a, s = spec.alpha, spec.bias
+    flip = np.array([[1.0 - a, a], [a, 1.0 - a]])
+    uniform = np.array([0.5, 0.5])
+    priors = (uniform.copy(),) if spec.confounded else ()
+    tables = [np.eye(2) if spec.confounded else uniform.copy(), flip]
+    for j in range(n):
+        table = np.empty((2, 2, 2))
+        for z_val in (0, 1):
+            for x_val in (0, 1):
+                if x_val != z_val:
+                    sign = 1.0 if spec.codeword[j] else -1.0
+                    p1 = 0.5 + sign * s
+                else:
+                    p1 = 0.5
+                table[z_val, x_val] = [1.0 - p1, p1]
+        tables.append(table)
+    return GroundTruthCbn(g, 2, priors, tuple(tables))
+
+
 class TestHardInstance:
     def test_single_effect_interventional_value(self):
         eps = 0.2
-        cbn = build_hard_instance(HardInstanceSpec(1, 0.3, eps, ((1,),)))
+        cbn = build_hard_instance(HardInstanceSpec(1, 0.3, eps, (1,)))
         px = exact_interventional(cbn, 1, 1)
         assert px.marginal([2]).mass[1] == pytest.approx((1 + eps) / 2, abs=1e-12)
 
     def test_agreement_branch_is_unbiased(self):
         # Conditioned on X == Z every effect variable is a fair coin.
-        spec = HardInstanceSpec(3, 0.25, 0.2, (ones(3),))
+        spec = HardInstanceSpec(3, 0.25, 0.2, ones(3))
         cbn = build_hard_instance(spec)
         p = exact_observational(cbn)
         arr = p.as_array()  # axes: Z, X, Y1..Y3
@@ -50,68 +86,39 @@ class TestHardInstance:
             assert np.allclose(block, 1.0 / block.size, atol=1e-12)
 
     def test_confounded_variant_same_intervention(self):
-        spec_u = HardInstanceSpec(3, 0.2, 0.3, (ones(3),))
-        spec_c = HardInstanceSpec(3, 0.2, 0.3, (ones(3),), confounded=True)
+        spec_u = HardInstanceSpec(3, 0.2, 0.3, ones(3))
+        spec_c = HardInstanceSpec(3, 0.2, 0.3, ones(3), confounded=True)
         a = exact_interventional(build_hard_instance(spec_u), 1, 1)
         b = exact_interventional(build_hard_instance(spec_c), 1, 1)
         assert tv_distance(a, b) <= 1e-12
 
-    def test_control_variables_select_codewords(self):
-        words = (ones(2), zeros(2))
-        spec = HardInstanceSpec(2, 0.25, 0.2, words, control_degree=1)
-        cbn = build_hard_instance(spec)
-        # Variables: Z, X, W1, Y1, Y2; conditional on W1 = w the Y biases
-        # follow codeword w.
-        p = exact_observational(cbn)
-        s = spec.bias
-        arr = p.as_array()
-        for w_val, word in enumerate(words):
-            # P(Y1 = 1 | Z=0, X=1, W=w): disagreement branch.
-            block = arr[0, 1, w_val]
-            y1 = block.sum(axis=1)
-            y1 = y1 / y1.sum()
-            expect = 0.5 + s if word[0] else 0.5 - s
-            assert y1[1] == pytest.approx(expect, abs=1e-12)
+    @pytest.mark.parametrize("confounded", [False, True])
+    def test_model_file_matches_per_cell_construction(self, confounded):
+        for n in (1, 2, 5, 8):
+            words = [ones(n), zeros(n), tuple(j % 2 for j in range(n))]
+            for alpha in (0.01, 0.1, 0.5):
+                for eps in (0.05, 0.25 * n**0.5):
+                    for word in words:
+                        spec = HardInstanceSpec(n, alpha, eps, word, confounded=confounded)
+                        got = model_to_json(build_hard_instance(spec))
+                        assert got == model_to_json(per_cell_hard_instance(spec)), (n, alpha, eps, word)
 
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
-            HardInstanceSpec(4, 0.6, 0.1, (ones(4),))
+            HardInstanceSpec(4, 0.6, 0.1, ones(4))
         with pytest.raises(ValueError):
-            HardInstanceSpec(4, 0.2, 0.6001 * 2, (ones(4),))  # eps/sqrt(n) > 1/4
+            HardInstanceSpec(4, 0.2, 0.6001 * 2, ones(4))  # eps/sqrt(n) > 1/4
         with pytest.raises(ValueError):
-            HardInstanceSpec(4, 0.2, 0.1, (ones(3),))
+            HardInstanceSpec(4, 0.2, 0.1, ones(3))
         with pytest.raises(ValueError):
-            HardInstanceSpec(4, 0.2, 0.1, (ones(4),), control_degree=2)
-
-
-class TestRandomCode:
-    def test_separation_verified(self):
-        words = random_code(32, 2, 0.125, seed=0)
-        for c in words:
-            for d in words:
-                if c is d:
-                    continue
-                sep = sum(1 for cb, db in zip(c, d) if cb == 1 and db == 0)
-                assert sep >= 0.125 * 32
-
-    def test_complementary_pair_full_separation(self):
-        c, d = ones(16), zeros(16)
-        sep = sum(1 for cb, db in zip(c, d) if cb == 1 and db == 0)
-        assert sep == 16
-
-    def test_seed_reproducible(self):
-        assert random_code(24, 3, 0.1, seed=5) == random_code(24, 3, 0.1, seed=5)
-
-    def test_infeasible_parameters_exhaust_budget(self):
-        with pytest.raises(GenerationError):
-            random_code(4, 16, 0.25, seed=0, attempts=5)
+            HardInstanceSpec(2, 0.2, 0.1, (1, 2))
 
 
 class TestExactPairwiseDistances:
     def test_kl_decomposition_matches_dense_brute_force(self):
         n, alpha, eps = 8, 0.1, 0.2
-        sa = HardInstanceSpec(n, alpha, eps, (ones(n),))
-        sb = HardInstanceSpec(n, alpha, eps, (zeros(n),))
+        sa = HardInstanceSpec(n, alpha, eps, ones(n))
+        sb = HardInstanceSpec(n, alpha, eps, zeros(n))
         dense = kl_distance(
             exact_observational(build_hard_instance(sa)),
             exact_observational(build_hard_instance(sb)),
@@ -120,8 +127,8 @@ class TestExactPairwiseDistances:
 
     def test_tv_reduction_matches_dense_brute_force(self):
         n, alpha, eps = 8, 0.1, 0.2
-        sa = HardInstanceSpec(n, alpha, eps, (ones(n),))
-        sb = HardInstanceSpec(n, alpha, eps, (zeros(n),))
+        sa = HardInstanceSpec(n, alpha, eps, ones(n))
+        sb = HardInstanceSpec(n, alpha, eps, zeros(n))
         dense = tv_distance(
             exact_interventional(build_hard_instance(sa), 1, 1),
             exact_interventional(build_hard_instance(sb), 1, 1),
@@ -132,8 +139,8 @@ class TestExactPairwiseDistances:
         alpha, eps = 0.1, 0.2
         lo, hi = KL_BRACKET
         for n in (8, 16, 32):
-            sa = HardInstanceSpec(n, alpha, eps, (ones(n),))
-            sb = HardInstanceSpec(n, alpha, eps, (zeros(n),))
+            sa = HardInstanceSpec(n, alpha, eps, ones(n))
+            sb = HardInstanceSpec(n, alpha, eps, zeros(n))
             kl = observational_kl(sa, sb)
             assert lo * alpha * eps**2 <= kl <= hi * alpha * eps**2
             tv = interventional_tv(sa, sb)

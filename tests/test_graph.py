@@ -94,9 +94,15 @@ class TestConstructorRefusals:
         (dict(node_count=3, directed_edges=[(-1, 2)]), r"edge \(-1, 2\) out of range for 3 nodes"),
         (dict(node_count=3, bidirected_edges=[(0, 1), (4, 1)]), r"edge \(1, 4\) out of range for 3 nodes"),
         (dict(node_count=3, bidirected_edges=[(2, -1)]), r"edge \(-1, 2\) out of range for 3 nodes"),
+        # int() used to read these as 3 nodes, 2 symbols, the edge 0 -> 2 and node 1.
+        (dict(node_count=3.7), "node_count 3.7 is not an integer"),
+        (dict(node_count=3, alphabet_size=2.9), "alphabet_size 2.9 is not an integer"),
+        (dict(node_count=3, directed_edges=[(0.5, 2.2)]), "edge endpoint 0.5 is not a node index"),
+        (dict(node_count=3, bidirected_edges=[(0, True)]), "edge endpoint True is not a node index"),
     ], ids=["no_nodes", "negative_count", "repeated_names", "too_few_names", "unaddressable_name",
             "alphabet_below_2", "directed_self_loop", "bidirected_self_loop", "directed_out_of_range",
-            "directed_negative", "bidirected_out_of_range", "bidirected_negative"])
+            "directed_negative", "bidirected_out_of_range", "bidirected_negative", "float_count",
+            "float_alphabet", "float_endpoint", "bool_endpoint"])
     def test_refusal(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             Admg(**kwargs)

@@ -136,6 +136,15 @@ class TestTianPearlDo:
             tian_pearl_do(p, g, 0, 0)
 
 
+@pytest.mark.parametrize("x_val", [0.5, 1.9, True])
+@pytest.mark.parametrize("oracle", [tian_pearl_do, exact_dx])
+def test_x_val_that_is_no_symbol_is_refused(oracle, x_val):
+    # np.take would read 0.5 as X = 0, and 1.9 and True as X = 1.
+    g, _, p = random_instance(1)
+    with pytest.raises(ValueError, match=f"x_val {x_val} outside alphabet"):
+        oracle(p, g, 0, x_val)
+
+
 class TestExactDx:
     def test_childless_x_leaves_p_unchanged(self):
         g = Admg(3, directed_edges=[(1, 2)], bidirected_edges=[(0, 1)])

@@ -180,7 +180,7 @@ class TestLearnDo:
         from dolearn.experiments import HardInstanceSpec, build_hard_instance
 
         eps = 0.2
-        cbn = build_hard_instance(HardInstanceSpec(1, 0.3, eps, ((1,),)))
+        cbn = build_hard_instance(HardInstanceSpec(1, 0.3, eps, (1,)))
         batch = sample_observational(cbn, 200_000, seed=4)
         model = learn_do(batch, cbn.graph, 1, 1, t=10)
         dense = model_to_dense(model, keep=[2])

@@ -70,6 +70,11 @@ class TestDenseDistribution:
         with pytest.raises(ValueError, match=f"variable {bad} is not a node index"):
             call(exact_observational(cbn), sample_observational(cbn, 3000, seed=1))
 
+    def test_non_integer_domain_size_is_refused(self):
+        # int() used to store (2.5,) as (2,).
+        with pytest.raises(ValueError, match=r"domain sizes \(2.5,\) must be integers"):
+            dense((0,), (2.5,), [0.5, 0.5])
+
     def test_numpy_integer_ids_are_read_as_ints(self):
         d = dense([0, 1], [2, 2], [0.1, 0.2, 0.3, 0.4])
         one = np.uint8(1)
@@ -166,6 +171,11 @@ class TestSampleBatch:
     def test_refuses_float_and_bool_symbols(self, data):
         with pytest.raises(ValueError, match="symbols must be integers"):
             SampleBatch((0, 1, 2), data)
+
+    def test_refuses_non_integer_columns(self):
+        # int() used to store (0.5, 1.2) as columns (0, 1).
+        with pytest.raises(ValueError, match="variable 0.5 is not a node index"):
+            SampleBatch((0.5, 1.2), np.zeros((2, 2), dtype=np.int64))
 
     def test_refuses_a_column_named_twice(self):
         with pytest.raises(ValueError, match="twice"):

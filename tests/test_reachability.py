@@ -25,7 +25,6 @@ ALLOWED = {
     "evaluate_split": "criterion 8, split-evaluator cross-validation",
     "observational_kl": "criterion 9, the KL bracket of the hard instances",
     "interventional_tv": "criterion 9, the TV bracket of the hard instances",
-    "random_code": "criterion 9's separated codewords (tests/test_experiments.py TestRandomCode)",
     "kl_distance": "the dense KL that checks observational_kl and the learner's KL bound (tests/test_experiments.py, "
                    "tests/test_learn.py)",
     "learn_observational": "the paper's observational learner (tests/test_learn.py TestLearnObservational)",
