@@ -77,9 +77,9 @@ class Admg:
         n = int(node_count)
         if n <= 0:
             raise ValueError("node_count must be positive")
-        if names is None:
-            names = tuple(f"v{i}" for i in range(n))
-        names = tuple(str(s) for s in names)
+        names = tuple(f"v{i}" for i in range(n)) if names is None else tuple(names)
+        if not all(isinstance(s, str) for s in names):  # str() would read 1 as "1" and None as "None"
+            raise ValueError(f"name {next(s for s in names if not isinstance(s, str))!r} is not a string")
         if len(names) != n or len(set(names)) != n:
             raise ValueError("names must be %d distinct identifiers" % n)
         require_names(names)
@@ -213,15 +213,22 @@ def _confounded_with(v: int, neighbours: Sequence[Sequence[int]], admit: Callabl
 
 
 def _bidirected_partition(neighbours: Sequence[Sequence[int]]) -> CComponentPartition:
-    """Components found from unassigned nodes in increasing order, so listed by minimum element."""
+    """Components found from unassigned nodes in increasing order, so listed
+    by minimum element; each is walked with a stack, marking nodes as found."""
     comp_of = [-1] * len(neighbours)
     comps = []
     for v in range(len(neighbours)):
-        if comp_of[v] < 0:
-            comp = tuple(sorted(_confounded_with(v, neighbours, lambda w: True)))
-            for u in comp:
-                comp_of[u] = len(comps)
-            comps.append(comp)
+        if comp_of[v] >= 0:
+            continue
+        comp_of[v] = len(comps)
+        comp, stack = [v], [v]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if comp_of[w] < 0:
+                    comp_of[w] = len(comps)
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
     return CComponentPartition(tuple(comps), tuple(comp_of))
 
 

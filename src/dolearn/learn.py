@@ -36,15 +36,15 @@ from .model import (
 
 TABLE_ROW_LIMIT = 2**20
 
-# A model of at least this many nodes fills a query's factors with one array
-# gather instead of a Python loop over its steps: the gather's numpy calls
-# cost a fixed few microseconds per query, and below this size the loop's
-# cost per step (dict reads and a memoryview read) adds up to less. On
-# learn_do models of random_admg(n, 2, 2) (|Σ| = 2, 2000 rows, t = 10; 2-vCPU
-# x86 host, best of 15 runs of 200 evaluate_do queries) the two fills break
-# even near n = 30; at n = 40 the gather is 9-15% faster, at n = 14 it is
-# 40% slower.
-GATHER_MIN_STEPS = 40
+# A model of at least this many nodes fills a query's factors by array
+# gathers (see _Gather) instead of a Python loop over its steps: the
+# gathers' numpy calls cost a fixed 7-8 microseconds per query, and below
+# this size the loop's cost per step (dict reads and a memoryview read) adds
+# up to less. On learn_do models of random_admg(n, 2, 2) (|Σ| = 2, 2000 rows,
+# t = 10, graph seeds 2-4; 2-vCPU x86 host, best of 25 runs of 200
+# evaluate_do queries) the two fills break even between n = 44 and 48; at
+# n = 40 the gathers are 7-19% slower, at n = 56 10-17% faster.
+GATHER_MIN_STEPS = 48
 
 
 def add_one_estimator(counts: Sequence[int]) -> np.ndarray:
@@ -238,16 +238,19 @@ class BayesNetModel:
         """Probability of a full assignment over this model's variables or,
         given the node over, the joint summed over its values, refilling only
         the factors that read over after the first. The first fill (one array
-        gather from GATHER_MIN_STEPS nodes up, a loop over the steps below)
-        checks nothing; when it fails, require_assignment names the first
-        fault or gives the symbols (of any integer type, or numpy's bool) as
-        ints for the loop. Terms multiply in node order through math.prod, as
-        a running product does: np.prod or logs would move the last bits.
+        gather from GATHER_MIN_STEPS nodes up, see _Gather; a loop over the
+        steps below) checks nothing; when it fails, require_assignment names
+        the first fault or gives the symbols (of any integer type, or numpy's
+        bool) as ints, which are filled again. Terms multiply in node order,
+        as a running product does: np.prod or logs would move the last bits.
         Raises ValueError (over not a node, see require_assignment) and
         UnderflowError."""
-        if self._steps is None:  # on the first call, so that loading, learning and sampling never pay for it
-            self._build_index()
-        steps, cells, gather = self._steps, self._cells, self._gather
+        if self._steps is None:
+            if self._gather is None:  # on the first call, so that loading, learning and sampling never pay for it
+                self._build_index()
+            if self._gather is not None:
+                return self._gather.joint_probability(assignment, over, self._blocks, self.names)
+        steps, cells = self._steps, self._cells
         if over is not None:
             # is_integer, inlined for speed: true and 1.0 would find node 1.
             reading = self._reading.get(over) if type(over) is int or isinstance(over, np.integer) else None
@@ -257,10 +260,10 @@ class BayesNetModel:
             assignment[over] = 0
         try:
             # No fill reads a key outside the model, and the loop's tuples would read a negative symbol from their end.
-            if len(assignment) != len(steps) or gather is None and steps and min(assignment.values()) < 0:
+            if len(assignment) != len(steps) or steps and min(assignment.values()) < 0:
                 raise KeyError
-            factors = _gather(gather, assignment) if gather else _fill(cells, [0.0] * len(steps), assignment, steps)
-        except (KeyError, TypeError, IndexError, OverflowError):
+            factors = _fill(cells, [0.0] * len(steps), assignment, steps)
+        except (KeyError, TypeError, IndexError):
             assignment = require_assignment(assignment, self._blocks, self.alphabet_size)
             factors = _fill(cells, [0.0] * len(steps), assignment, steps)
         total = math.prod(factors, start=1.0)
@@ -276,19 +279,23 @@ class BayesNetModel:
         return total
 
     def _build_index(self) -> None:
-        """Build what joint_probability reads. Step pos reads node v's factor
+        """Build what joint_probability reads: _gather from GATHER_MIN_STEPS
+        nodes up; below, the loop's steps. Step pos reads node v's factor
         at the cell own[w[v]] plus term[w[u]] over v's conditioning set: own
         holds v's base plus each symbol, term (one per stride) each symbol
         times u's stride, so any integer type reads an int. _steps holds (pos,
         v, own, ((u, term), ...)) per node, in order; _reading, per node, its
         own step and those of the nodes conditioning on it; _cells, the flat
         store as a view, which copies nothing where a list would cost 32+
-        bytes per entry; _gather, _gather_index's from GATHER_MIN_STEPS nodes."""
+        bytes per entry."""
         a, order = self.alphabet_size, self.order
         sets = [self.conditioning_sets[v] for v in order]
+        bases = [self._blocks[v].start * a for v in order]
+        if len(order) >= GATHER_MIN_STEPS:
+            self._gather = _Gather(order, sets, bases, a, self.values)
+            return
         # terms[j] holds s * a^j per symbol s; member j of a conditioning set of k reads terms[k - j].
         terms = [tuple(range(0, a**j * a, a**j)) for j in range(max(map(len, sets), default=0) + 1)]
-        bases = [self._blocks[v].start * a for v in order]
         owns = [tuple(range(base, base + a)) for base in bases]
         steps = tuple(zip(range(len(order)), order, owns, [tuple(zip(z, terms[len(z):0:-1])) for z in sets]))
         self._reading = {v: [step] for v, step in zip(order, steps)}  # a node's own step precedes those that read it
@@ -296,7 +303,6 @@ class BayesNetModel:
             for u, _ in step[3]:
                 self._reading[u].append(step)
         self._cells = memoryview(self.values.reshape(-1))
-        self._gather = _gather_index(order, sets, bases, a, self.values) if len(order) >= GATHER_MIN_STEPS else None
         self._steps = steps
 
 
@@ -311,40 +317,91 @@ def _fill(cells: memoryview, factors: list, assignment: Mapping, steps) -> list:
     return factors
 
 
-def _gather_index(order, sets: list, bases: list, alphabet: int, values: np.ndarray) -> tuple:
-    """The gather's index, built from the flat conditioning sets (sets[i] is
-    step i's): the reader of an assignment's values in node order; positions
-    and strides (n, 2 + k), k the widest set, such that step i's cell is the
-    sum over j of strides[i, j] * w[positions[i, j]], where w is those values
-    followed by a sentinel 1; the flat store; and |Σ|. Column 0 reads the
-    sentinel with the step's base as stride, column 1 the node itself, the
-    rest its conditioning set, padded with the sentinel at stride 0."""
-    n = len(order)
-    widths = np.fromiter(map(len, sets), np.intp, n)
-    at = dict(zip(order, range(n)))
-    rows = np.repeat(np.arange(n), widths)
-    cols = 2 + np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths, widths)
-    positions = np.full((n, 2 + int(widths.max(initial=0))), n, dtype=np.intp)
-    strides = np.zeros(positions.shape, dtype=np.int64)
-    strides[:, 0], strides[:, 1], positions[:, 1] = bases, 1, np.arange(n)
-    positions[rows, cols] = np.fromiter(map(at.__getitem__, chain.from_iterable(sets)), np.intp, rows.size)
-    strides[rows, cols] = alphabet ** (np.repeat(widths, widths) + 2 - cols)
-    read = itemgetter(*order) if n > 1 else lambda w: [w[v] for v in order]  # itemgetter(v) returns no tuple
-    return read, positions, strides, values.reshape(-1), alphabet
+class _Gather:
+    """joint_probability by array gathers, for a model of GATHER_MIN_STEPS
+    nodes or more. One flat index holds, per node in order, the positions of
+    its conditioning set and then of itself (positions in the order) with
+    their strides; starts[i] is node i's first entry. Node i's cell of the
+    flat store is bases[i] plus the sum over its entries of stride times the
+    value at that position. The factor list is the cells' values, multiplied
+    in order by np.multiply.accumulate, which is strictly sequential, so its
+    last entry has the bits of math.prod(start=1.0). The sum over a node x
+    moves each reader of x (x itself and the nodes conditioning on it) from
+    its cell at x = 0 to that cell plus x's value times x's stride there."""
+
+    def __init__(self, order, sets: list, bases: list, alphabet: int, values: np.ndarray):
+        n = len(order)
+        sizes = np.fromiter(map(len, sets), np.intp, n) + 1
+        ends = np.cumsum(sizes)  # node i's own entry is ends[i] - 1
+        self.starts = ends - sizes
+        self.pos = np.repeat(np.arange(n), sizes)  # right for each node's own entry; its set's are filled in below
+        members = np.ones(self.pos.size, dtype=bool)
+        members[ends - 1] = False
+        at = dict(zip(order, range(n)))
+        self.pos[members] = np.fromiter(map(at.__getitem__, chain.from_iterable(sets)), np.intp, self.pos.size - n)
+        # Member j of a set of k has the stride a^(k - j), the node itself 1.
+        self.stride = alphabet ** (np.repeat(ends - 1, sizes) - np.arange(self.pos.size))
+        self.bases = np.array(bases, dtype=np.int64)
+        self.order, self.at, self.alphabet, self.flat = order, at, alphabet, values.reshape(-1)
+        self.read = _reader(order)
+        self.sums = {}  # over -> what the sum over it reads; see _sum
+
+    def joint_probability(self, assignment: Mapping, over, blocks: dict, names) -> float:
+        a = self.alphabet
+        if over is None:
+            read, at, count = self.read, None, len(assignment)
+        else:
+            # is_integer, inlined for speed: true and 1.0 would find node 1.
+            summed = self.sums.get(over) if type(over) is int or isinstance(over, np.integer) else None
+            read, at, readers, shifts = summed or self._sum(over)
+            count = len(assignment) + (over not in assignment)  # a value of over is ignored
+        try:
+            if count != len(self.order):  # no gather reads a key outside the model
+                raise KeyError
+            # CPython packs ints into the unsigned 64-bit typecode about three times
+            # faster than into the narrow ones; all refuse 1.0, Fraction, Decimal and -1.
+            w = array("Q", read(assignment))
+            if at is not None:
+                w.insert(at, 0)
+            w = np.frombuffer(w, dtype=np.uint64)
+            if w.max(initial=0) >= a:
+                raise IndexError
+        except (KeyError, TypeError, IndexError, OverflowError):
+            checked = require_assignment(assignment if over is None else {**assignment, over: 0}, blocks, a)
+            w = np.frombuffer(array("Q", checked.values()), dtype=np.uint64)
+        cells = np.add.reduceat(w.view(np.int64).take(self.pos) * self.stride, self.starts) + self.bases
+        factors = self.flat.take(cells)
+        total = float(np.multiply.accumulate(factors)[-1]) if factors.size else 1.0
+        if over is not None:
+            read_cells = cells[readers]
+            for shift in shifts[1:]:
+                factors[readers] = self.flat.take(read_cells + shift)
+                total += float(np.multiply.accumulate(factors)[-1])
+        if total < sys.float_info.min:  # each term is gathered again, to tell underflow from zero
+            terms = [factors] if over is None else []
+            for shift in shifts if over is not None else ():
+                terms.append(factors.copy())
+                terms[-1][readers] = self.flat.take(read_cells + shift)
+            require_normal(total, terms, names, over)
+        return total
+
+    def _sum(self, over) -> tuple:
+        """What the sum over the node over reads, kept in sums: the reader of
+        every other node's value, over's position in the order, the positions
+        of its readers and, per value of over, the shift of their cells."""
+        if not (is_integer(over) and over in self.at):
+            raise ValueError(f"over {over!r} is not a node of the model")
+        at = self.at[over]
+        hits = np.flatnonzero(self.pos == at)
+        readers = np.searchsorted(self.starts, hits, side="right") - 1
+        shifts = np.arange(self.alphabet)[:, None] * self.stride[hits]
+        summed = self.sums[over] = _reader(self.order[:at] + self.order[at + 1:]), at, readers, shifts
+        return summed
 
 
-def _gather(gather: tuple, assignment: Mapping) -> list:
-    """Every step's factor, by one gather from the flat store. A missing node,
-    or a value that is no symbol, raises."""
-    values, positions, strides, flat, alphabet = gather
-    # CPython packs ints into the unsigned 64-bit typecode about three times
-    # faster than into the narrow ones; all refuse 1.0, Fraction and Decimal.
-    w = array("Q", values(assignment))
-    w.append(1)
-    w = np.frombuffer(w, dtype=np.uint64)
-    if w[:-1].max(initial=0) >= alphabet:
-        raise IndexError
-    return flat[np.einsum("ij,ij->i", strides, w.view(np.int64)[positions])].tolist()
+def _reader(keys):
+    """A function from a mapping to the tuple of its values at keys."""
+    return itemgetter(*keys) if len(keys) > 1 else lambda w: tuple(w[v] for v in keys)  # itemgetter(v) is no tuple
 
 
 def require_assignment(assignment: Mapping, nodes, alphabet: int) -> dict:
@@ -365,8 +422,9 @@ def require_assignment(assignment: Mapping, nodes, alphabet: int) -> dict:
 
 def require_normal(p: float, terms: Iterable, names: Optional[Sequence[str]], over: Optional[int]) -> float:
     """p, the sum over the values of node over (one term when over is None) of
-    the products of terms' factor lists. Below the normal float64 range it has
-    underflowed unless each term has a zero factor (terms is read only then)."""
+    the products of terms' factors (lists or arrays). Below the normal float64
+    range it has underflowed unless each term has a zero factor (terms is read
+    only then)."""
     if p < sys.float_info.min and any(min(factors, default=1.0) > 0 for factors in terms):
         found = (f"every factor is positive, but the product is {p!r}" if over is None else f"a term of the sum over "
                  f"{names[over] if names else f'variable {over}'} has only positive factors, but the sum is {p!r}")

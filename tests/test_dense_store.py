@@ -215,23 +215,24 @@ def reference_parse(text, source="<learned>"):
 
 
 @st.composite
-def sparse_models(draw, large=False):
-    """(kwargs, cpts) of a random model: |Σ| in {2, 3}, up to five nodes
-    (or, when large, also GATHER_MIN_STEPS to GATHER_MIN_STEPS + 20, which
-    joint_probability fills by its gather) drawn from range(2n), as in the
-    component models of a split evaluator, rows fitted with a drawn
-    probability (none at all included), and an optional substitution with
-    substituted nodes."""
+def sparse_models(draw, large=False, empty=False):
+    """(kwargs, cpts) of a random model: |Σ| in {2, 3}, one to five nodes
+    (none too, when empty; when large, also GATHER_MIN_STEPS to
+    GATHER_MIN_STEPS + 20, which joint_probability fills by its gather)
+    drawn from range(2n), as in the component models of a split evaluator,
+    rows fitted with a drawn probability (none at all included), and an
+    optional substitution with substituted nodes."""
     a = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 5) | st.integers(GATHER_MIN_STEPS, GATHER_MIN_STEPS + 20) if large else st.integers(1, 5))
-    order = tuple(draw(st.lists(st.integers(0, 2 * n - 1), min_size=n, max_size=n, unique=True)))
+    small = st.integers(0 if empty else 1, 5)
+    n = draw(small | st.integers(GATHER_MIN_STEPS, GATHER_MIN_STEPS + 20) if large else small)
+    order = tuple(draw(st.lists(st.integers(0, max(2 * n - 1, 0)), min_size=n, max_size=n, unique=True)))
     conditioning = {}
     for i, v in enumerate(order):
         preds = order[:i]
         z = draw(st.lists(st.sampled_from(preds), unique=True, max_size=2)) if preds else []
         conditioning[v] = tuple(z)
     kwargs = {"order": order, "conditioning_sets": conditioning, "alphabet_size": a}
-    x = draw(st.none() | st.sampled_from(order))
+    x = draw(st.none() | st.sampled_from(order)) if order else None
     if x is not None:
         kwargs["x_substitution"] = (x, draw(st.integers(0, a - 1)))
         candidates = [v for v in order if v != x and x not in conditioning[v]]
@@ -354,6 +355,43 @@ class TestDenseStore:
             assert gathered == evaluation(model, {v: int(s) for v, s in w.items()}, over)
         else:
             assert gathered == ("ValueError", message)
+
+    @PROPERTY
+    @given(sparse_models(large=True, empty=True), st.data())
+    def test_both_fills_ignore_the_value_of_the_summed_node(self, case, data):
+        # The gather is forced on models of no node and of one node too. For
+        # each node as over, its value may be missing, odd or a symbol: every
+        # such query, and over as a numpy integer, gives the bits of the query
+        # without it. The caller's assignment is left as it was.
+        model = from_cpts(case[1], **case[0])
+        w = {v: data.draw(st.integers(0, model.alphabet_size - 1)) for v in model.order}
+        fills = [with_fill(model, gather) for gather in (True, False)]
+        assert fills[0]._steps is None and fills[1]._gather is None
+        assert evaluation(fills[0], w, None) == evaluation(fills[1], w, None)
+        for over in model.order:
+            without = {v: s for v, s in w.items() if v != over}
+            want = evaluation(fills[1], without, over)
+            for value in (DROP, 1.5, 7, -1, w[over]):
+                query = dict(without) if value is DROP else {**w, over: value}
+                kept = list(query.items())
+                for fill in fills:
+                    assert evaluation(fill, query, over) == want
+                    assert evaluation(fill, query, np.int64(over)) == want
+                    assert list(query.items()) == kept
+
+    def test_a_gathered_model_builds_no_steps(self):
+        # A chain above the cut-over: its first evaluation builds the gather's
+        # index alone, and the sum over a node builds that node's readers once.
+        n = GATHER_MIN_STEPS
+        nodes = tuple(range(n))
+        cpts = {(v, (0,) * min(v, 1)): [0.25, 0.75] for v in nodes}
+        model = from_cpts(cpts, order=nodes, conditioning_sets={v: (v - 1,) if v else () for v in nodes},
+                          alphabet_size=2)
+        w = dict.fromkeys(nodes, 0)
+        assert model.joint_probability(w) == 0.25**n
+        assert model._steps is None and model._reading is None and model._cells is None
+        assert model.joint_probability(w, over=3) == 0.25**n + 0.75 * 0.5 * 0.25 ** (n - 2)
+        assert list(model._gather.sums) == [3] and model._steps is None
 
     def test_symbols_wider_than_a_byte(self):
         # A root-only model over 300 symbols, above the cut-over.

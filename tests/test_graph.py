@@ -87,6 +87,9 @@ class TestConstructorRefusals:
         (dict(node_count=2, names=["a", "a"]), "names must be 2 distinct identifiers"),
         (dict(node_count=2, names=["a"]), "names must be 2 distinct identifiers"),
         (dict(node_count=2, names=["a=b", "c"]), "name 'a=b' cannot be addressed"),
+        # str() used to read these as the names "1" and "None".
+        (dict(node_count=2, names=[1, None]), "name 1 is not a string"),
+        (dict(node_count=2, names=["a", None]), "name None is not a string"),
         (dict(node_count=2, alphabet_size=1), "alphabet_size must be at least 2"),
         (dict(node_count=3, directed_edges=[(0, 1), (2, 2)]), "self-loop 2 -> 2 not allowed"),
         (dict(node_count=3, bidirected_edges=[(0, 1), (1, 1)]), "self-loop 1 <-> 1 not allowed"),
@@ -100,6 +103,7 @@ class TestConstructorRefusals:
         (dict(node_count=3, directed_edges=[(0.5, 2.2)]), "edge endpoint 0.5 is not a node index"),
         (dict(node_count=3, bidirected_edges=[(0, True)]), "edge endpoint True is not a node index"),
     ], ids=["no_nodes", "negative_count", "repeated_names", "too_few_names", "unaddressable_name",
+            "int_name", "none_name",
             "alphabet_below_2", "directed_self_loop", "bidirected_self_loop", "directed_out_of_range",
             "directed_negative", "bidirected_out_of_range", "bidirected_negative", "float_count",
             "float_alphabet", "float_endpoint", "bool_endpoint"])
@@ -129,6 +133,27 @@ class TestCComponents:
     def test_transitive_path(self):
         g = Admg(3, bidirected_edges=[(0, 1), (1, 2)])
         assert c_components(g).components == ((0, 1, 2),)
+
+    @settings(settings.get_profile("property"))
+    @given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**16))
+    def test_partition_equals_the_walk_through_sets(self, n, ccomp, seed):
+        # The walk the partition used before: each unassigned node's component
+        # as the set of nodes its bidirected paths reach, sorted.
+        g = random_admg(n, 2, ccomp, seed=seed)
+        comps, comp_of = [], [-1] * n
+        for v in range(n):
+            if comp_of[v] < 0:
+                comp, stack = {v}, [v]
+                while stack:
+                    for w in g._neighbours[stack.pop()]:
+                        if w not in comp:
+                            comp.add(w)
+                            stack.append(w)
+                comps.append(tuple(sorted(comp)))
+                for u in comp:
+                    comp_of[u] = len(comps) - 1
+        part = c_components(g)
+        assert part.components == tuple(comps) and part.component_of == tuple(comp_of)
 
     def test_component_of_consistent(self):
         g = random_admg(7, 2, 3, seed=2)
