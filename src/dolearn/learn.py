@@ -566,29 +566,17 @@ def _component_plan(g: Admg, y_set: Iterable[int], y_bar_1: dict) -> _Plan:
 def _counted_model(plan: _Plan, samples: SampleBatch, t: int, **diagnostics) -> BayesNetModel:
     """The plan with add-1 rows wherever a conditioning assignment was seen at
     least t times (once for exempt nodes) among the sample rows that match
-    the node's pins, and uniform rows elsewhere. Each node's keys are encoded
-    from the batch's columns where they lie, and the rows that match its pins
-    are picked from the keys; refuses symbols outside the alphabet."""
-    a = plan.graph.alphabet_size
-    data = samples.data
-    at = samples.positions(range(plan.graph.node_count))
+    the node's pins, and uniform rows elsewhere; refuses symbols outside the
+    alphabet. When the sample space of the graph's n nodes, |alphabet|^n
+    cells, is no larger than the sample, the rows are counted once (see
+    _histogram_joints); otherwise each node's rows are (see _row_joints).
+    The counts are integers either way, so both give the same model."""
+    a, n = plan.graph.alphabet_size, plan.graph.node_count
+    at = samples.positions(range(n))
     samples.require_symbols(a)
-    matching = {}  # pins -> indices of the sample rows that match them
-    joints, thresholds = [], []
-    for v in plan.order:
-        z = plan.conditioning[v]
-        key = _encode(data, [at[u] for u in (*z, v)], a)
-        pins = plan.pins[v]
-        if pins:
-            if pins not in matching:
-                mask = np.ones(samples.size, dtype=bool)
-                for u, val in pins:
-                    mask &= data[:, at[u]] == val
-                matching[pins] = np.flatnonzero(mask)  # taking by index is faster than a boolean mask
-            key = key.take(matching[pins])
-        # require_table_rows bounds the key space when the plan is built.
-        joints.append(np.bincount(key, minlength=a ** (len(z) + 1)).reshape(-1, a))
-        thresholds.append(1 if v in plan.exempt else t)
+    count = _histogram_joints if a**n <= samples.size else _row_joints
+    joints = count(plan, samples.data, at, a)
+    thresholds = [1 if v in plan.exempt else t for v in plan.order]
     joint = _stack(joints, (a,))
     counts = joint.sum(axis=1)
     seen = counts > 0
@@ -597,6 +585,45 @@ def _counted_model(plan: _Plan, samples: SampleBatch, t: int, **diagnostics) -> 
     return plan.model(
         values, fitted, **diagnostics, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum())
     )
+
+
+def _histogram_joints(plan: _Plan, data: np.ndarray, at: list, a: int) -> list:
+    """Each node's (z..., v) counts, in plan order, from one histogram over
+    all n nodes of the graph: every row's key over the nodes is encoded once
+    and counted into |alphabet|^n cells, and a node's table is the histogram
+    at its pins, summed over every other node and put in (z..., v) order."""
+    n = plan.graph.node_count
+    hist = np.bincount(_encode(data, at, a), minlength=a**n).reshape((a,) * n)
+    joints = []
+    for v in plan.order:
+        table, ids = _pinned(hist, range(n), dict(plan.pins[v]))
+        keep = (*plan.conditioning[v], v)
+        table = table.sum(axis=tuple(i for i, u in enumerate(ids) if u not in keep))
+        kept = [u for u in ids if u in keep]
+        joints.append(table.transpose([kept.index(u) for u in keep]).reshape(-1, a))
+    return joints
+
+
+def _row_joints(plan: _Plan, data: np.ndarray, at: list, a: int) -> list:
+    """Each node's (z..., v) counts, in plan order, one node at a time: its
+    keys are encoded from the columns where they lie, and the rows that match
+    its pins are picked from the keys."""
+    matching = {}  # pins -> indices of the sample rows that match them
+    joints = []
+    for v in plan.order:
+        z = plan.conditioning[v]
+        key = _encode(data, [at[u] for u in (*z, v)], a)
+        pins = plan.pins[v]
+        if pins:
+            if pins not in matching:
+                mask = np.ones(data.shape[0], dtype=bool)
+                for u, val in pins:
+                    mask &= data[:, at[u]] == val
+                matching[pins] = np.flatnonzero(mask)  # taking by index is faster than a boolean mask
+            key = key.take(matching[pins])
+        # require_table_rows bounds the key space when the plan is built.
+        joints.append(np.bincount(key, minlength=a ** (len(z) + 1)).reshape(-1, a))
+    return joints
 
 
 def _exact_model(plan: _Plan, p: DenseDistribution) -> BayesNetModel:

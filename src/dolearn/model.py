@@ -343,10 +343,20 @@ def first_non_distribution(rows: np.ndarray, atol: float, floor: float = 0.0) ->
 
 
 def _encode(values: np.ndarray, cols: Sequence[int], alphabet: int) -> np.ndarray:
-    """Big-endian int64 row key of each row of values over the column
-    positions cols, built in place from the columns where they lie."""
-    key = np.zeros(values.shape[0], dtype=np.int64)
-    for c in cols:
+    """Big-endian row key of each row of values over the column positions
+    cols, built in place from the columns where they lie. The key's type is
+    the narrowest unsigned one that holds alphabet^len(cols) - 1, promoted
+    with values' dtype, so no column is widened beyond it; the symbols must
+    lie in [0, alphabet)."""
+    dtype = np.promote_types(np.min_scalar_type(alphabet ** len(cols) - 1), values.dtype)
+    if dtype.kind == "f":  # signed symbols promote with uint64 to float64, which would round the key
+        dtype = np.dtype(np.uint64)
+        values = values.astype(dtype)
+    if not cols:
+        return np.zeros(values.shape[0], dtype=dtype)
+    # The first column is copied, not added to zeros times alphabet: a one-column key type need not hold alphabet.
+    key = values[:, cols[0]].astype(dtype)
+    for c in cols[1:]:
         key *= alphabet
         key += values[:, c]
     return key

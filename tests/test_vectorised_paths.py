@@ -4,9 +4,11 @@ Each reference below is the per-row implementation the package used before
 its row-bound paths became whole-array numpy; the properties require equal
 output (bytes, arrays, draws, error messages) on random and mutated inputs.
 The learners count from the batch's columns where they lie, so the same rows
-must learn bit-equal models whatever the layout and dtype of the batch.
+must learn bit-equal models whatever the layout and dtype of the batch, and
+whether they count the rows once into one histogram or once per node.
 """
 
+import collections
 import csv
 import dataclasses
 import io
@@ -20,11 +22,12 @@ from dolearn.errors import FormatError
 from dolearn.graph import Admg, c_components, effective_parents, parent_sets, random_admg, topological_order
 from dolearn.intervene import InterventionalModel, learn_marginal_do, sample_do
 from dolearn.learn import (
-    _counted_model, _encode, _Plan, add_one_estimator, exact_do_model, learn_ccomponent_intervention, learn_do,
+    _component_plan, _counted_model, _do_plan, _observational_plan, _Plan, add_one_estimator, exact_do_model,
+    learn_ccomponent_intervention, learn_do,
 )
 from dolearn.model import (
-    GroundTruthCbn, SampleBatch, _hidden_parents, exact_observational, model_to_json, parse_samples_csv, random_cbn,
-    sample_observational, samples_to_csv, symbol_dtype,
+    GroundTruthCbn, SampleBatch, _encode, _hidden_parents, empirical_marginal, exact_observational, model_to_json,
+    parse_samples_csv, random_cbn, sample_observational, samples_to_csv, symbol_dtype,
 )
 
 PROPERTY = settings.get_profile("property")
@@ -133,12 +136,51 @@ def reference_sample_do(im, count, seed):
     return SampleBatch(tuple(keep), values[:, keep])
 
 
+def reference_encode(values, cols, alphabet):
+    """Big-endian int64 key of each row over the column positions cols."""
+    key = np.zeros(values.shape[0], dtype=np.int64)
+    for c in cols:
+        key = key * alphabet + values[:, c].astype(np.int64)
+    return key
+
+
 def reference_grouped_counts(values_by_node, cols, child, alphabet):
-    keys = _encode(values_by_node, cols, alphabet)
+    keys = reference_encode(values_by_node, cols, alphabet)
     uniq, inv = np.unique(keys, return_inverse=True)
     joint = np.bincount(inv * alphabet + values_by_node[:, child], minlength=uniq.size * alphabet)
     joint = joint.reshape(uniq.size, alphabet)
     return uniq, joint, joint.sum(axis=1)
+
+
+def reference_counted_model(plan, samples, t):
+    """The learners' counting as one int64 key and one bincount per node, over
+    the sample rows that match the node's pins."""
+    a = plan.graph.alphabet_size
+    data = samples.data
+    at = samples.positions(range(plan.graph.node_count))
+    matching = {}
+    joints, thresholds = [], []
+    for v in plan.order:
+        z = plan.conditioning[v]
+        key = reference_encode(data, [at[u] for u in (*z, v)], a)
+        pins = plan.pins[v]
+        if pins:
+            if pins not in matching:
+                mask = np.ones(samples.size, dtype=bool)
+                for u, val in pins:
+                    mask &= data[:, at[u]] == val
+                matching[pins] = np.flatnonzero(mask)
+            key = key.take(matching[pins])
+        joints.append(np.bincount(key, minlength=a ** (len(z) + 1)).reshape(-1, a))
+        thresholds.append(1 if v in plan.exempt else t)
+    joint = np.concatenate(joints) if joints else np.zeros((0, a))
+    counts = joint.sum(axis=1)
+    seen = counts > 0
+    fitted = seen & (counts >= np.repeat(thresholds, [block.shape[0] for block in joints]))
+    values = np.where(fitted[:, None], add_one_estimator(joint), 1.0 / a)
+    return plan.model(
+        values, fitted, fitted_rows=int(fitted.sum()), below_threshold_rows=int((seen & ~fitted).sum())
+    )
 
 
 def reference_effective_parents(g):
@@ -346,11 +388,14 @@ class TestGroupedCounts:
 
 
 @st.composite
-def learner_cases(draw):
+def learner_cases(draw, around_space=False):
     """(g, rows, x, x_val, y_set, y_bar_1, f): a drawn identifiable ADMG with
     |alphabet| in {2, 3}, observational rows of it in node order, an
     intervention, a union of confounded components with an assignment to its
-    outside parents, and a marginal target set."""
+    outside parents, and a marginal target set. There are 1 to 300 rows or,
+    with around_space, 1 to twice |alphabet|^n, or one of |alphabet|^n - 1,
+    |alphabet|^n and |alphabet|^n + 1: on both sides of the size at which
+    the learners count the rows into one histogram."""
     alphabet = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(2, 6))
     x = draw(st.integers(0, n - 1))
@@ -359,7 +404,9 @@ def learner_cases(draw):
         seed=draw(st.integers(0, 10_000)), identifiable_for=x,
     )
     cbn = random_cbn(g, smoothing=0.25, seed=draw(st.integers(0, 10_000)))
-    batch = sample_observational(cbn, draw(st.integers(1, 300)), seed=draw(st.integers(0, 10_000)))
+    space = alphabet**n
+    m = st.sampled_from([space - 1, space, space + 1]) | st.integers(1, 2 * space) if around_space else st.integers(1, 300)
+    batch = sample_observational(cbn, draw(m), seed=draw(st.integers(0, 10_000)))
     rows = batch.data[:, np.argsort(batch.columns)]
     comps = c_components(g).components
     chosen = draw(st.lists(st.sampled_from(comps), min_size=1, max_size=len(comps), unique=True))
@@ -405,6 +452,71 @@ class TestBatchLayouts:
             got = learn_marginal_do(batch, g, x, x_val, f, t)
             assert got.variable_ids == want_marginal.variable_ids
             assert np.array_equal(got.mass, want_marginal.mass)
+
+
+class TestCountRoutes:
+    """The do, component and observational plans learn, on either side of
+    |alphabet|^n rows, what one int64 key and one bincount per node give."""
+
+    @staticmethod
+    def check(g, rows, x, x_val, y_set, y_bar_1, t):
+        batch = SampleBatch(tuple(range(g.node_count)), np.asfortranarray(rows))
+        for plan in (_do_plan(g, x, x_val), _component_plan(g, y_set, y_bar_1), _observational_plan(g)):
+            got, want = _counted_model(plan, batch, t), reference_counted_model(plan, batch, t)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.fitted, want.fitted)
+            assert got.diagnostics == want.diagnostics
+
+    @PROPERTY
+    @given(learner_cases(around_space=True), st.sampled_from([1, 2, 5]))
+    def test_both_routes_equal_the_per_node_loop(self, case, t):
+        self.check(*case[:-1], t)
+
+    @pytest.mark.parametrize("m", [3**6 - 1, 3**6, 3**6 + 1])
+    def test_the_largest_drawn_space_on_both_sides(self, m):
+        """|alphabet| = 3 over 6 nodes, the largest space learner_cases draws
+        and the only one whose histogram key needs more than a byte, which a
+        property run need not reach. Five nodes are pinned under do(0 = 1),
+        and three under the component {1, 4, 5}."""
+        g = random_admg(6, 2, 3, alphabet_size=3, seed=4, identifiable_for=0)
+        rows = sample_observational(random_cbn(g, smoothing=0.25, seed=2), m, seed=3)
+        y_bar_1 = dict.fromkeys(parent_sets(g, (1, 4, 5))[2], 2)
+        self.check(g, rows.data[:, np.argsort(rows.columns)], 0, 1, (1, 4, 5), y_bar_1, 2)
+
+
+class TestNarrowKeys:
+    @pytest.mark.parametrize("alphabet, width, key_dtype", [
+        (2, 8, np.uint8), (16, 2, np.uint8), (2, 9, np.uint16), (300, 1, np.uint16),
+        (300, 2, np.uint32), (300, 3, np.uint32), (300, 4, np.uint64),
+    ])
+    def test_keys_equal_python_ints(self, alphabet, width, key_dtype):
+        """Keys in the narrowest unsigned type that holds |alphabet|^width - 1,
+        from rows of the largest symbols and others, equal their big-endian
+        values as Python ints, in symbol_dtype and in int64 columns."""
+        rng = np.random.default_rng(width)
+        rows = np.vstack([np.full(width, alphabet - 1), np.zeros(width, dtype=np.int64),
+                          rng.integers(0, alphabet, size=(30, width))])
+        rows[2::2, 0] = alphabet - 1  # the leading digit at its largest, so the top bits are set
+        want = [sum(int(s) * alphabet ** (width - 1 - j) for j, s in enumerate(row)) for row in rows]
+        assert want[0] == alphabet**width - 1
+        for data in (rows.astype(symbol_dtype(alphabet)), rows):
+            cols = list(range(width))[::-1]
+            key = _encode(np.asfortranarray(data[:, ::-1]), cols, alphabet)
+            assert key.dtype.kind in "iu" and key.tolist() == want
+        assert _encode(rows.astype(symbol_dtype(alphabet)), range(width), alphabet).dtype == key_dtype
+
+    def test_marginal_over_two_wide_columns_equals_counted_rows(self):
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 300, size=(500, 3))
+        rows[:40, 1:] = 299
+        batch = SampleBatch((2, 0, 1), rows.astype(symbol_dtype(300)))
+        counts = collections.Counter(zip(rows[:, 1].tolist(), rows[:, 2].tolist()))
+        want = np.zeros((300, 300))
+        for (s0, s1), c in counts.items():
+            want[s0, s1] = c / len(rows)
+        got = empirical_marginal(batch, [0, 1], 300)
+        assert got.variable_ids == (0, 1) and got.domain_sizes == (300, 300)
+        assert np.array_equal(got.mass.reshape(300, 300), want)
 
 
 def with_point_masses(rows, seed):
